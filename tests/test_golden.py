@@ -1,0 +1,102 @@
+"""Golden-output guard: SHA-256 digests of CLI outputs at fixed seeds.
+
+A refactor that claims byte-identical behaviour must leave every digest
+here unchanged.  Each case runs at a decoy proportion of 0, 0.25 or 1,
+where ``xi * payload`` is exact in binary floating point, so the decoy
+counts do not depend on how the rounding is computed.  A change that
+alters an output on purpose regenerates the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+
+import pytest
+
+from qgka.cli import main
+
+ALL_EIGHT = (
+    "tree-bell,tree-cluster,tree-single,tree-ghz,"
+    "star-bell,star-cluster,star-single,star-ghz"
+)
+
+#: name -> argv; stdout and stderr are both digested.
+CASES = {
+    "trace-join": [
+        "trace", "join", "--group-size", "27", "--degree", "3",
+        "--xi", "0.25", "--n", "4", "--seed", "11",
+    ],
+    "trace-join-reveal": [
+        "trace", "join", "--group-size", "27", "--degree", "3",
+        "--xi", "0.25", "--n", "4", "--seed", "11", "--reveal-keys",
+    ],
+    "trace-leave": [
+        "trace", "leave", "--group-size", "30", "--degree", "4",
+        "--xi", "1", "--n", "3", "--seed", "12",
+    ],
+    "trace-leave-reveal": [
+        "trace", "leave", "--group-size", "30", "--degree", "4",
+        "--xi", "1", "--n", "3", "--seed", "12", "--reveal-keys",
+    ],
+    "cost": [
+        "cost", "--protocol", "tree-leave", "--N", "1000", "--n", "2",
+        "--xi", "0.25", "--d", "4",
+    ],
+    "sweep-degree": [
+        "sweep-degree", "--N", "1024", "--n", "2", "--xi-list", "0,0.25,1",
+        "--d-min", "2", "--d-max", "16",
+    ],
+    "simulate-self": [
+        "simulate", "--initial", "40", "--degree", "4", "--lambda", "2",
+        "--steps", "25", "--xi", "0.25", "--n", "4", "--seed", "7",
+    ],
+    "simulate-eight": [
+        "simulate", "--initial", "40", "--degree", "3", "--lambda", "2",
+        "--steps", "25", "--xi", "1", "--n", "2", "--seed", "8",
+        "--backends", ALL_EIGHT,
+    ],
+    "attack": [
+        "attack", "--strategy", "intercept-resend", "--decoys", "10",
+        "--trials", "5000", "--seed", "3",
+    ],
+}
+
+DIGESTS = {
+    "trace-join": "cde21acf5f50fa07613c909a6f957ad236f811722ff27f2a6e0b732dd15660e7",
+    "trace-join-reveal": "0c2ab2787b86b3146e1ccf821496e59862ef919edbd057f35926906d740ffd82",
+    "trace-leave": "2c8daa0dd50e085f580c135871b61ac6c5e1bd101064181638b8e4fe57aa2a7f",
+    "trace-leave-reveal": "73651cda3cbd15b95b19323422b71b2f6d2e1e51b63ffb3fd02451408864a959",
+    "cost": "670739ba7ffcc49013dc0b25aad1e041d909e29c53d10b70ce1e4fce919c605f",
+    "sweep-degree": "c2eb28b9720d18a4915af0bb3825f092a62f0fcd6c9c5bdcc3677aee6b6a2449",
+    "simulate-self": "3266fc8e3d71b190b305ef11e243a3d31a49d8fed37edc0b51d59b2c0ad426b8",
+    "simulate-eight": "058fdeaba7a961143213daf30a87104caacf3cd77dbc3dcd321c4833fa461864",
+    "attack": "bf2938d776f580aa6c0dab81dcce861ae6e26c960daa6a22b1b1e2a6fcfe3828",
+}
+
+
+def _digest(argv: list[str], capsys) -> str:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    blob = f"{captured.out}\0{captured.err}".encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_digest(name, capsys):
+    assert _digest(CASES[name], capsys) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import sys
+
+    for name, argv in CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        if code != 0:
+            sys.exit(f"{name} exited {code}: {err.getvalue()}")
+        blob = f"{out.getvalue()}\0{err.getvalue()}".encode()
+        print(f'    "{name}": "{hashlib.sha256(blob).hexdigest()}",')
