@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adversary import EveStrategy, detection_experiment
-from .cost import STAR_COSTS, TREE_COSTS, sweep_degree
+from .cost import STAR_COSTS, TREE_COSTS, CostParams, sweep_degree
 from .keytree import KeyTree
 from .protocol import (
     ConsistencyError,
@@ -142,10 +142,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
-    if args.protocol in TREE_COSTS and args.d is None:
+    tree = args.protocol in TREE_COSTS
+    if tree and args.d is None:
         print("error: tree cost modes require --d", file=sys.stderr)
         return 2
-    if args.protocol in TREE_COSTS:
+    # raises ValueError, a usage error, outside the cost models' domain
+    CostParams(N=args.N, n=args.n, xi=args.xi, d=args.d if tree else CostParams.d)
+    if tree:
         value = TREE_COSTS[args.protocol](args.N, args.d, args.n, args.xi)
         d_field = args.d
     else:

@@ -134,13 +134,16 @@ def sweep_degree(
     """Evaluate the average tree cost over a (xi, d) grid.
 
     Reports the cost-minimizing degree per xi and flags every degree whose
-    cost lies within 1% of that minimum (near-ties).
+    cost lies within 1% of that minimum (near-ties).  Raises ValueError for
+    a group size, key length or xi that ``CostParams`` rejects.
     """
     degrees = sorted(set(d_range))
     if not degrees:
         raise ValueError("empty degree range")
     if any(d < 2 or d > 64 for d in degrees):
         raise ValueError("degrees must lie in [2, 64]")
+    for xi in xi_values:
+        CostParams(N=N, n=n, xi=xi)
     entries: list[SweepEntry] = []
     argmin: dict[float, int] = {}
     near: dict[float, list[int]] = {}

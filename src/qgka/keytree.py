@@ -61,7 +61,7 @@ def _user_sort_key(uid: str) -> tuple[int, str]:
 
 
 def random_bits(n: int, rng: np.random.Generator) -> str:
-    return "".join(str(int(b)) for b in rng.integers(0, 2, size=n))
+    return "".join(map(str, rng.integers(0, 2, size=n).tolist()))
 
 
 class KeyTree:
@@ -99,10 +99,6 @@ class KeyTree:
         while node is not None:
             node.user_count += count
             node = self.nodes[node.parent] if node.parent else None
-
-    def _fresh_key(self, node: _Node, rng: np.random.Generator) -> None:
-        version = node.key.version + 1 if node.key else 1
-        node.key = GroupKey(node.id, version, random_bits(self.key_len, rng))
 
     def set_key(self, key_id: str, bits: str) -> GroupKey:
         """Install new material at a k-node, bumping its version."""
@@ -187,9 +183,6 @@ class KeyTree:
                 stack.extend(node.children)
         return sorted(found, key=_user_sort_key)
 
-    def _subtree_user_count(self, key_id: str) -> int:
-        return self.nodes[key_id].user_count
-
     def depth(self, node_id: str) -> int:
         d, node = 0, self.nodes[node_id]
         while node.parent is not None:
@@ -245,7 +238,7 @@ class KeyTree:
         u = self._new_node("u", node_id=user_id)
         u.user_count = 1
         k = self._new_node("k")
-        self._fresh_key(k, rng)
+        self.set_key(k.id, random_bits(self.key_len, rng))
         self._attach(u.id, k.id)
         self._individuals.add(k.id)
         return k.id
@@ -255,7 +248,7 @@ class KeyTree:
             return self._leaf_for(users[0], rng)
         if len(users) <= self.degree:
             parent = self._new_node("k")
-            self._fresh_key(parent, rng)
+            self.set_key(parent.id, random_bits(self.key_len, rng))
             for uid in users:
                 self._attach(self._leaf_for(uid, rng), parent.id)
             return parent.id
@@ -263,7 +256,7 @@ class KeyTree:
         q, r = divmod(len(users), groups)
         sizes = [q + 1] * r + [q] * (groups - r)
         parent = self._new_node("k")
-        self._fresh_key(parent, rng)
+        self.set_key(parent.id, random_bits(self.key_len, rng))
         start = 0
         for size in sizes:
             self._attach(self._build(users[start : start + size], rng), parent.id)
@@ -299,16 +292,14 @@ class KeyTree:
             raise KeyTreeError("empty tree")
         candidates = self._attachable()
         if candidates:
-            chosen = min(
-                candidates, key=lambda n: (self._subtree_user_count(n.id), n.created)
-            )
+            chosen = min(candidates, key=lambda n: (n.user_count, n.created))
             return chosen.id
         individuals = [self.nodes[k] for k in self._individuals]
         target = min(
             individuals,
             key=lambda n: (
                 self.depth(n.id),
-                self._subtree_user_count(n.parent) if n.parent else 1,
+                self.nodes[n.parent].user_count if n.parent else 1,
                 n.created,
             ),
         )

@@ -12,15 +12,16 @@ leaver never held.
 Events are strictly serialized; one membership change mutates the tree at a
 time.  The sessions inside one event touch disjoint keys and could run
 concurrently with separate RNG streams; here they run in order for
-reproducibility.  An aborted session rolls the tree, versions, and every
-user view back to the pre-event snapshot.
+reproducibility.  An aborted session rolls the tree and its key versions
+back to the pre-event snapshot.  Views, history and counters are written only
+after an event's last abort point, so an abort leaves them untouched.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .rekey import (
     build_leave_messages,
     decrypt_key,
     encrypt_key,
+    try_unwrap,
 )
 
 SERVER_ID = "s"
@@ -61,7 +63,6 @@ class ConsistencyError(Exception):
 class ProtocolConfig:
     key_len: int = 1
     xi: float = 0.0
-    error_threshold: float = 0.0
     agent_selection: str = "random"  # or "first" (lowest user id)
     track_history: bool = False
     record_tree_snapshots: bool = False
@@ -168,24 +169,18 @@ class GroupProtocol:
             return members[0]
         return members[int(self.rng.integers(len(members)))]
 
-    def _snapshot(self) -> Optional[tuple[KeyTree, dict[str, dict[str, GroupKey]]]]:
+    def _snapshot(self) -> Optional[KeyTree]:
         # Sessions can only abort through an adversarial channel (an honest
         # channel's decoy checks are error-free by construction), so the
         # rollback snapshot is taken only when one is installed.
         if self.channel is None:
             return None
-        return self.tree.clone(), {u: v.snapshot() for u, v in self.views.items()}
+        return self.tree.clone()
 
-    def _rollback(
-        self, snap: Optional[tuple[KeyTree, dict[str, dict[str, GroupKey]]]]
-    ) -> None:
+    def _rollback(self, snap: Optional[KeyTree]) -> None:
         if snap is None:
             raise RuntimeError("no snapshot to roll back to")
-        tree, views = snap
-        self.tree = tree
-        self.views = {
-            u: UserView(u, keys.values()) for u, keys in views.items()
-        }
+        self.tree = snap
 
     def _deliver(self, message: RekeyMessage) -> None:
         """Install one message's keys into every addressed view.
@@ -194,8 +189,9 @@ class GroupProtocol:
         the identical wrapping key, so each item is unwrapped once against
         the first recipient's copy and installed everywhere, after checking
         that every other recipient holds exactly the same wrapping key.
-        Semantically equivalent to each recipient running
-        UserView.apply_rekey herself, which remains the per-user reference.
+        Semantically equivalent to each recipient decrypting every item with
+        its own copy of the wrapping key, the per-user form the test suite
+        keeps as its reference.
         """
         if not message.recipients:
             return
@@ -225,12 +221,7 @@ class GroupProtocol:
     def _run_key_session(
         self, participant_ids: list[str], counters: ResourceCounters
     ) -> QkaTranscript:
-        cfg = make_config(
-            participant_ids,
-            n=self.config.key_len,
-            xi=self.config.xi,
-            error_threshold=self.config.error_threshold,
-        )
+        cfg = make_config(participant_ids, n=self.config.key_len, xi=self.config.xi)
         t = run_session(cfg, channel=self.channel, rng=self.rng)
         counters.merge(t.counters)
         return t
@@ -393,15 +384,52 @@ class GroupProtocol:
 
     # ------------------------------------------------------------------ #
 
+    def secrecy_failures(
+        self, ciphertexts: Iterable[tuple[int, SimCipherText]] = ()
+    ) -> list[str]:
+        """Play both secrecy games over the recorded probes plus ``ciphertexts``.
+
+        Every ciphertext comes with the step that sent it.  Forward secrecy:
+        no departed user's archive opens anything sent at or after the
+        user's leave step, that leave's own rekey messages included.
+        Backward secrecy: no member's archive opens anything sent before the
+        member's join step.  Opening needs the exact (id, version, bits) key, so each
+        archive is indexed by (id, version) and only the candidates it names
+        are decrypted.  The probe recorded after the latest committed event
+        is under the current root key.  Requires history tracking.
+        """
+        if not self.config.track_history:
+            raise ValueError("secrecy checks need track_history=True")
+        sent = [*self.probes, *ciphertexts]
+        # (who, whose archive, boundary step, game covers steps >= boundary)
+        games = [
+            (f"departed {uid}", uid, left_at, True)
+            for uid, left_at in self.departed.items()
+        ] + [
+            (uid, uid, joined, False)
+            for uid, joined in self.joined_at.items()
+            if uid in self.views
+        ]
+        failures: list[str] = []
+        for who, uid, boundary, after in games:
+            index = {(k, v): bits for k, v, bits in self.archives.get(uid, ())}
+            for step, ct in sent:
+                if (step >= boundary) != after:
+                    continue
+                bits = index.get((ct.enc_key_id, ct.enc_version))
+                if bits is not None and try_unwrap(
+                    GroupKey(ct.enc_key_id, ct.enc_version, bits), ct
+                ):
+                    failures.append(f"{who} opened a ciphertext from step {step}")
+        return failures
+
     def verify_consistency(
         self, raise_on_mismatch: bool = False, check_secrecy: bool = False
     ) -> dict:
         """Compare every member's view with its keyset projection.
 
-        With ``check_secrecy`` (requires history tracking), also assert that
-        no departed user's archived key opens a probe encrypted under the
-        current root key, and that no member's archive opens a probe recorded
-        before she joined.
+        With ``check_secrecy`` (requires history tracking), also play both
+        secrecy games of ``secrecy_failures`` over the recorded probes.
         """
         mismatches: dict[str, dict] = {}
         for uid in self.tree.users():
@@ -417,38 +445,7 @@ class GroupProtocol:
                     ),
                     "extra": sorted(set(held) - set(projection)),
                 }
-        secrecy_failures: list[str] = []
-        if check_secrecy:
-            if not self.config.track_history:
-                raise ValueError("secrecy checks need track_history=True")
-            from .rekey import AuthenticationError, decrypt_key
-
-            root_key = self.tree.key(self.tree.root)  # type: ignore[arg-type]
-            probe = encrypt_key(
-                root_key, GroupKey("probe", self.step, "0" * self.tree.key_len),
-                self.rng.bytes(8),
-            )
-            for uid in self.departed:
-                for kid, ver, bits in self.archives.get(uid, ()):
-                    try:
-                        decrypt_key(GroupKey(kid, ver, bits), probe)
-                        secrecy_failures.append(f"departed {uid} opened a probe")
-                    except AuthenticationError:
-                        pass
-            for uid, joined in self.joined_at.items():
-                if uid not in self.views:
-                    continue
-                for when, ct in self.probes:
-                    if when >= joined:
-                        continue
-                    for kid, ver, bits in self.archives.get(uid, ()):
-                        try:
-                            decrypt_key(GroupKey(kid, ver, bits), ct)
-                            secrecy_failures.append(
-                                f"{uid} opened a pre-join probe from step {when}"
-                            )
-                        except AuthenticationError:
-                            pass
+        secrecy_failures = self.secrecy_failures() if check_secrecy else []
         report = {
             "consistent": not mismatches and not secrecy_failures,
             "mismatches": mismatches,

@@ -6,8 +6,8 @@ A session with P participants (server first) and key length n runs like this:
    sends each other participant her particle of every state together with
    fresh decoys (``ceil(xi * payload)`` decoys per transmitted sequence).
 2. Every hop is channel-checked: the receiver measures the decoys in their
-   announced bases and the session aborts if the error rate exceeds the
-   configured threshold (0 on the idealized noiseless channel).
+   announced bases and the session aborts on any error (the idealized
+   channel is noiseless, so an honest hop never errs).
 3. Each participant encodes her private operation-key bit for each position
    as a Pauli gate on her own particle.  The per-position leader rotates
    round-robin over the participant order so no single party controls the
@@ -30,6 +30,7 @@ may run concurrently with separate RNGs and counters, merged afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ class TamperError(Exception):
 @dataclass(frozen=True)
 class Participant:
     id: str
-    role_hint: str = "user"  # "server" or "user"
 
 
 @dataclass
@@ -63,8 +63,6 @@ class QkaConfig:
     participants: list[Participant]
     n: int
     xi: float = 0.0
-    seed: Optional[int] = None
-    error_threshold: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.participants) < 2:
@@ -78,19 +76,9 @@ class QkaConfig:
             raise ValueError("decoy proportion must lie in [0, 1]")
 
 
-def make_config(
-    participant_ids: Sequence[str],
-    n: int,
-    xi: float = 0.0,
-    seed: Optional[int] = None,
-    error_threshold: float = 0.0,
-) -> QkaConfig:
+def make_config(participant_ids: Sequence[str], n: int, xi: float = 0.0) -> QkaConfig:
     """Build a config from plain ids; the first id is the server."""
-    parts = [
-        Participant(pid, "server" if i == 0 else "user")
-        for i, pid in enumerate(participant_ids)
-    ]
-    return QkaConfig(parts, n=n, xi=xi, seed=seed, error_threshold=error_threshold)
+    return QkaConfig([Participant(pid) for pid in participant_ids], n=n, xi=xi)
 
 
 class ChannelModel(Protocol):
@@ -220,15 +208,22 @@ class QkaTranscript:
         }
 
 
-def decoys_for_payload(payload_qubits: int, xi: float) -> int:
-    """Number of decoys inserted into one transmitted sequence."""
-    return int(np.ceil(xi * payload_qubits))
+def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
+    """Number of decoys inserted into one transmitted sequence.
+
+    ``ceil(xi * payload)`` with ``xi`` read as the exact decimal it was
+    written as: in binary floating point 0.07 * 100 exceeds 7 and would
+    round up to 8.  A session converts its ``xi`` once and passes the
+    ``Fraction``.
+    """
+    if not isinstance(xi, Fraction):
+        xi = Fraction(str(xi))
+    return -(-xi.numerator * payload_qubits // xi.denominator)
 
 
 def _checked_hop(
     payload_qubits: int,
-    xi: float,
-    threshold: float,
+    xi: Fraction,
     channel: ChannelModel,
     rng: np.random.Generator,
     counters: ResourceCounters,
@@ -238,8 +233,8 @@ def _checked_hop(
     The sender prepares ceil(xi * payload) decoys, the channel may tamper
     with them, and the receiver measures each in its announced basis.  The
     bases/positions announcement plus the verification reply count as one
-    classical exchange.  Returns True when the observed error rate stays
-    within the threshold (vacuously true without decoys).
+    classical exchange.  Returns True when no decoy shows an error
+    (vacuously true without decoys).
     """
     n_decoys = decoys_for_payload(payload_qubits, xi)
     counters.qubits_prepared += n_decoys
@@ -254,13 +249,13 @@ def _checked_hop(
         if decoy_measure(r, s.basis, rng) != s.bit:
             errors += 1
     counters.classical_messages += 1
-    return errors / n_decoys <= threshold
+    return errors == 0
 
 
 def run_session(
     config: QkaConfig,
+    rng: np.random.Generator,
     channel: Optional[ChannelModel] = None,
-    rng: Optional[np.random.Generator] = None,
 ) -> QkaTranscript:
     """Execute one full session and return its transcript.
 
@@ -271,15 +266,13 @@ def run_session(
     gate, measurement, and classical exchange of the run up to the abort.
     """
     channel = channel if channel is not None else HonestChannel()
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    xi = Fraction(str(config.xi))
     parts = config.participants
     ids = [p.id for p in parts]
     P, n = len(parts), config.n
     parity = "even" if P % 2 == 0 else "odd"
     t = QkaTranscript(participants=list(ids))
     counters = t.counters
-    threshold = config.error_threshold
 
     # Private operation keys, one bit per position per participant.
     op_keys = {pid: rng.integers(0, 2, size=n) for pid in ids}
@@ -291,7 +284,7 @@ def run_session(
     # Distribution: one sequence per other participant (her particle of every
     # state plus decoys), each channel-checked on receipt.
     for _ in ids[1:]:
-        if not _checked_hop(n, config.xi, threshold, channel, rng, counters):
+        if not _checked_hop(n, xi, channel, rng, counters):
             t.aborted, t.abort_cause = True, "eavesdropper"
             return t
 
@@ -325,7 +318,7 @@ def run_session(
         for sender in ids:
             if sender == leader_id:
                 continue
-            if not _checked_hop(len(led), config.xi, threshold, channel, rng, counters):
+            if not _checked_hop(len(led), xi, channel, rng, counters):
                 t.aborted, t.abort_cause = True, "eavesdropper"
                 return t
 

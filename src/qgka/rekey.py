@@ -258,27 +258,3 @@ class UserView:
 
     def drop(self, key_id: str) -> None:
         self.keys.pop(key_id, None)
-
-    def apply_rekey(self, message: RekeyMessage) -> list[GroupKey]:
-        """Decrypt and install every item of a message addressed to this user.
-
-        Raises MissingKeyError if an item's wrapping key is absent (a
-        protocol bug, not an attack) and AuthenticationError if decryption
-        fails despite a matching (id, version).
-        """
-        if self.user_id not in message.recipients:
-            return []
-        installed = []
-        for item in message.items:
-            held = self.keys.get(item.enc_key_id)
-            if held is None or held.version != item.enc_version:
-                raise MissingKeyError(
-                    f"{self.user_id} lacks {item.enc_key_id} v{item.enc_version}"
-                )
-            new_key = decrypt_key(held, item)
-            self.install(new_key)
-            installed.append(new_key)
-        return installed
-
-    def snapshot(self) -> dict[str, GroupKey]:
-        return dict(self.keys)

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cost import STAR_COSTS, tree_join_cost, tree_leave_cost
-from .counters import CSV_COLUMNS
+from .counters import CSV_COLUMNS, ResourceCounters
 from .keytree import KeyTree
 from .protocol import GroupProtocol, ProtocolConfig
 
@@ -69,21 +69,18 @@ class WorkloadConfig:
 
 @dataclass
 class TimeSeriesRecord:
-    """Cumulative snapshot after one time step."""
+    """Cumulative snapshot after one time step.
+
+    Analytic and replayed series cost only qubits, so their counters carry
+    a real-valued ``qubits_prepared`` and zeros elsewhere.
+    """
 
     step: int
     joins: int
     leaves: int
     skipped_leaves: int
     group_size: int
-    qubits_prepared: float = 0.0
-    qubits_transmitted: float = 0.0
-    gates_applied: float = 0.0
-    entangled_measurements: float = 0.0
-    decoy_measurements: float = 0.0
-    classical_messages: float = 0.0
-    encryptions: float = 0.0
-    rekey_messages: float = 0.0
+    counters: ResourceCounters = field(default_factory=ResourceCounters)
 
 
 @dataclass
@@ -171,36 +168,20 @@ def run_simulation(config: WorkloadConfig) -> SimulationResult:
             events.append(
                 EventInfo(step=step, kind=kind, size_after=group_size, session_sizes=sizes)
             )
-        if protocol is not None:
-            c = protocol.counters
-            records.append(
-                TimeSeriesRecord(
-                    step=step,
-                    joins=cum_joins,
-                    leaves=cum_leaves,
-                    skipped_leaves=cum_skipped,
-                    group_size=group_size,
-                    qubits_prepared=c.qubits_prepared,
-                    qubits_transmitted=c.qubits_transmitted,
-                    gates_applied=c.gates_applied,
-                    entangled_measurements=c.entangled_measurements,
-                    decoy_measurements=c.decoy_measurements,
-                    classical_messages=c.classical_messages,
-                    encryptions=c.encryptions,
-                    rekey_messages=c.rekey_messages,
-                )
+        records.append(
+            TimeSeriesRecord(
+                step=step,
+                joins=cum_joins,
+                leaves=cum_leaves,
+                skipped_leaves=cum_skipped,
+                group_size=group_size,
+                counters=(
+                    protocol.counters.copy()
+                    if protocol is not None
+                    else ResourceCounters(qubits_prepared=analytic_qubits)
+                ),
             )
-        else:
-            records.append(
-                TimeSeriesRecord(
-                    step=step,
-                    joins=cum_joins,
-                    leaves=cum_leaves,
-                    skipped_leaves=cum_skipped,
-                    group_size=group_size,
-                    qubits_prepared=analytic_qubits,
-                )
-            )
+        )
     return SimulationResult(config=config, records=records, events=events)
 
 
@@ -215,16 +196,7 @@ def _replay_series(
         by_step[ev.step] = by_step.get(ev.step, 0.0) + cost_per_event(ev)
     for rec in base.records:
         total += by_step.get(rec.step, 0.0)
-        out.append(
-            TimeSeriesRecord(
-                step=rec.step,
-                joins=rec.joins,
-                leaves=rec.leaves,
-                skipped_leaves=rec.skipped_leaves,
-                group_size=rec.group_size,
-                qubits_prepared=total,
-            )
-        )
+        out.append(replace(rec, counters=ResourceCounters(qubits_prepared=total)))
     return out
 
 
@@ -269,12 +241,8 @@ def compare_backends(
 # --------------------------------------------------------------------- #
 # CSV output
 
-_RECORD_COLUMNS = ("step", "joins", "leaves", "group_size") + tuple(
-    csv for _, csv in CSV_COLUMNS
-)
-_RECORD_FIELDS = ("step", "joins", "leaves", "group_size") + tuple(
-    name for name, _ in CSV_COLUMNS
-)
+_RECORD_FIELDS = ("step", "joins", "leaves", "group_size")
+_RECORD_COLUMNS = _RECORD_FIELDS + tuple(csv for _, csv in CSV_COLUMNS)
 
 
 def _fmt(value: object) -> str:
@@ -292,5 +260,7 @@ def series_csv(
         buf.write(f"# {key} = {value}\n")
     buf.write(",".join(_RECORD_COLUMNS) + "\n")
     for rec in records:
-        buf.write(",".join(_fmt(getattr(rec, f)) for f in _RECORD_FIELDS) + "\n")
+        values = [getattr(rec, f) for f in _RECORD_FIELDS]
+        values += [getattr(rec.counters, name) for name, _ in CSV_COLUMNS]
+        buf.write(",".join(_fmt(v) for v in values) + "\n")
     return buf.getvalue()

@@ -1,17 +1,23 @@
-"""Dense statevector oracle used only by the tests.
+"""Reference implementations used only by the tests.
 
-Independent of the compact flip/sign representation: states are full 2^n
-complex vectors, gates are literal Pauli matrices, and the measurement
-outcome is read off the support of the vector.  Qubit 0 is the most
-significant bit of the basis index, matching the bit-string convention of
-the package.
+The dense statevector oracle is independent of the compact flip/sign
+representation: states are full 2^n complex vectors, gates are literal
+Pauli matrices, and the measurement outcome is read off the support of the
+vector.  Qubit 0 is the most significant bit of the basis index, matching
+the bit-string convention of the package.
+
+``apply_rekey`` is per-user delivery: one user opens a rekey message with
+the keys in that user's view, the reference for the protocol's shared
+delivery.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qgka.keytree import GroupKey
 from qgka.quantum import EntangledState, Pauli
+from qgka.rekey import MissingKeyError, RekeyMessage, UserView, decrypt_key
 
 _MATRICES = {
     Pauli.I: np.eye(2, dtype=complex),
@@ -60,3 +66,26 @@ def oracle_measure(vec: np.ndarray, n: int) -> str:
     flips = format(lo, f"0{n}b")
     head = "0" if sign == 1 else "1"
     return head + flips[1:]
+
+
+def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
+    """Decrypt and install every item of a message addressed to this user.
+
+    Raises MissingKeyError if an item's wrapping key is absent (a protocol
+    bug, not an attack) and AuthenticationError if decryption fails despite
+    a matching (id, version).  A message addressed to others changes
+    nothing.
+    """
+    if view.user_id not in message.recipients:
+        return []
+    installed = []
+    for item in message.items:
+        held = view.keys.get(item.enc_key_id)
+        if held is None or held.version != item.enc_version:
+            raise MissingKeyError(
+                f"{view.user_id} lacks {item.enc_key_id} v{item.enc_version}"
+            )
+        new_key = decrypt_key(held, item)
+        view.install(new_key)
+        installed.append(new_key)
+    return installed

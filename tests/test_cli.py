@@ -269,6 +269,24 @@ class TestExitCodes:
         assert code == 4
         assert "invariant violation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--protocol", "tree-avg", "--N", "1024", "--d", "1"],
+            ["cost", "--protocol", "tree-avg", "--N", "1", "--d", "4"],
+            ["cost", "--protocol", "tree-avg", "--N", "1024", "--d", "4",
+             "--n", "-3"],
+            ["cost", "--protocol", "ghz", "--N", "8", "--xi", "1.5"],
+            ["sweep-degree", "--N", "1", "--xi-list", "0.25"],
+            ["sweep-degree", "--N", "64", "--n", "0", "--xi-list", "0.25"],
+        ],
+    )
+    def test_values_outside_cost_domain_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_help_mentions_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

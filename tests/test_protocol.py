@@ -1,10 +1,12 @@
 """End-to-end join/leave orchestration, rollback, and view consistency."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from qgka import protocol as protocol_module
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import KeyTree, KeyTreeError
 from qgka.protocol import (
@@ -14,6 +16,9 @@ from qgka.protocol import (
     ProtocolConfig,
 )
 from qgka.cost import tree_join_cost, tree_leave_cost
+from qgka.rekey import UserView
+
+from oracle import apply_rekey
 
 
 def fresh_protocol(d, N, seed=1, n=1, xi=0.0, **kwargs):
@@ -141,12 +146,12 @@ class TestRollback:
     def test_aborted_join_rolls_back_everything(self):
         proto = self._aborting_protocol()
         tree_before = proto.tree.to_dict(include_keys=True)
-        views_before = {u: v.snapshot() for u, v in proto.views.items()}
+        views_before = {u: dict(v.keys) for u, v in proto.views.items()}
         with pytest.raises(ProtocolAbort) as exc:
             proto.join("u10")
         assert exc.value.cause == "eavesdropper"
         assert proto.tree.to_dict(include_keys=True) == tree_before
-        assert {u: v.snapshot() for u, v in proto.views.items()} == views_before
+        assert {u: dict(v.keys) for u, v in proto.views.items()} == views_before
         assert proto.step == 0
 
     def test_aborted_leave_rolls_back_everything(self):
@@ -156,6 +161,65 @@ class TestRollback:
             proto.leave("u9")
         assert proto.tree.to_dict(include_keys=True) == tree_before
         assert proto.tree.group_size() == 9
+
+    def test_partial_events_roll_back_exactly_over_churn(self, monkeypatch):
+        # An eavesdropper on a tenth of the decoys aborts some events after
+        # earlier sessions of the same event succeeded and their keys went
+        # into the tree; each abort must restore the pre-event state.
+        sessions: list[bool] = []  # aborted flag per session of this event
+        real_session = protocol_module.run_session
+
+        def recording_session(*args, **kwargs):
+            t = real_session(*args, **kwargs)
+            sessions.append(t.aborted)
+            return t
+
+        monkeypatch.setattr(protocol_module, "run_session", recording_session)
+        rng = np.random.default_rng(29)
+        tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(40)], 4, rng)
+        proto = GroupProtocol(
+            tree,
+            ProtocolConfig(key_len=4, xi=0.5, track_history=True),
+            rng,
+            channel=AdversarialChannel(EveStrategy("intercept_resend", 0.1)),
+        )
+
+        def state():
+            return (
+                proto.tree.to_dict(include_keys=True),
+                {u: dict(v.keys) for u, v in proto.views.items()},
+                proto.counters.as_dict(),
+                proto.step,
+                {u: set(a) for u, a in proto.archives.items()},
+                dict(proto.joined_at),
+                dict(proto.departed),
+                len(proto.probes),
+            )
+
+        events = np.random.default_rng(30)
+        next_uid, aborts, partial_aborts, commits = 41, 0, 0, 0
+        for _ in range(120):
+            before = state()
+            sessions.clear()
+            try:
+                if events.random() < 0.5 or proto.tree.group_size() <= 2:
+                    proto.join(f"u{next_uid}")
+                    next_uid += 1
+                else:
+                    members = proto.tree.users()
+                    proto.leave(members[int(events.integers(len(members)))])
+            except ProtocolAbort as exc:
+                assert exc.cause == "eavesdropper"
+                assert state() == before
+                aborts += 1
+                partial_aborts += sessions.count(False) > 0
+            else:
+                commits += 1
+            proto.tree.check_invariants()
+        assert partial_aborts >= 1
+        assert commits >= 1
+        report = proto.verify_consistency(check_secrecy=True)
+        assert report["consistent"], report
 
 
 class TestConsistency:
@@ -213,6 +277,53 @@ class TestConsistency:
         report = proto.verify_consistency(check_secrecy=True)
         assert report["consistent"]
         assert report["secrecy_failures"] == []
+
+    def test_secrecy_checker_reports_leaked_keys(self):
+        proto = fresh_protocol(3, 9, track_history=True)
+        proto.leave("u9")  # step 1, whose probe is under this group key
+        leaked = astuple(proto.tree.key(proto.tree.root))
+        proto.join("u10")  # step 2
+        # the leaver holds the group key of the leave's own step, the joiner
+        # one from before the join; the joiner's own step-2 keys stay legal
+        proto.archives["u9"].add(leaked)
+        proto.archives["u10"].add(leaked)
+        assert proto.secrecy_failures() == [
+            "departed u9 opened a ciphertext from step 1",
+            "u10 opened a ciphertext from step 1",
+        ]
+        assert not proto.verify_consistency(check_secrecy=True)["consistent"]
+        with pytest.raises(ValueError):
+            fresh_protocol(3, 9).secrecy_failures()
+
+    def test_shared_delivery_matches_per_user_oracle(self, monkeypatch):
+        # every message of a seeded churn run goes through both the
+        # protocol's shared delivery and per-user delivery of each recipient
+        real_deliver = GroupProtocol._deliver
+        delivered = 0
+
+        def checked_deliver(self, message):
+            nonlocal delivered
+            expected = {u: dict(v.keys) for u, v in self.views.items()}
+            for uid in message.recipients:
+                view = UserView(uid, self.views[uid].keys.values())
+                apply_rekey(view, message)
+                expected[uid] = view.keys
+            real_deliver(self, message)
+            assert {u: v.keys for u, v in self.views.items()} == expected
+            delivered += len(message.recipients)
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", checked_deliver)
+        proto = fresh_protocol(3, 30, seed=17, n=4, xi=0.25)
+        events = np.random.default_rng(18)
+        next_uid = 31
+        for _ in range(80):
+            if events.random() < 0.5 or proto.tree.group_size() <= 2:
+                proto.join(f"u{next_uid}")
+                next_uid += 1
+            else:
+                members = proto.tree.users()
+                proto.leave(members[int(events.integers(len(members)))])
+        assert delivered > 0
 
 
 class TestTraceShape:

@@ -84,7 +84,7 @@ class TestEncoding:
 
 class TestLeaderSchedule:
     def test_two_party_alternation(self):
-        parts = [Participant("s", "server"), Participant("u", "user")]
+        parts = [Participant("s"), Participant("u")]
         assert [leader_schedule(parts, i).id for i in range(4)] == ["s", "u", "s", "u"]
 
     def test_single_position(self):
@@ -242,6 +242,12 @@ class TestRunSession:
         assert decoys_for_payload(4, 0.25) == 1
         assert decoys_for_payload(0, 1.0) == 0
         assert decoys_for_payload(3, 0.0) == 0
+
+    @pytest.mark.parametrize("xi, payload", [(0.07, 100), (0.14, 50)])
+    def test_decoy_count_reads_xi_as_exact_decimal(self, xi, payload):
+        # xi * payload is 7 exactly, but the binary product exceeds 7
+        assert xi * payload > 7
+        assert decoys_for_payload(payload, xi) == 7
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -56,20 +56,15 @@ class TestSimulation:
         prev = None
         for rec in result.records:
             if prev is not None:
-                for f in (
-                    "qubits_prepared",
-                    "encryptions",
-                    "rekey_messages",
-                    "joins",
-                    "leaves",
-                    "skipped_leaves",
-                ):
+                for f in ("qubits_prepared", "encryptions", "rekey_messages"):
+                    assert getattr(rec.counters, f) >= getattr(prev.counters, f)
+                for f in ("joins", "leaves", "skipped_leaves"):
                     assert getattr(rec, f) >= getattr(prev, f)
             prev = rec
 
     def test_zero_rate_is_flat(self):
         result = run_simulation(small_config(lam=0.0, steps=5))
-        assert all(r.qubits_prepared == 0 for r in result.records)
+        assert all(r.counters.qubits_prepared == 0 for r in result.records)
         assert all(r.group_size == 16 for r in result.records)
         assert result.total_events == 0
 
@@ -94,7 +89,7 @@ class TestSimulation:
         last = result.records[-1]
         events = last.joins + last.leaves
         assert events > 0
-        mean_cost = last.qubits_prepared / events
+        mean_cost = last.counters.qubits_prepared / events
         sizes = [r.group_size for r in result.records]
         n_bar = sum(sizes) / len(sizes)
         expected = tree_average_cost(max(int(n_bar), 2), 4, 1, 0.25)
@@ -127,7 +122,7 @@ class TestSimVsAnalytic:
         result = run_simulation(cfg)
         last = result.records[-1]
         events = last.joins + last.leaves
-        mean_cost = last.qubits_prepared / events
+        mean_cost = last.counters.qubits_prepared / events
         sizes = [r.group_size for r in result.records]
         n_bar = sum(sizes) / len(sizes)
         expected = tree_average_cost(int(n_bar), 4, 16, 0.25)
@@ -155,9 +150,9 @@ class TestBackends:
         series = compare_backends(
             cfg, ["tree-ghz", "tree-bell", "tree-cluster", "tree-single"]
         )
-        ghz = [r.qubits_prepared for r in series["tree-ghz"]]
+        ghz = [r.counters.qubits_prepared for r in series["tree-ghz"]]
         for other in ("tree-bell", "tree-cluster", "tree-single"):
-            vals = [r.qubits_prepared for r in series[other]]
+            vals = [r.counters.qubits_prepared for r in series[other]]
             assert all(
                 g <= o for g, o in zip(ghz, vals)
             ), f"tree-ghz exceeded {other}"
@@ -172,9 +167,9 @@ class TestBackends:
         series = compare_backends(
             cfg, ["tree-ghz", "tree-bell", "tree-cluster", "tree-single"]
         )
-        ghz = [r.qubits_prepared for r in series["tree-ghz"]]
+        ghz = [r.counters.qubits_prepared for r in series["tree-ghz"]]
         for other in ("tree-bell", "tree-cluster", "tree-single"):
-            vals = [r.qubits_prepared for r in series[other]]
+            vals = [r.counters.qubits_prepared for r in series[other]]
             assert all(
                 g <= o for g, o in zip(ghz, vals)
             ), f"tree-ghz exceeded {other}"
@@ -193,7 +188,7 @@ class TestBackends:
         total = 0.0
         for rec, out in zip(base.records, series["star-ghz"]):
             total += by_step.get(rec.step, 0.0)
-            assert out.qubits_prepared == pytest.approx(total)
+            assert out.counters.qubits_prepared == pytest.approx(total)
 
     def test_csv_embeds_config_and_is_stable(self):
         cfg = small_config(steps=10)
