@@ -1,19 +1,26 @@
 """Golden-output guard: SHA-256 digests of CLI outputs at fixed seeds.
 
 A refactor that claims byte-identical behaviour must leave every digest
-here unchanged.  Each case runs at a decoy proportion of 0, 0.25 or 1,
+here unchanged.  The CLI cases each start from a fresh tree; the churn case
+runs 80 events on one tree, so it also pins recipient order, agent choice
+and the order of random draws on a tree shaped by earlier splits and
+merges.  Each case runs at a decoy proportion of 0, 0.25 or 1,
 where ``xi * payload`` is exact in binary floating point, so the decoy
 counts do not depend on how the rounding is computed.  A change that
-alters an output on purpose regenerates the table with
+alters an output on purpose regenerates the table and the churn digest with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from qgka.cli import main
+from qgka.keytree import KeyTree
+from qgka.protocol import GroupProtocol, ProtocolConfig
 
 ALL_EIGHT = (
     "tree-bell,tree-cluster,tree-single,tree-ghz,"
@@ -74,6 +81,44 @@ DIGESTS = {
 }
 
 
+#: Every ``EventTrace.to_dict(reveal_keys=True)`` of ``churn_traces()``.
+CHURN_DIGEST = "fdbbe0c2db59f8d0951a4960d9351169795282d601439e721ba87cedf3beb4e5"
+
+
+def churn_traces() -> tuple[list[dict], int, int]:
+    """80 seeded events at d=3 with random agents, from 90 members.
+
+    Joiners run u91, u92, ..., so their ids cross from two digits to three.
+    Returns the serialized traces and the numbers of splits (a join adding
+    two k-nodes) and merges (a leave removing two).
+    """
+    rng = np.random.default_rng(41)
+    tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(90)], 4, rng)
+    config = ProtocolConfig(
+        key_len=4, xi=0.25, agent_selection="random", record_tree_snapshots=True
+    )
+    proto = GroupProtocol(tree, config, rng)
+    events = np.random.default_rng(42)
+    next_uid, splits, merges, traces = 91, 0, 0, []
+    for _ in range(80):
+        before = len(proto.tree.key_nodes())
+        if events.random() < 0.6:
+            trace = proto.join(f"u{next_uid}")
+            next_uid += 1
+            splits += len(proto.tree.key_nodes()) - before == 2
+        else:
+            members = proto.tree.users()
+            trace = proto.leave(members[int(events.integers(len(members)))])
+            merges += before - len(proto.tree.key_nodes()) == 2
+        traces.append(trace.to_dict(reveal_keys=True))
+    assert next_uid > 100
+    return traces, splits, merges
+
+
+def _churn_digest(traces: list[dict]) -> str:
+    return hashlib.sha256(json.dumps(traces, sort_keys=True).encode()).hexdigest()
+
+
 def _digest(argv: list[str], capsys) -> str:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -85,6 +130,12 @@ def _digest(argv: list[str], capsys) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_digest(name, capsys):
     assert _digest(CASES[name], capsys) == DIGESTS[name]
+
+
+def test_churn_trace_digest():
+    traces, splits, merges = churn_traces()
+    assert splits >= 1 and merges >= 1
+    assert _churn_digest(traces) == CHURN_DIGEST
 
 
 if __name__ == "__main__":
@@ -100,3 +151,4 @@ if __name__ == "__main__":
             sys.exit(f"{name} exited {code}: {err.getvalue()}")
         blob = f"{out.getvalue()}\0{err.getvalue()}".encode()
         print(f'    "{name}": "{hashlib.sha256(blob).hexdigest()}",')
+    print(f'CHURN_DIGEST = "{_churn_digest(churn_traces()[0])}"')
