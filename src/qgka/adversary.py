@@ -173,6 +173,11 @@ def detection_experiment(
     outcomes), which keeps 10^5-scale runs fast while matching the scalar
     taps' behaviour exactly.
     """
+    if trials < 1 or decoys_per_run < 1:
+        raise ValueError(
+            f"need at least one trial and one decoy per run, got {trials} and "
+            f"{decoys_per_run}"
+        )
     total = trials * decoys_per_run
     kinds = rng.integers(4, size=total)  # index into _KINDS
     is_x_basis = kinds >= 2

@@ -28,7 +28,7 @@ import numpy as np
 
 from .adversary import EveStrategy, detection_experiment
 from .cost import STAR_COSTS, TREE_COSTS, CostParams, sweep_degree
-from .keytree import KeyTree
+from .keytree import KeyTree, KeyTreeError
 from .protocol import (
     ConsistencyError,
     GroupProtocol,
@@ -354,7 +354,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # bad flag combinations surfaced by validation
+    except (ValueError, KeyTreeError) as exc:  # flag values validation rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,15 @@ root:
   with a single child is merged into that child to keep the height tight,
   and the surviving path nodes need fresh key material.
 
+Every k-node caches, for its own subtree, the sorted userset, the height and
+the best join point and split target.  Each cache depends on the node's
+children only, so a membership change refreshes exactly its path, bottom up:
+a join or leave does O(d * log_d N) work plus one O(log N) search and one
+list insertion or deletion per path node, and ``join_point``, ``userset``,
+``height`` and ``stats`` read a cache in O(1).  An undo record started by
+``checkpoint`` saves each node before the event first changes it, so
+``rollback`` restores an aborted event in time proportional to its path.
+
 The tree is single-writer: all mutations happen on one logical thread (the
 server); read-only queries are safe concurrently between mutations.
 """
@@ -25,7 +34,8 @@ server); read-only queries are safe concurrently between mutations.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,7 +54,14 @@ class GroupKey:
     bits: str
 
 
-@dataclass
+#: A node's best join point in its subtree: (user count, created, id).
+_Attach = tuple[int, int, str]
+#: A node's best split target strictly below it: (depth below the node,
+#: user count of the target's parent, created, id).
+_Split = tuple[int, int, int, str]
+
+
+@dataclass(slots=True)
 class _Node:
     id: str
     kind: str  # "u" or "k"
@@ -52,12 +69,32 @@ class _Node:
     children: list[str] = field(default_factory=list)
     key: Optional[GroupKey] = None
     created: int = 0  # creation order, used for deterministic tie-breaking
-    user_count: int = 0  # users in this subtree, kept current on mutation
+    # caches of a k-node's subtree, refreshed along every changed path
+    users: list[str] = field(default_factory=list)  # in _user_sort_key order
+    height: int = 0  # edges down to the deepest u-node; 1 for an individual key
+    attach: Optional[_Attach] = None
+    split: Optional[_Split] = None
+
+
+@dataclass
+class _Undo:
+    """What an event changed, enough to put the tree back as it was."""
+
+    root: Optional[str]
+    counter: int
+    # node id -> the node as it was before its first change, None if created
+    nodes: dict[str, Optional[_Node]] = field(default_factory=dict)
+    # (userset list, user id, True if inserted) in the order they happened
+    users: list[tuple[list[str], str, bool]] = field(default_factory=list)
 
 
 def _user_sort_key(uid: str) -> tuple[int, str]:
     # natural-ish ordering so u2 < u10
     return (len(uid), uid)
+
+
+def _user_index(users: list[str], user_id: str) -> int:
+    return bisect_left(users, _user_sort_key(user_id), key=_user_sort_key)
 
 
 def random_bits(n: int, rng: np.random.Generator) -> str:
@@ -77,7 +114,7 @@ class KeyTree:
         self.nodes: dict[str, _Node] = {}
         self.root: Optional[str] = None
         self._counter = 0
-        self._individuals: set[str] = set()  # k-nodes holding a single u-node
+        self._undo: Optional[_Undo] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -89,16 +126,9 @@ class KeyTree:
             raise KeyTreeError(f"duplicate node id {nid}")
         node = _Node(id=nid, kind=kind, created=self._counter)
         self.nodes[nid] = node
+        if self._undo is not None:
+            self._undo.nodes[nid] = None
         return node
-
-    def _attach(self, child: str, parent: str) -> None:
-        self.nodes[child].parent = parent
-        self.nodes[parent].children.append(child)
-        count = self.nodes[child].user_count
-        node: Optional[_Node] = self.nodes[parent]
-        while node is not None:
-            node.user_count += count
-            node = self.nodes[node.parent] if node.parent else None
 
     def set_key(self, key_id: str, bits: str) -> GroupKey:
         """Install new material at a k-node, bumping its version."""
@@ -107,6 +137,7 @@ class KeyTree:
             raise KeyTreeError(
                 f"key material must be {self.key_len} bits, got {len(bits)}"
             )
+        self._save(node)
         version = node.key.version + 1 if node.key else 1
         node.key = GroupKey(node.id, version, bits)
         return node.key
@@ -131,15 +162,14 @@ class KeyTree:
         return node is not None and node.kind == "u"
 
     def users(self) -> list[str]:
-        return sorted(
-            (n.id for n in self.nodes.values() if n.kind == "u"), key=_user_sort_key
-        )
+        """Every member, in stable user order (a copy)."""
+        return list(self.nodes[self.root].users) if self.root else []
 
     def key_nodes(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind == "k"]
 
     def group_size(self) -> int:
-        return self.nodes[self.root].user_count if self.root else 0
+        return len(self.nodes[self.root].users) if self.root else 0
 
     def key(self, key_id: str) -> GroupKey:
         node = self._k_node(key_id)
@@ -152,9 +182,6 @@ class KeyTree:
         u = self._u_node(user_id)
         assert u.parent is not None
         return u.parent
-
-    def _is_individual(self, node: _Node) -> bool:
-        return node.id in self._individuals
 
     def child_keys(self, key_id: str) -> list[str]:
         """Child k-nodes of a key node (u-node children excluded)."""
@@ -170,18 +197,13 @@ class KeyTree:
             node = self.nodes[node.parent] if node.parent else None
         return path
 
-    def userset(self, key_id: str) -> list[str]:
-        """Users in the key node's subtree, in stable user order."""
-        found: list[str] = []
-        stack = [self._k_node(key_id).id]
-        while stack:
-            nid = stack.pop()
-            node = self.nodes[nid]
-            if node.kind == "u":
-                found.append(nid)
-            else:
-                stack.extend(node.children)
-        return sorted(found, key=_user_sort_key)
+    def userset(self, key_id: str) -> Sequence[str]:
+        """Users in the key node's subtree, in stable user order.
+
+        This is the tree's own list, kept current by every change: read it,
+        never modify it, and copy it to keep it past the next change.
+        """
+        return self._k_node(key_id).users
 
     def depth(self, node_id: str) -> int:
         d, node = 0, self.nodes[node_id]
@@ -191,22 +213,109 @@ class KeyTree:
         return d
 
     def height(self) -> int:
-        """Edges along the longest u-node to root path (single DFS)."""
-        if self.root is None:
-            return 0
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            nid, depth = stack.pop()
-            node = self.nodes[nid]
-            if node.kind == "u":
-                best = max(best, depth)
-            else:
-                stack.extend((c, depth + 1) for c in node.children)
-        return best
+        """Edges along the longest u-node to root path."""
+        return self.nodes[self.root].height if self.root else 0
 
     def stats(self) -> dict[str, int]:
         return {"N": self.group_size(), "h": self.height(), "d": self.degree}
+
+    # ------------------------------------------------------------------ #
+    # cached subtree summaries
+
+    def _summary(self, node: _Node) -> tuple[int, Optional[_Attach], Optional[_Split]]:
+        """A k-node's (height, attach, split), from its children's caches.
+
+        ``attach`` is the subtree's non-full parent of individual keys with
+        the fewest users, then the earliest created; ``split`` is the
+        subtree's individual key with the smallest (depth, parent's user
+        count, creation), the depth counted from this node.  An individual
+        key (height 1) has neither: its parent accounts for it.
+        """
+        kids = [self.nodes[c] for c in node.children]
+        if kids[0].kind == "u":
+            return 1, None, None
+        count = len(node.users)
+        height = 0
+        attach: Optional[_Attach] = None
+        split: Optional[_Split] = None
+        holds_individual = False
+        for kid in kids:
+            height = max(height, kid.height)
+            if kid.height == 1:
+                holds_individual = True
+                candidate = (1, count, kid.created, kid.id)
+            else:
+                if kid.attach is not None and (attach is None or kid.attach < attach):
+                    attach = kid.attach
+                below = kid.split
+                candidate = (below[0] + 1, below[1], below[2], below[3])  # type: ignore[index]
+            if split is None or candidate < split:
+                split = candidate
+        if holds_individual and len(kids) < self.degree:
+            own = (count, node.created, node.id)
+            if attach is None or own < attach:
+                attach = own
+        return height + 1, attach, split
+
+    def _update_path(self, node_id: Optional[str], user_id: str, add: bool) -> list[str]:
+        """Insert or delete a user in every userset from ``node_id`` up to
+        the root, refreshing each node's summary; returns the ids walked."""
+        path = []
+        undo = self._undo
+        while node_id is not None:
+            node = self.nodes[node_id]
+            self._save(node)
+            users = node.users
+            i = _user_index(users, user_id)
+            if add:
+                users.insert(i, user_id)
+            else:
+                del users[i]
+            if undo is not None:
+                undo.users.append((users, user_id, add))
+            node.height, node.attach, node.split = self._summary(node)
+            path.append(node_id)
+            node_id = node.parent
+        return path
+
+    # ------------------------------------------------------------------ #
+    # undo record
+
+    def checkpoint(self) -> None:
+        """Start recording changes, so that ``rollback`` can undo them."""
+        self._undo = _Undo(self.root, self._counter)
+
+    def commit(self) -> None:
+        """Keep every change since ``checkpoint`` and stop recording."""
+        self._undo = None
+
+    def rollback(self) -> None:
+        """Restore the tree exactly as it was at ``checkpoint``."""
+        undo, self._undo = self._undo, None
+        if undo is None:
+            raise KeyTreeError("no checkpoint to roll back to")
+        for users, user_id, added in reversed(undo.users):
+            i = _user_index(users, user_id)
+            if added:
+                del users[i]
+            else:
+                users.insert(i, user_id)
+        for nid, saved in undo.nodes.items():
+            if saved is None:
+                self.nodes.pop(nid, None)
+            else:
+                self.nodes[nid] = saved
+        self.root, self._counter = undo.root, undo.counter
+
+    def _save(self, node: _Node) -> None:
+        """Record a node before its first change since the checkpoint.
+
+        The copy shares the node's userset list, whose changes are recorded
+        one by one instead.
+        """
+        undo = self._undo
+        if undo is not None and node.id not in undo.nodes:
+            undo.nodes[node.id] = replace(node, children=list(node.children))
 
     # ------------------------------------------------------------------ #
     # balanced construction
@@ -236,46 +345,38 @@ class KeyTree:
     def _leaf_for(self, user_id: str, rng: np.random.Generator) -> str:
         """Create a u-node plus its individual k-node, returning the k-node."""
         u = self._new_node("u", node_id=user_id)
-        u.user_count = 1
         k = self._new_node("k")
         self.set_key(k.id, random_bits(self.key_len, rng))
-        self._attach(u.id, k.id)
-        self._individuals.add(k.id)
+        u.parent = k.id
+        k.children.append(u.id)
+        k.users.append(user_id)
+        k.height = 1
         return k.id
 
-    def _build(self, users: Sequence[str], rng: np.random.Generator) -> str:
+    def _build(self, users: list[str], rng: np.random.Generator) -> str:
+        """Subtree over ``users`` (sorted, and kept as its userset)."""
         if len(users) == 1:
             return self._leaf_for(users[0], rng)
         if len(users) <= self.degree:
-            parent = self._new_node("k")
-            self.set_key(parent.id, random_bits(self.key_len, rng))
-            for uid in users:
-                self._attach(self._leaf_for(uid, rng), parent.id)
-            return parent.id
-        groups = min(self.degree, max(2, len(users) // 2))
-        q, r = divmod(len(users), groups)
-        sizes = [q + 1] * r + [q] * (groups - r)
+            sizes = [1] * len(users)
+        else:
+            groups = min(self.degree, max(2, len(users) // 2))
+            q, r = divmod(len(users), groups)
+            sizes = [q + 1] * r + [q] * (groups - r)
         parent = self._new_node("k")
         self.set_key(parent.id, random_bits(self.key_len, rng))
+        parent.users = users
         start = 0
         for size in sizes:
-            self._attach(self._build(users[start : start + size], rng), parent.id)
+            child = self._build(users[start : start + size], rng)
+            self.nodes[child].parent = parent.id
+            parent.children.append(child)
             start += size
+        parent.height, parent.attach, parent.split = self._summary(parent)
         return parent.id
 
     # ------------------------------------------------------------------ #
     # membership changes
-
-    def _attachable(self) -> list[_Node]:
-        """K-nodes that can take another individual key directly."""
-        parents = {
-            self.nodes[k].parent for k in self._individuals if self.nodes[k].parent
-        }
-        return [
-            self.nodes[p]
-            for p in parents
-            if len(self.nodes[p].children) < self.degree
-        ]
 
     def join_point(self) -> str:
         """Choose (and if necessary create) the k-node a new user attaches to.
@@ -290,30 +391,30 @@ class KeyTree:
         """
         if self.root is None:
             raise KeyTreeError("empty tree")
-        candidates = self._attachable()
-        if candidates:
-            chosen = min(candidates, key=lambda n: (n.user_count, n.created))
-            return chosen.id
-        individuals = [self.nodes[k] for k in self._individuals]
-        target = min(
-            individuals,
-            key=lambda n: (
-                self.depth(n.id),
-                self.nodes[n.parent].user_count if n.parent else 1,
-                n.created,
-            ),
-        )
+        root = self.nodes[self.root]
+        if root.attach is not None:
+            return root.attach[-1]
+        target = root if root.height == 1 else self.nodes[root.split[-1]]  # type: ignore[index]
         fresh = self._new_node("k")
-        fresh.user_count = target.user_count
+        fresh.users = list(target.users)
         parent = target.parent
         if parent is None:
             self.root = fresh.id
         else:
-            siblings = self.nodes[parent].children
-            siblings[siblings.index(target.id)] = fresh.id
+            grand = self.nodes[parent]
+            self._save(grand)
+            grand.children[grand.children.index(target.id)] = fresh.id
             fresh.parent = parent
+        self._save(target)
         target.parent = fresh.id
         fresh.children.append(target.id)
+        fresh.height, fresh.attach, fresh.split = self._summary(fresh)
+        node_id = parent
+        while node_id is not None:
+            node = self.nodes[node_id]
+            self._save(node)
+            node.height, node.attach, node.split = self._summary(node)
+            node_id = node.parent
         return fresh.id
 
     def insert_user(
@@ -328,15 +429,12 @@ class KeyTree:
         """
         if user_id in self.nodes:
             raise KeyTreeError(f"user {user_id!r} already present")
-        point = self.join_point()
+        point = self.nodes[self.join_point()]
         leaf = self._leaf_for(user_id, rng)
-        self._attach(leaf, point)
-        path = []
-        node: Optional[_Node] = self.nodes[point]
-        while node is not None:
-            path.append(node.id)
-            node = self.nodes[node.parent] if node.parent else None
-        return path
+        self._save(point)
+        self.nodes[leaf].parent = point.id
+        point.children.append(leaf)
+        return self._update_path(point.id, user_id, add=True)
 
     def remove_user(self, user_id: str) -> list[str]:
         """Prune a user and return the surviving path k-nodes needing fresh keys.
@@ -347,51 +445,47 @@ class KeyTree:
         list).  The update list runs deepest first up to the root.
         """
         u = self._u_node(user_id)
-        if self.group_size() < 2:
-            raise KeyTreeError("cannot remove the only user")
         leaf = self.nodes[u.parent]  # type: ignore[index]
-        path_above = []
-        node = self.nodes[leaf.parent] if leaf.parent else None
-        while node is not None:
-            path_above.append(node.id)
-            node = self.nodes[node.parent] if node.parent else None
-        if not path_above:
+        if leaf.parent is None:
             raise KeyTreeError("cannot remove the only user")
 
         # prune the u-node and its individual key
-        node: Optional[_Node] = self.nodes[leaf.parent]  # type: ignore[index]
-        while node is not None:
-            node.user_count -= 1
-            node = self.nodes[node.parent] if node.parent else None
-        parent = self.nodes[leaf.parent]  # type: ignore[index]
+        parent = self.nodes[leaf.parent]
+        for node in (u, leaf, parent):
+            self._save(node)
         parent.children.remove(leaf.id)
         del self.nodes[leaf.id]
         del self.nodes[u.id]
-        self._individuals.discard(leaf.id)
+        if len(parent.children) != 1:
+            return self._update_path(parent.id, user_id, add=False)
 
-        # merge the parent into its child if a single child remains
-        updated = list(path_above)
-        if len(parent.children) == 1:
-            child_id = parent.children[0]
-            child = self.nodes[child_id]
-            grand = parent.parent
-            child.parent = grand
-            if grand is None:
-                self.root = child_id
-            else:
-                kids = self.nodes[grand].children
-                kids[kids.index(parent.id)] = child_id
-            del self.nodes[parent.id]
-            updated[0] = child_id
-        return updated
+        # merge the parent into its only child, whose subtree is unchanged
+        child = self.nodes[parent.children[0]]
+        self._save(child)
+        child.parent = parent.parent
+        if parent.parent is None:
+            self.root = child.id
+        else:
+            grand = self.nodes[parent.parent]
+            self._save(grand)
+            grand.children[grand.children.index(parent.id)] = child.id
+        del self.nodes[parent.id]
+        return [child.id, *self._update_path(child.parent, user_id, add=False)]
 
     # ------------------------------------------------------------------ #
     # validation and serialization
 
     def check_invariants(self) -> None:
-        """Raise when any structural invariant is violated (test hook)."""
+        """Raise when any structural invariant or cache is wrong (test hook).
+
+        Every cached userset, height and summary is recomputed from the
+        node's children, children first.
+        """
         if self.root is None:
             raise KeyTreeError("no root")
+        if self.nodes[self.root].parent is not None:
+            raise KeyTreeError("root has a parent")
+        order: list[str] = []
         seen: set[str] = set()
         stack = [self.root]
         while stack:
@@ -399,53 +493,54 @@ class KeyTree:
             if nid in seen:
                 raise KeyTreeError(f"cycle at {nid}")
             seen.add(nid)
+            order.append(nid)
             node = self.nodes[nid]
             if node.kind == "k":
+                if not node.children:
+                    raise KeyTreeError(f"k-node {nid} has no children")
                 k_children = [c for c in node.children if self.nodes[c].kind == "k"]
                 if len(k_children) > self.degree:
                     raise KeyTreeError(f"degree bound violated at {nid}")
+                if k_children and len(k_children) != len(node.children):
+                    raise KeyTreeError(f"k-node {nid} mixes u- and k-children")
+                if not k_children and len(node.children) != 1:
+                    raise KeyTreeError(f"individual key {nid} has several users")
                 for c in node.children:
                     if self.nodes[c].parent != nid:
                         raise KeyTreeError(f"broken edge {nid} -> {c}")
                 stack.extend(node.children)
-            else:
-                if node.children:
-                    raise KeyTreeError(f"u-node {nid} has children")
+            elif node.children:
+                raise KeyTreeError(f"u-node {nid} has children")
         if seen != set(self.nodes):
             raise KeyTreeError("unreachable nodes present")
-        for nid in seen:
+        for nid in reversed(order):
             node = self.nodes[nid]
-            if node.kind == "k":
-                actual = len(self.userset(nid))
-                if node.user_count != actual:
-                    raise KeyTreeError(
-                        f"stale user count at {nid}: {node.user_count} != {actual}"
-                    )
-                is_ind = len(node.children) == 1 and (
-                    self.nodes[node.children[0]].kind == "u"
-                )
-                if is_ind != (nid in self._individuals):
-                    raise KeyTreeError(f"individual index stale at {nid}")
+            if node.kind == "u":
+                if node.users or node.height or node.attach or node.split:
+                    raise KeyTreeError(f"u-node {nid} carries a subtree cache")
+                continue
+            kids = [self.nodes[c] for c in node.children]
+            expected = sorted(
+                (u for kid in kids for u in (kid.users if kid.kind == "k" else [kid.id])),
+                key=_user_sort_key,
+            )
+            if node.users != expected:
+                raise KeyTreeError(f"stale userset at {nid}")
+            if (node.height, node.attach, node.split) != self._summary(node):
+                raise KeyTreeError(f"stale height or join summary at {nid}")
+        members = {nid: set(n.users) for nid, n in self.nodes.items() if n.kind == "k"}
         for uid in self.users():
-            ks = self.keyset(uid)
-            for kid in ks:
-                if uid not in self.userset(kid):
+            for kid in self.keyset(uid):
+                if uid not in members[kid]:
                     raise KeyTreeError(f"duality broken for {uid} / {kid}")
 
     def clone(self) -> "KeyTree":
         other = KeyTree(self.degree, self.key_len)
         other.root = self.root
         other._counter = self._counter
-        other._individuals = set(self._individuals)
         for nid, node in self.nodes.items():
-            other.nodes[nid] = _Node(
-                id=node.id,
-                kind=node.kind,
-                parent=node.parent,
-                children=list(node.children),
-                key=node.key,
-                created=node.created,
-                user_count=node.user_count,
+            other.nodes[nid] = replace(
+                node, children=list(node.children), users=list(node.users)
             )
         return other
 

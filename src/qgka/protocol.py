@@ -13,15 +13,21 @@ Events are strictly serialized; one membership change mutates the tree at a
 time.  The sessions inside one event touch disjoint keys and could run
 concurrently with separate RNG streams; here they run in order for
 reproducibility.  An aborted session rolls the tree and its key versions
-back to the pre-event snapshot.  Views, history and counters are written only
-after an event's last abort point, so an abort leaves them untouched.
+back to the pre-event checkpoint.  Views, history and counters are written
+only after an event's last abort point, so an abort leaves them untouched;
+the resources an aborted event spent go to ``aborted_counters``.
+
+Apart from delivery, which installs keys into every recipient's view, an
+event touches only its path: the tree work, the sessions and the message
+addressing are O(d * log_d N), and each message's recipients are read off
+the tree's sorted usersets without sorting.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -140,6 +146,8 @@ class GroupProtocol:
         self.rng = rng
         self.channel = channel
         self.counters = ResourceCounters()
+        # spent by events that aborted and were rolled back
+        self.aborted_counters = ResourceCounters()
         self.step = 0
         self.views: dict[str, UserView] = {}
         self.archives: dict[str, set[tuple[str, int, str]]] = {}
@@ -164,23 +172,22 @@ class GroupProtocol:
                 (key.key_id, key.version, key.bits)
             )
 
-    def _choose_agent(self, members: list[str]) -> str:
+    def _choose_agent(self, members: Sequence[str]) -> str:
         if self.config.agent_selection == "first":
             return members[0]
         return members[int(self.rng.integers(len(members)))]
 
-    def _snapshot(self) -> Optional[KeyTree]:
+    def _checkpoint(self) -> None:
         # Sessions can only abort through an adversarial channel (an honest
         # channel's decoy checks are error-free by construction), so the
-        # rollback snapshot is taken only when one is installed.
-        if self.channel is None:
-            return None
-        return self.tree.clone()
+        # tree records an undo log only when one is installed.
+        if self.channel is not None:
+            self.tree.checkpoint()
 
-    def _rollback(self, snap: Optional[KeyTree]) -> None:
-        if snap is None:
-            raise RuntimeError("no snapshot to roll back to")
-        self.tree = snap
+    def _abort(self, counters: ResourceCounters) -> None:
+        self.tree.rollback()
+        self.step -= 1
+        self.aborted_counters.merge(counters)
 
     def _deliver(self, message: RekeyMessage) -> None:
         """Install one message's keys into every addressed view.
@@ -191,7 +198,9 @@ class GroupProtocol:
         that every other recipient holds exactly the same wrapping key.
         Semantically equivalent to each recipient decrypting every item with
         its own copy of the wrapping key, the per-user form the test suite
-        keeps as its reference.
+        keeps as its reference.  An opened key equal to the tree's is
+        installed as the tree's own object, so views share key objects and
+        the per-recipient check mostly passes on identity.
         """
         if not message.recipients:
             return
@@ -203,16 +212,20 @@ class GroupProtocol:
                 raise MissingKeyError(
                     f"{first.user_id} lacks {item.enc_key_id} v{item.enc_version}"
                 )
-            opened.append((item.enc_key_id, held, decrypt_key(held, item)))
+            new_key = decrypt_key(held, item)
+            live = self.tree.key(new_key.key_id)
+            opened.append((item.enc_key_id, held, live if live == new_key else new_key))
         track = self.config.track_history
+        views = self.views
         for uid in message.recipients:
-            view = self.views[uid]
+            keys = views[uid].keys
             for enc_id, wrap_key, new_key in opened:
-                if view.keys.get(enc_id) != wrap_key:
+                held = keys.get(enc_id)
+                if held is not wrap_key and held != wrap_key:
                     raise MissingKeyError(
                         f"{uid} lacks {enc_id} v{wrap_key.version}"
                     )
-                view.install(new_key)
+                keys[new_key.key_id] = new_key
                 if track:
                     self.archives[uid].add(
                         (new_key.key_id, new_key.version, new_key.bits)
@@ -242,18 +255,20 @@ class GroupProtocol:
         if self.tree.has_user(user_id):
             raise KeyTreeError(f"user {user_id!r} already in the group")
         self.step += 1
-        snap = self._snapshot()
+        self._checkpoint()
         tree_before = (
             self.tree.to_dict() if self.config.record_tree_snapshots else None
         )
-        old_material = {
-            kid: self.tree.nodes[kid].key
-            for kid in self.tree.key_nodes()
-            if self.tree.nodes[kid].key is not None
-        }
         counters = ResourceCounters()
         path = self.tree.insert_user(user_id, self.rng)  # deepest first
         path_root_first = list(reversed(path))
+        # every wrapping key a join message can use, before any session
+        old_material = {}
+        for key_id in path:
+            for kid in (key_id, *self.tree.child_keys(key_id)):
+                key = self.tree.nodes[kid].key
+                if key is not None:
+                    old_material[kid] = key
 
         sessions: list[tuple[str, QkaTranscript]] = []
         try:
@@ -264,9 +279,9 @@ class GroupProtocol:
                 self.tree.set_key(key_id, t.extracted_key)
                 sessions.append((key_id, t))
         except ProtocolAbort:
-            self._rollback(snap)
-            self.step -= 1
+            self._abort(counters)
             raise
+        self.tree.commit()
 
         messages = build_join_messages(
             self.tree, path_root_first, old_material, user_id, self.rng, counters
@@ -308,11 +323,11 @@ class GroupProtocol:
         if self.tree.group_size() < 2:
             raise KeyTreeError("cannot remove the last member of a group")
         self.step += 1
-        snap = self._snapshot()
+        self._checkpoint()
         tree_before = (
             self.tree.to_dict() if self.config.record_tree_snapshots else None
         )
-        pre_nodes = set(self.tree.key_nodes())
+        parent = self.tree.keyset(user_id)[1]
         counters = ResourceCounters()
         updated = self.tree.remove_user(user_id)  # deepest first
         path_root_first = list(reversed(updated))
@@ -328,7 +343,7 @@ class GroupProtocol:
                     ]
                 else:
                     # a pruned subgroup merged into an individual key
-                    agents = self.tree.userset(key_id)
+                    agents = list(self.tree.userset(key_id))
                 t = self._run_key_session([SERVER_ID, *agents], counters)
                 if t.aborted:
                     raise ProtocolAbort(t.abort_cause or "unknown")
@@ -336,9 +351,9 @@ class GroupProtocol:
                 sessions.append((key_id, t))
                 session_users[key_id] = agents
         except ProtocolAbort:
-            self._rollback(snap)
-            self.step -= 1
+            self._abort(counters)
             raise
+        self.tree.commit()
 
         messages = build_leave_messages(
             self.tree,
@@ -354,12 +369,12 @@ class GroupProtocol:
         for msg in messages:
             self._deliver(msg)
 
-        # drop entries for nodes that vanished in the structural update
-        gone = pre_nodes - set(self.tree.key_nodes())
-        if gone:
+        # the leaver's parent vanished if it merged into its remaining child,
+        # which then stands in for it on the update list; only that child's
+        # users held it besides the leaver
+        if updated[0] != parent:
             for uid in self.tree.userset(updated[0]):
-                for nid in gone:
-                    self.views[uid].drop(nid)
+                self.views[uid].drop(parent)
 
         self.views.pop(user_id, None)
         self.departed[user_id] = self.step

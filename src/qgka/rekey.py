@@ -11,7 +11,9 @@ given (key, nonce) so traces replay byte-for-byte; it is explicitly NOT
 cryptographically secure.
 
 Message building is pure given a tree snapshot; delivery is per-user and
-independent, safe to parallelize across users.  Within one event, messages
+independent, safe to parallelize across users.  Recipient tuples keep the
+tree's stable user order: they are filtered out of the tree's sorted
+usersets, never sorted again, in time linear in the usersets read.  Within one event, messages
 must be applied in list order: leave-time messages for deeper keys precede
 the ones encrypted under them.
 """
@@ -22,6 +24,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -181,7 +184,8 @@ def build_join_messages(
     the message groups, so a path of length m+1 costs m+1 encryptions and
     m+1 message groups.  A path node without old material (a fresh split
     node) is instead wrapped under the displaced child subtree's key, the one
-    key its recipients are guaranteed to hold.
+    key its recipients are guaranteed to hold.  ``old_material`` needs the
+    pre-event keys of the path nodes and of their children.
     """
     ciphertexts: list[SimCipherText] = []
     messages: list[RekeyMessage] = []
@@ -189,10 +193,9 @@ def build_join_messages(
     for j, key_id in enumerate(path):
         new_key = tree.key(key_id)
         below = path[j + 1] if j + 1 < len(path) else tree.individual_key(joiner)
-        recipients = sorted(
-            set(tree.userset(key_id)) - set(tree.userset(below)) - {joiner},
-            key=lambda u: (len(u), u),
-        )
+        # the joiner is under ``below``, on her own path
+        skip = set(tree.userset(below))
+        recipients = tuple(filterfalse(skip.__contains__, tree.userset(key_id)))
         old = old_material.get(key_id)
         if old is not None:
             enc_key = old
@@ -206,9 +209,7 @@ def build_join_messages(
             enc_key = old_material[children[0]]
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
         if recipients:
-            messages.append(
-                RekeyMessage(recipients=tuple(recipients), items=tuple(ciphertexts))
-            )
+            messages.append(RekeyMessage(recipients=recipients, items=tuple(ciphertexts)))
             counters.rekey_messages += 1
     return messages
 
@@ -233,15 +234,13 @@ def build_leave_messages(
     messages: list[RekeyMessage] = []
     for key_id, session_users in updated_deepest_first:
         new_key = tree.key(key_id)
+        skip = set(session_users)
         for child in tree.child_keys(key_id):
-            recipients = sorted(
-                set(tree.userset(child)) - set(session_users),
-                key=lambda u: (len(u), u),
-            )
+            recipients = tuple(filterfalse(skip.__contains__, tree.userset(child)))
             if not recipients:
                 continue
             ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
-            messages.append(RekeyMessage(recipients=tuple(recipients), items=(ct,)))
+            messages.append(RekeyMessage(recipients=recipients, items=(ct,)))
             counters.rekey_messages += 1
     return messages
 

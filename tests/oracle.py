@@ -9,13 +9,16 @@ the bit-string convention of the package.
 ``apply_rekey`` is per-user delivery: one user opens a rekey message with
 the keys in that user's view, the reference for the protocol's shared
 delivery.
+
+``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
+references for the tree's cached height and join summaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qgka.keytree import GroupKey
+from qgka.keytree import GroupKey, KeyTree
 from qgka.quantum import EntangledState, Pauli
 from qgka.rekey import MissingKeyError, RekeyMessage, UserView, decrypt_key
 
@@ -89,3 +92,48 @@ def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
         view.install(new_key)
         installed.append(new_key)
     return installed
+
+
+def dfs_height(tree: KeyTree) -> int:
+    """Edges along the longest u-node to root path, by one DFS."""
+    if tree.root is None:
+        return 0
+    best = 0
+    stack = [(tree.root, 0)]
+    while stack:
+        nid, depth = stack.pop()
+        node = tree.nodes[nid]
+        if node.kind == "u":
+            best = max(best, depth)
+        else:
+            stack.extend((c, depth + 1) for c in node.children)
+    return best
+
+
+def scan_join_point(tree: KeyTree) -> tuple[str, str]:
+    """The join rule by a scan of every individual key.
+
+    Returns ``("attach", k-node)``: the non-full parent of individual keys
+    with the fewest users, then the earliest created; or, when every such
+    parent is full, ``("split", individual key)``: the one with the
+    smallest (depth, parent's user count, creation).
+    """
+    individuals = [
+        n
+        for n in tree.nodes.values()
+        if n.kind == "k" and tree.nodes[n.children[0]].kind == "u"
+    ]
+    parents = [tree.nodes[p] for p in {n.parent for n in individuals if n.parent}]
+    open_parents = [p for p in parents if len(p.children) < tree.degree]
+    if open_parents:
+        best = min(open_parents, key=lambda p: (len(tree.userset(p.id)), p.created))
+        return "attach", best.id
+    target = min(
+        individuals,
+        key=lambda n: (
+            tree.depth(n.id),
+            len(tree.userset(n.parent)) if n.parent else 1,
+            n.created,
+        ),
+    )
+    return "split", target.id

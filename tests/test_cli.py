@@ -287,6 +287,26 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "join", "--group-size", "4", "--degree", "1"],
+            ["trace", "join", "--group-size", "0", "--degree", "2"],
+            ["trace", "join", "--group-size", "4", "--degree", "2", "--n", "0"],
+            ["trace", "leave", "--group-size", "4", "--degree", "2",
+             "--user", "nobody"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
+             "--n", "0"],
+            ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "0"],
+            ["attack", "--strategy", "cnot", "--decoys", "0", "--trials", "10"],
+        ],
+    )
+    def test_rejected_tree_and_attack_values_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_help_mentions_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

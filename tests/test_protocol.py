@@ -165,13 +165,17 @@ class TestRollback:
     def test_partial_events_roll_back_exactly_over_churn(self, monkeypatch):
         # An eavesdropper on a tenth of the decoys aborts some events after
         # earlier sessions of the same event succeeded and their keys went
-        # into the tree; each abort must restore the pre-event state.
+        # into the tree; each abort must restore the pre-event state, and
+        # the qubits it spent must land in the aborted counters.
         sessions: list[bool] = []  # aborted flag per session of this event
+        prepared = 0  # qubits prepared by every session of the run
         real_session = protocol_module.run_session
 
         def recording_session(*args, **kwargs):
+            nonlocal prepared
             t = real_session(*args, **kwargs)
             sessions.append(t.aborted)
+            prepared += t.counters.qubits_prepared
             return t
 
         monkeypatch.setattr(protocol_module, "run_session", recording_session)
@@ -218,6 +222,11 @@ class TestRollback:
             proto.tree.check_invariants()
         assert partial_aborts >= 1
         assert commits >= 1
+        assert proto.aborted_counters.qubits_prepared > 0
+        assert (
+            proto.counters.qubits_prepared + proto.aborted_counters.qubits_prepared
+            == prepared
+        )
         report = proto.verify_consistency(check_secrecy=True)
         assert report["consistent"], report
 
