@@ -69,8 +69,9 @@ class _Node:
     children: list[str] = field(default_factory=list)
     key: Optional[GroupKey] = None
     created: int = 0  # creation order, used for deterministic tie-breaking
-    # caches of a k-node's subtree, refreshed along every changed path
-    users: list[str] = field(default_factory=list)  # in _user_sort_key order
+    # caches of a k-node's subtree, refreshed along every changed path;
+    # ``users`` is its userset in _user_sort_key order (None on a u-node)
+    users: list[str] = None  # type: ignore[assignment]
     height: int = 0  # edges down to the deepest u-node; 1 for an individual key
     attach: Optional[_Attach] = None
     split: Optional[_Split] = None
@@ -222,7 +223,9 @@ class KeyTree:
     # ------------------------------------------------------------------ #
     # cached subtree summaries
 
-    def _summary(self, node: _Node) -> tuple[int, Optional[_Attach], Optional[_Split]]:
+    def _summary(
+        self, node: _Node
+    ) -> tuple[int, Optional[_Attach], Optional[_Split]]:
         """A k-node's (height, attach, split), from its children's caches.
 
         ``attach`` is the subtree's non-full parent of individual keys with
@@ -234,30 +237,35 @@ class KeyTree:
         kids = [self.nodes[c] for c in node.children]
         if kids[0].kind == "u":
             return 1, None, None
-        count = len(node.users)
-        height = 0
+        height = 1
         attach: Optional[_Attach] = None
         split: Optional[_Split] = None
-        holds_individual = False
+        first: Optional[_Node] = None  # the earliest created individual child
         for kid in kids:
-            height = max(height, kid.height)
             if kid.height == 1:
-                holds_individual = True
-                candidate = (1, count, kid.created, kid.id)
-            else:
-                if kid.attach is not None and (attach is None or kid.attach < attach):
-                    attach = kid.attach
-                below = kid.split
-                candidate = (below[0] + 1, below[1], below[2], below[3])  # type: ignore[index]
-            if split is None or candidate < split:
-                split = candidate
-        if holds_individual and len(kids) < self.degree:
+                if first is None or kid.created < first.created:
+                    first = kid
+                continue
+            height = max(height, kid.height)
+            if kid.attach is not None and (attach is None or kid.attach < attach):
+                attach = kid.attach
+            # every child's split depth counts from that child: comparable
+            if split is None or kid.split < split:  # type: ignore[operator]
+                split = kid.split
+        if first is None:
+            depth, *rest = split  # type: ignore[misc]
+            return height + 1, attach, (depth + 1, *rest)
+        # an individual child, at depth 1, beats every deeper split target
+        count = len(node.users)
+        if len(kids) < self.degree:
             own = (count, node.created, node.id)
             if attach is None or own < attach:
                 attach = own
-        return height + 1, attach, split
+        return height + 1, attach, (1, count, first.created, first.id)
 
-    def _update_path(self, node_id: Optional[str], user_id: str, add: bool) -> list[str]:
+    def _update_path(
+        self, node_id: Optional[str], user_id: str, add: bool
+    ) -> list[str]:
         """Insert or delete a user in every userset from ``node_id`` up to
         the root, refreshing each node's summary; returns the ids walked."""
         path = []
@@ -349,7 +357,7 @@ class KeyTree:
         self.set_key(k.id, random_bits(self.key_len, rng))
         u.parent = k.id
         k.children.append(u.id)
-        k.users.append(user_id)
+        k.users = [user_id]
         k.height = 1
         return k.id
 
@@ -394,7 +402,8 @@ class KeyTree:
         root = self.nodes[self.root]
         if root.attach is not None:
             return root.attach[-1]
-        target = root if root.height == 1 else self.nodes[root.split[-1]]  # type: ignore[index]
+        # a lone individual root is the only split target there is
+        target = root if root.split is None else self.nodes[root.split[-1]]
         fresh = self._new_node("k")
         fresh.users = list(target.users)
         parent = target.parent
@@ -408,8 +417,7 @@ class KeyTree:
         self._save(target)
         target.parent = fresh.id
         fresh.children.append(target.id)
-        fresh.height, fresh.attach, fresh.split = self._summary(fresh)
-        node_id = parent
+        node_id: Optional[str] = fresh.id
         while node_id is not None:
             node = self.nodes[node_id]
             self._save(node)
@@ -516,14 +524,10 @@ class KeyTree:
         for nid in reversed(order):
             node = self.nodes[nid]
             if node.kind == "u":
-                if node.users or node.height or node.attach or node.split:
-                    raise KeyTreeError(f"u-node {nid} carries a subtree cache")
                 continue
             kids = [self.nodes[c] for c in node.children]
-            expected = sorted(
-                (u for kid in kids for u in (kid.users if kid.kind == "k" else [kid.id])),
-                key=_user_sort_key,
-            )
+            held = (kid.users if kid.kind == "k" else [kid.id] for kid in kids)
+            expected = sorted((u for users in held for u in users), key=_user_sort_key)
             if node.users != expected:
                 raise KeyTreeError(f"stale userset at {nid}")
             if (node.height, node.attach, node.split) != self._summary(node):
@@ -539,9 +543,8 @@ class KeyTree:
         other.root = self.root
         other._counter = self._counter
         for nid, node in self.nodes.items():
-            other.nodes[nid] = replace(
-                node, children=list(node.children), users=list(node.users)
-            )
+            users = list(node.users) if node.kind == "k" else None
+            other.nodes[nid] = replace(node, children=list(node.children), users=users)
         return other
 
     def to_dict(self, include_keys: bool = False) -> dict:

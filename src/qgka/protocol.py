@@ -199,8 +199,9 @@ class GroupProtocol:
         Semantically equivalent to each recipient decrypting every item with
         its own copy of the wrapping key, the per-user form the test suite
         keeps as its reference.  An opened key equal to the tree's is
-        installed as the tree's own object, so views share key objects and
-        the per-recipient check mostly passes on identity.
+        installed as the tree's own object.  Views then share the tree's key
+        objects, and the per-recipient check passes on identity unless a view
+        holds a separate equal copy.
         """
         if not message.recipients:
             return
@@ -214,7 +215,9 @@ class GroupProtocol:
                 )
             new_key = decrypt_key(held, item)
             live = self.tree.key(new_key.key_id)
-            opened.append((item.enc_key_id, held, live if live == new_key else new_key))
+            if live == new_key:
+                new_key = live
+            opened.append((item.enc_key_id, held, new_key))
         track = self.config.track_history
         views = self.views
         for uid in message.recipients:

@@ -11,11 +11,11 @@ given (key, nonce) so traces replay byte-for-byte; it is explicitly NOT
 cryptographically secure.
 
 Message building is pure given a tree snapshot; delivery is per-user and
-independent, safe to parallelize across users.  Recipient tuples keep the
-tree's stable user order: they are filtered out of the tree's sorted
-usersets, never sorted again, in time linear in the usersets read.  Within one event, messages
+independent, safe to parallelize across users.  Within one event, messages
 must be applied in list order: leave-time messages for deeper keys precede
-the ones encrypted under them.
+the ones encrypted under them.  Recipient tuples keep the tree's stable user
+order: they are filtered out of the tree's sorted usersets, never sorted
+again.
 """
 
 from __future__ import annotations
@@ -209,7 +209,9 @@ def build_join_messages(
             enc_key = old_material[children[0]]
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
         if recipients:
-            messages.append(RekeyMessage(recipients=recipients, items=tuple(ciphertexts)))
+            messages.append(
+                RekeyMessage(recipients=recipients, items=tuple(ciphertexts))
+            )
             counters.rekey_messages += 1
     return messages
 
