@@ -6,8 +6,11 @@ runs 80 events on one tree, so it also pins recipient order, agent choice
 and the order of random draws on a tree shaped by earlier splits and
 merges.  Each case runs at a decoy proportion of 0, 0.25 or 1,
 where ``xi * payload`` is exact in binary floating point, so the decoy
-counts do not depend on how the rounding is computed.  A change that
-alters an output on purpose regenerates the table and the churn digest with
+counts do not depend on how the rounding is computed.  The session case
+runs single key-agreement sessions on one generator across group sizes,
+key lengths, decoy proportions and attacked channels, so it pins every
+random draw of the session engine, aborted sessions included.  A change
+that alters an output on purpose regenerates the table and the digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,9 +21,11 @@ import json
 import numpy as np
 import pytest
 
+from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.cli import main
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolConfig
+from qgka.qka import make_config, run_session
 
 ALL_EIGHT = (
     "tree-bell,tree-cluster,tree-single,tree-ghz,"
@@ -85,6 +90,42 @@ DIGESTS = {
 CHURN_DIGEST = "fdbbe0c2db59f8d0951a4960d9351169795282d601439e721ba87cedf3beb4e5"
 
 
+#: Every session of ``session_batch()`` plus the generator state after it.
+SESSION_DIGEST = "75b14dc5a5b163b434d7640d1ab85de8cd6de4bf66eb912a3c660cf05676c281"
+
+
+def session_batch() -> tuple[dict, int]:
+    """Seeded sessions for P = 2..9, n in {1, 16, 256}, four decoy
+    proportions and three channels: honest, intercept-resend on 5% of
+    decoys and CNOT on 20%, all drawing from one generator.
+
+    Returns the serialized sessions with the final generator state, and
+    the number of aborted sessions.
+    """
+    rng = np.random.default_rng(43)
+    channels = (
+        None,
+        AdversarialChannel(EveStrategy("intercept_resend", 0.05)),
+        AdversarialChannel(EveStrategy("cnot", 0.2)),
+    )
+    sessions, aborted = [], 0
+    for P in range(2, 10):
+        ids = ["s"] + [f"u{i}" for i in range(1, P)]
+        for n in (1, 16, 256):
+            for xi in (0, 0.07, 0.25, 1):
+                for channel in channels:
+                    t = run_session(make_config(ids, n=n, xi=xi), rng, channel)
+                    aborted += t.aborted
+                    sessions.append(
+                        {**t.to_dict(), "operation_keys": t.operation_keys}
+                    )
+    return {"sessions": sessions, "state": rng.bit_generator.state}, aborted
+
+
+def _session_digest(batch: dict) -> str:
+    return hashlib.sha256(json.dumps(batch, sort_keys=True).encode()).hexdigest()
+
+
 def churn_traces() -> tuple[list[dict], int, int]:
     """80 seeded events at d=3 with random agents, from 90 members.
 
@@ -138,6 +179,12 @@ def test_churn_trace_digest():
     assert _churn_digest(traces) == CHURN_DIGEST
 
 
+def test_session_batch_digest():
+    batch, aborted = session_batch()
+    assert 0 < aborted < len(batch["sessions"])
+    assert _session_digest(batch) == SESSION_DIGEST
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -152,3 +199,4 @@ if __name__ == "__main__":
         blob = f"{out.getvalue()}\0{err.getvalue()}".encode()
         print(f'    "{name}": "{hashlib.sha256(blob).hexdigest()}",')
     print(f'CHURN_DIGEST = "{_churn_digest(churn_traces()[0])}"')
+    print(f'SESSION_DIGEST = "{_session_digest(session_batch()[0])}"')
