@@ -447,23 +447,31 @@ class KeyTree:
     def remove_user(self, user_id: str) -> list[str]:
         """Prune a user and return the surviving path k-nodes needing fresh keys.
 
-        The user's u-node and individual key vanish.  If her parent k-node is
-        left with a single child it is merged into that child (the child takes
-        its place; the absorbing child then stands in for it on the update
-        list).  The update list runs deepest first up to the root.
+        The user's u-node and individual key vanish, and so does any k-node
+        left with no children (a split by a bare ``join_point`` leaves its
+        fresh node with the displaced user's key alone).  If the remaining
+        parent k-node is left with a single child it is merged into that
+        child (the child takes its place; the absorbing child then stands in
+        for it on the update list).  The update list runs deepest first up
+        to the root.
         """
         u = self._u_node(user_id)
-        leaf = self.nodes[u.parent]  # type: ignore[index]
-        if leaf.parent is None:
+        if self.nodes[self.root].users == [user_id]:  # type: ignore[index]
             raise KeyTreeError("cannot remove the only user")
 
-        # prune the u-node and its individual key
-        parent = self.nodes[leaf.parent]
-        for node in (u, leaf, parent):
-            self._save(node)
-        parent.children.remove(leaf.id)
-        del self.nodes[leaf.id]
+        # prune the u-node, its individual key and every k-node left empty
+        node = self.nodes[u.parent]  # type: ignore[index]
+        self._save(u)
         del self.nodes[u.id]
+        while True:
+            parent = self.nodes[node.parent]  # type: ignore[index]
+            self._save(node)
+            self._save(parent)
+            parent.children.remove(node.id)
+            del self.nodes[node.id]
+            if parent.children:
+                break
+            node = parent
         if len(parent.children) != 1:
             return self._update_path(parent.id, user_id, add=False)
 

@@ -23,6 +23,35 @@ participant count is even and 0, 1, 0, 1 when it is odd.  Each key bit leaves
 the leader a free choice between two gates, which is what hides the key from
 anyone who only sees the published measurement results.
 
+The engine runs a whole session as bit arrays, never one qubit at a time.
+A Pauli gate is a pair of bits (x, z): X flips the qubit's bit of the flip
+pattern, Z flips the sign, Y does both (global phase dropped).  A session
+holds its operation keys and gates as (P, n) arrays, one row per
+participant in participant order and one column per key position.
+Followers apply x = key, z = 0.  The leader of position i (participant
+i mod P) draws a choice bit c and applies z = key, x = c xor key under even
+parity, or z = c, x = c xor key under odd parity.  A position's state
+starts as the GHZ state, so after the gates its flip pattern is its x
+column and its sign the XOR of its z column; the measurement publishes the
+sign bit in the leader's slot and x_q xor x_leader in every follower's slot
+(``quantum.measure_entangled`` on the canonical state, whose pattern is
+complemented when the leader's bit is 1).  Participant q then corrects by
+her flip bit: her own x bit when she leads, her published slot xor her own
+x bit when she follows.  Her shared bit is the XOR of the published
+outcome xor her flip bit.  The leader checks the published sign bit
+against her own z; a follower's recovered bit equals her own key by the
+choice of her flip bit, so a corrupted follower slot shows as seats that
+disagree.  Either failure aborts the session with cause "tamper".
+
+Random draws, in order: the operation keys as one (P, n) draw of bits;
+for each distribution hop, its decoy kinds as one draw of k values in
+[0, 4), then whatever the channel draws, then one bit for each decoy that
+came back changed and reads out at random; the leaders' choice bits as one
+draw of n bits; and the return hops like the distribution hops.  On PCG64
+a draw of k bounded integers returns the same values and leaves the same
+generator state as k scalar draws, so the engine consumes the generator
+exactly as the one-qubit-at-a-time reference in ``tests/oracle.py`` does.
+
 Sessions are single logical threads; distinct sessions are independent and
 may run concurrently with separate RNGs and counters, merged afterwards.
 """
@@ -36,7 +65,12 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .counters import ResourceCounters
-from .quantum import (
+
+# The scalar quantum layer.  The engine calls only decoy_measure; the rest
+# stay bound here because perfbench/workloads.py counts quantum-layer calls
+# by patching all five names on this module.
+from .quantum import (  # noqa: F401
+    DecoyKind,
     DecoyQubit,
     Pauli,
     apply_pauli,
@@ -82,20 +116,14 @@ def make_config(participant_ids: Sequence[str], n: int, xi: float = 0.0) -> QkaC
 
 
 class ChannelModel(Protocol):
-    """Transport for one quantum hop; adversaries tamper with the decoys."""
+    """Transport for one quantum hop; adversaries tamper with the decoys.
+
+    A session run without a channel model has an honest, lossless channel.
+    """
 
     def transmit(
         self, decoys: list[DecoyQubit], rng: np.random.Generator
     ) -> list[DecoyQubit]: ...
-
-
-class HonestChannel:
-    """Lossless, noiseless, eavesdropper-free transport."""
-
-    def transmit(
-        self, decoys: list[DecoyQubit], rng: np.random.Generator
-    ) -> list[DecoyQubit]:
-        return decoys
 
 
 # Leader key maps by participant-count parity.  Followers are parity-free.
@@ -118,19 +146,6 @@ def encode_operation(
     table = _LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD
     options = [op for op, bit in table.items() if bit == key_bit]
     return options[int(rng.integers(len(options)))]
-
-
-def leader_schedule(participants: Sequence[Participant], position: int) -> Participant:
-    """Round-robin leader for one key position.
-
-    Over n positions every participant leads floor(n/P) or ceil(n/P) of them,
-    earlier participants taking the extras.  With two participants this puts
-    the server in the lead at positions 0, 2, 4, ... (the odd positions when
-    counting from one).
-    """
-    if not participants:
-        raise ValueError("empty participant list")
-    return participants[position % len(participants)]
 
 
 def extract_keys(
@@ -185,17 +200,51 @@ class PositionRecord:
         }
 
 
+#: Pauli gate for the code x + 2 z of its (x, z) bits.
+_PAULI_OF = (Pauli.I, Pauli.X, Pauli.Z, Pauli.Y)
+
+
 @dataclass
 class QkaTranscript:
-    """Full record of one session run."""
+    """Full record of one session run.
+
+    Once the positions are measured, ``gates`` holds each participant's
+    Pauli per key position as the code x + 2 z, and ``published`` her slot
+    of each published outcome (the leader's slot holds the sign bit); both
+    are (P, n) arrays in participant order.  ``positions`` builds the
+    per-position records from them on demand.
+    """
 
     participants: list[str]
-    positions: list[PositionRecord] = field(default_factory=list)
     operation_keys: dict[str, str] = field(default_factory=dict)
     extracted_key: str = ""
     counters: ResourceCounters = field(default_factory=ResourceCounters)
     aborted: bool = False
     abort_cause: Optional[str] = None
+    gates: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    published: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @property
+    def positions(self) -> list[PositionRecord]:
+        """Per key position: leader, every gate and the outcome, in qubit
+        order (the leader's qubit first, then participant order)."""
+        if self.published is None:
+            return []
+        ids = self.participants
+        P = len(ids)
+        records = []
+        columns = zip(self.gates.T.tolist(), self.published.T.tolist())
+        for i, (codes, slots) in enumerate(columns):
+            lead = i % P
+            order = [lead, *range(lead), *range(lead + 1, P)]
+            records.append(
+                PositionRecord(
+                    leader=ids[lead],
+                    ops={ids[q]: _PAULI_OF[codes[q]] for q in order},
+                    outcome="".join("01"[slots[q]] for q in order),
+                )
+            )
+        return records
 
     def to_dict(self) -> dict:
         return {
@@ -221,10 +270,14 @@ def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
     return -(-xi.numerator * payload_qubits // xi.denominator)
 
 
+#: One decoy per kind, indexed like ``random_decoy``'s draw.
+_DECOYS = tuple(DecoyQubit(kind) for kind in DecoyKind)
+
+
 def _checked_hop(
     payload_qubits: int,
     xi: Fraction,
-    channel: ChannelModel,
+    channel: Optional[ChannelModel],
     rng: np.random.Generator,
     counters: ResourceCounters,
 ) -> bool:
@@ -241,15 +294,41 @@ def _checked_hop(
     counters.qubits_transmitted += payload_qubits + n_decoys
     if n_decoys == 0:
         return True
-    sent = [random_decoy(rng) for _ in range(n_decoys)]
+    kinds = rng.integers(4, size=n_decoys).tolist()
+    counters.classical_messages += 1
+    if channel is None:
+        counters.decoy_measurements += n_decoys
+        return True
+    sent = [_DECOYS[k] for k in kinds]
     received = channel.transmit(list(sent), rng)
     errors = 0
     for s, r in zip(sent, received):
         counters.decoy_measurements += 1
-        if decoy_measure(r, s.basis, rng) != s.bit:
+        # an untouched decoy reads back its own bit without a draw
+        if r is not s and decoy_measure(r, s.basis, rng) != s.bit:
             errors += 1
-    counters.classical_messages += 1
     return errors == 0
+
+
+def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndarray:
+    """Every position's published outcome from the gates' (x, z) bits.
+
+    ``x`` and ``z`` are (P, n) in participant order and ``lead`` holds each
+    position's leader row.  Returns a (P, n) array of outcome slots: the
+    leader's slot is the sign bit, the XOR of the position's z bits; a
+    follower's is her x bit xor the leader's.
+    """
+    pos = np.arange(x.shape[1])
+    out = x ^ x[lead, pos]
+    out[lead, pos] = np.bitwise_xor.reduce(z, axis=0)
+    return out
+
+
+def _bit_rows(bits: np.ndarray) -> list[str]:
+    """Each row of a 0/1 array as a string of '0' and '1'."""
+    text = (bits + 48).astype(np.uint8).tobytes().decode("ascii")
+    width = bits.shape[-1]
+    return [text[i : i + width] for i in range(0, len(text), width)]
 
 
 def run_session(
@@ -259,96 +338,67 @@ def run_session(
 ) -> QkaTranscript:
     """Execute one full session and return its transcript.
 
-    On an honest channel every participant extracts the identical key, equal
-    to the position-wise XOR of all operation keys.  A failed channel check
-    aborts with cause "eavesdropper"; an inconsistent extraction aborts with
-    cause "tamper".  Counters tally every prepared and transmitted qubit,
-    gate, measurement, and classical exchange of the run up to the abort.
+    On an honest channel (``channel=None``) every participant extracts the
+    identical key, equal to the position-wise XOR of all operation keys.  A
+    failed channel check aborts with cause "eavesdropper"; an inconsistent
+    extraction aborts with cause "tamper".  Counters tally every prepared
+    and transmitted qubit, gate, measurement, and classical exchange of the
+    run up to the abort.
     """
-    channel = channel if channel is not None else HonestChannel()
     xi = Fraction(str(config.xi))
-    parts = config.participants
-    ids = [p.id for p in parts]
-    P, n = len(parts), config.n
-    parity = "even" if P % 2 == 0 else "odd"
-    t = QkaTranscript(participants=list(ids))
+    ids = [p.id for p in config.participants]
+    P, n = len(ids), config.n
+    t = QkaTranscript(participants=ids)
     counters = t.counters
 
-    # Private operation keys, one bit per position per participant.
-    op_keys = {pid: rng.integers(0, 2, size=n) for pid in ids}
-
-    # Server prepares one P-qubit entangled state per position.
-    states = [ghz_state(P) for _ in range(n)]
+    # Private operation keys, one bit per position per participant, and one
+    # P-qubit GHZ state per position prepared by the server.
+    keys = rng.integers(0, 2, size=(P, n))
     counters.qubits_prepared += P * n
 
     # Distribution: one sequence per other participant (her particle of every
     # state plus decoys), each channel-checked on receipt.
-    for _ in ids[1:]:
+    for _ in range(1, P):
         if not _checked_hop(n, xi, channel, rng, counters):
             t.aborted, t.abort_cause = True, "eavesdropper"
             return t
 
     # Encoding: everyone applies the gate for her key bit on her own particle.
-    # Qubit 0 of each state is routed to that position's leader (the tables'
-    # convention), the rest follow participant order.
-    leaders = [leader_schedule(parts, i) for i in range(n)]
-    orders = [
-        [leaders[i].id] + [pid for pid in ids if pid != leaders[i].id]
-        for i in range(n)
-    ]
-    ops_by_pos: list[dict[str, Pauli]] = []
-    for i in range(n):
-        ops: dict[str, Pauli] = {}
-        for q, pid in enumerate(orders[i]):
-            op = encode_operation(
-                int(op_keys[pid][i]), leader=(q == 0), parity=parity, rng=rng
-            )
-            states[i] = apply_pauli(states[i], q, op)
-            counters.gates_applied += 1
-            ops[pid] = op
-        ops_by_pos.append(ops)
+    choice = rng.integers(2, size=n)
+    counters.gates_applied += P * n
+    pos = np.arange(n)
+    lead = pos % P
+    lead_key = keys[lead, pos]
+    x = keys.copy()
+    z = np.zeros_like(keys)
+    x[lead, pos] = choice ^ lead_key
+    z[lead, pos] = lead_key if P % 2 == 0 else choice
 
     # Return: every non-leader sends her particles for each leader's
     # positions back to that leader, one checked sequence per (sender,
-    # leader) pair.
-    positions_led = {pid: [i for i in range(n) if leaders[i].id == pid] for pid in ids}
-    for leader_id, led in positions_led.items():
-        if not led:
-            continue
-        for sender in ids:
-            if sender == leader_id:
-                continue
-            if not _checked_hop(len(led), xi, channel, rng, counters):
+    # leader) pair; participant j leads positions j, j + P, ...
+    for j in range(min(P, n)):
+        led = len(range(j, n, P))
+        for sender in range(P):
+            if sender != j and not _checked_hop(led, xi, channel, rng, counters):
                 t.aborted, t.abort_cause = True, "eavesdropper"
                 return t
 
     # Measurement and publication: one entangled measurement per position,
     # one classical broadcast per leader that led at least one position.
-    outcomes = [measure_entangled(states[i]) for i in range(n)]
+    published = measure_positions(x, z, lead)
     counters.entangled_measurements += n
-    counters.classical_messages += sum(1 for led in positions_led.values() if led)
-
-    for i in range(n):
-        t.positions.append(
-            PositionRecord(leader=leaders[i].id, ops=ops_by_pos[i], outcome=outcomes[i])
-        )
-    t.operation_keys = {
-        pid: "".join(str(int(b)) for b in op_keys[pid]) for pid in ids
-    }
+    counters.classical_messages += min(P, n)
+    t.gates, t.published = x + 2 * z, published
+    t.operation_keys = dict(zip(ids, _bit_rows(keys)))
 
     # Extraction from every participant's point of view; all must agree.
-    derived: dict[str, list[int]] = {pid: [] for pid in ids}
-    try:
-        for i in range(n):
-            for q, pid in enumerate(orders[i]):
-                _, shared = extract_keys(outcomes[i], ops_by_pos[i][pid], q, parity)
-                derived[pid].append(shared)
-    except TamperError:
+    flip = published ^ x
+    flip[lead, pos] = x[lead, pos]
+    if not (published[lead, pos] == z[lead, pos]).all() or not (
+        flip == flip[0]
+    ).all():
         t.aborted, t.abort_cause = True, "tamper"
         return t
-    keys = {pid: "".join(map(str, bits)) for pid, bits in derived.items()}
-    if len(set(keys.values())) != 1:
-        t.aborted, t.abort_cause = True, "tamper"
-        return t
-    t.extracted_key = keys[ids[0]]
+    t.extracted_key = _bit_rows(np.bitwise_xor.reduce(published, axis=0) ^ flip[0])[0]
     return t

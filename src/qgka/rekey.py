@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import filterfalse
 from typing import Iterable, Mapping, Optional
 
@@ -43,12 +42,10 @@ class MissingKeyError(Exception):
     """An addressed recipient lacks the decryption key: a protocol bug."""
 
 
-@lru_cache(maxsize=16384)
 def _key_bytes(key: GroupKey) -> bytes:
     return f"{key.key_id}|{key.version}|{key.bits}".encode()
 
 
-@lru_cache(maxsize=16384)
 def _tag_material(key: GroupKey) -> bytes:
     return hashlib.blake2b(_key_bytes(key) + b"|tag", digest_size=32).digest()
 

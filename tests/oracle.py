@@ -12,14 +12,44 @@ delivery.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
 references for the tree's cached height and join summaries.
+
+``run_session`` is the key-agreement session one qubit at a time: one
+``EntangledState`` per position, one gate per participant, one scalar draw
+per leader choice and per decoy, and ``extract_keys`` from every seat.  It
+is the reference for the array engine in ``qgka.qka``, draw for draw, and
+``leader_schedule`` is its leader rotation.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Optional, Sequence
+
 import numpy as np
 
+from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree
-from qgka.quantum import EntangledState, Pauli
+from qgka.qka import (
+    ChannelModel,
+    Participant,
+    PositionRecord,
+    QkaConfig,
+    QkaTranscript,
+    TamperError,
+    decoys_for_payload,
+    encode_operation,
+    extract_keys,
+)
+from qgka.quantum import (
+    EntangledState,
+    Pauli,
+    apply_pauli,
+    decoy_measure,
+    ghz_state,
+    measure_entangled,
+    random_decoy,
+)
 from qgka.rekey import MissingKeyError, RekeyMessage, UserView, decrypt_key
 
 _MATRICES = {
@@ -137,3 +167,133 @@ def scan_join_point(tree: KeyTree) -> tuple[str, str]:
         ),
     )
     return "split", target.id
+
+
+@dataclass
+class ScalarTranscript(QkaTranscript):
+    """A transcript whose position records are built one by one."""
+
+    records: list[PositionRecord] = field(default_factory=list)
+
+    @property
+    def positions(self) -> list[PositionRecord]:
+        return self.records
+
+
+def leader_schedule(participants: Sequence[Participant], position: int) -> Participant:
+    """Round-robin leader for one key position.
+
+    Over n positions every participant leads floor(n/P) or ceil(n/P) of them,
+    earlier participants taking the extras.  With two participants this puts
+    the server in the lead at positions 0, 2, 4, ... (the odd positions when
+    counting from one).
+    """
+    if not participants:
+        raise ValueError("empty participant list")
+    return participants[position % len(participants)]
+
+
+def _checked_hop(
+    payload_qubits: int,
+    xi: Fraction,
+    channel: Optional[ChannelModel],
+    rng: np.random.Generator,
+    counters: ResourceCounters,
+) -> bool:
+    """Send one sequence with fresh decoys and check every decoy."""
+    n_decoys = decoys_for_payload(payload_qubits, xi)
+    counters.qubits_prepared += n_decoys
+    counters.qubits_transmitted += payload_qubits + n_decoys
+    if n_decoys == 0:
+        return True
+    sent = [random_decoy(rng) for _ in range(n_decoys)]
+    received = sent if channel is None else channel.transmit(list(sent), rng)
+    errors = 0
+    for s, r in zip(sent, received):
+        counters.decoy_measurements += 1
+        if decoy_measure(r, s.basis, rng) != s.bit:
+            errors += 1
+    counters.classical_messages += 1
+    return errors == 0
+
+
+def run_session(
+    config: QkaConfig,
+    rng: np.random.Generator,
+    channel: Optional[ChannelModel] = None,
+) -> ScalarTranscript:
+    """One session, qubit by qubit; ``channel=None`` is the honest channel."""
+    xi = Fraction(str(config.xi))
+    parts = config.participants
+    ids = [p.id for p in parts]
+    P, n = len(parts), config.n
+    parity = "even" if P % 2 == 0 else "odd"
+    t = ScalarTranscript(participants=list(ids))
+    counters = t.counters
+
+    op_keys = {pid: rng.integers(0, 2, size=n) for pid in ids}
+    states = [ghz_state(P) for _ in range(n)]
+    counters.qubits_prepared += P * n
+
+    for _ in ids[1:]:
+        if not _checked_hop(n, xi, channel, rng, counters):
+            t.aborted, t.abort_cause = True, "eavesdropper"
+            return t
+
+    # qubit 0 of each state goes to the position's leader, the rest follow
+    # participant order
+    leaders = [leader_schedule(parts, i) for i in range(n)]
+    orders = [
+        [leaders[i].id] + [pid for pid in ids if pid != leaders[i].id]
+        for i in range(n)
+    ]
+    ops_by_pos: list[dict[str, Pauli]] = []
+    for i in range(n):
+        ops: dict[str, Pauli] = {}
+        for q, pid in enumerate(orders[i]):
+            op = encode_operation(
+                int(op_keys[pid][i]), leader=(q == 0), parity=parity, rng=rng
+            )
+            states[i] = apply_pauli(states[i], q, op)
+            counters.gates_applied += 1
+            ops[pid] = op
+        ops_by_pos.append(ops)
+
+    positions_led = {pid: [i for i in range(n) if leaders[i].id == pid] for pid in ids}
+    for leader_id, led in positions_led.items():
+        if not led:
+            continue
+        for sender in ids:
+            if sender == leader_id:
+                continue
+            if not _checked_hop(len(led), xi, channel, rng, counters):
+                t.aborted, t.abort_cause = True, "eavesdropper"
+                return t
+
+    outcomes = [measure_entangled(states[i]) for i in range(n)]
+    counters.entangled_measurements += n
+    counters.classical_messages += sum(1 for led in positions_led.values() if led)
+
+    for i in range(n):
+        t.records.append(
+            PositionRecord(leader=leaders[i].id, ops=ops_by_pos[i], outcome=outcomes[i])
+        )
+    t.operation_keys = {
+        pid: "".join(str(int(b)) for b in op_keys[pid]) for pid in ids
+    }
+
+    derived: dict[str, list[int]] = {pid: [] for pid in ids}
+    try:
+        for i in range(n):
+            for q, pid in enumerate(orders[i]):
+                _, shared = extract_keys(outcomes[i], ops_by_pos[i][pid], q, parity)
+                derived[pid].append(shared)
+    except TamperError:
+        t.aborted, t.abort_cause = True, "tamper"
+        return t
+    keys = {pid: "".join(map(str, bits)) for pid, bits in derived.items()}
+    if len(set(keys.values())) != 1:
+        t.aborted, t.abort_cause = True, "tamper"
+        return t
+    t.extracted_key = keys[ids[0]]
+    return t

@@ -176,6 +176,34 @@ class TestInsertRemove:
         with pytest.raises(KeyTreeError):
             tree.remove_user("u1")
 
+    def test_remove_displaced_user_after_bare_split(self):
+        # a bare join_point splits the full tree: u1's individual key moves
+        # under a fresh k-node, which its removal leaves with no children
+        tree, _ = build(2, 4)
+        point = tree.join_point()
+        assert tree.userset(point) == ["u1"]
+        grand = tree.nodes[point].parent
+        sibling = tree.individual_key("u2")
+        tree.checkpoint()
+        path = tree.remove_user("u1")
+        assert point not in tree.nodes and grand not in tree.nodes
+        # u2's key absorbs the parent the split and the leave left with one
+        # child
+        assert path == [sibling, tree.root]
+        assert tree.users() == ["u2", "u3", "u4"]
+        assert tree.height() == 3
+        tree.check_invariants()
+        tree.rollback()
+        assert tree.userset(point) == ["u1"]
+        tree.check_invariants()
+
+    def test_remove_lone_user_refused_after_bare_split(self):
+        tree, _ = build(2, 1)
+        tree.join_point()
+        with pytest.raises(KeyTreeError):
+            tree.remove_user("u1")
+        tree.check_invariants()
+
     def test_versions_bump_on_set_key(self):
         tree, _ = build(2, 4)
         kid = tree.root

@@ -1,9 +1,16 @@
 """Session engine: encoding rules, table conformance, agreement, counters."""
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+from oracle import leader_schedule
+from qgka import qka
+from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.qka import (
     Participant,
     QkaConfig,
@@ -11,8 +18,8 @@ from qgka.qka import (
     decoys_for_payload,
     encode_operation,
     extract_keys,
-    leader_schedule,
     make_config,
+    measure_positions,
     run_session,
 )
 from qgka.quantum import Pauli, apply_pauli, ghz_state, measure_entangled
@@ -266,3 +273,77 @@ class TestRunSession:
         assert len(d["positions"]) == 2
         assert set(d["positions"][0]["ops"]) == {"s", "u"}
         assert d["counters"]["qubits_prepared"] == 4
+
+
+def _channel(kind: str, p: float):
+    return None if kind == "honest" else AdversarialChannel(EveStrategy(kind, p))
+
+
+_sessions = dict(
+    P=st.integers(2, 9),
+    n=st.integers(1, 80),
+    xi=st.sampled_from([0, 0.07, 0.25, 0.5, 1]),
+    kind=st.sampled_from(["honest", "none", "intercept_resend", "cnot"]),
+    p=st.sampled_from([0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestArrayEngine:
+    """The array engine against the qubit-by-qubit reference, draw for draw."""
+
+    @staticmethod
+    def _both(P, n, xi, kind, p, seed):
+        cfg = make_config([f"p{i}" for i in range(P)], n=n, xi=xi)
+        channel = _channel(kind, p)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        t = run_session(cfg, rng, channel)
+        ref = oracle.run_session(cfg, ref_rng, channel)
+        return t, ref, rng, ref_rng
+
+    @given(**_sessions)
+    @settings(max_examples=200)
+    def test_matches_scalar_reference(self, P, n, xi, kind, p, seed):
+        t, ref, rng, ref_rng = self._both(P, n, xi, kind, p, seed)
+        # serialized without sorting, so the order of every dict counts too
+        assert json.dumps(t.to_dict()) == json.dumps(ref.to_dict())
+        assert t.operation_keys == ref.operation_keys
+        assert t.counters == ref.counters
+        assert (t.aborted, t.abort_cause) == (ref.aborted, ref.abort_cause)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        **{**_sessions, "kind": st.sampled_from(["honest", "none"])},
+        where=st.tuples(st.integers(0, 79), st.integers(0, 8)),
+    )
+    @settings(max_examples=100)
+    def test_corrupted_outcome_bit_aborts_with_tamper(
+        self, P, n, xi, kind, p, seed, where
+    ):
+        # flip qubit q's bit of position i's outcome (qubit 0 is the leader's
+        # sign bit) before anyone extracts, in both engines; the channel
+        # lets every session reach the measurement
+        i, q = where[0] % n, where[1] % P
+        lead = i % P
+        row = [lead, *range(lead), *range(lead + 1, P)][q]
+
+        def corrupt_slots(x, z, lead_rows):
+            out = measure_positions(x, z, lead_rows)
+            out[row, i] ^= 1
+            return out
+
+        calls = iter(range(n))
+        measure = oracle.measure_entangled
+
+        def corrupt_outcome(state):
+            outcome = measure(state)
+            if next(calls) != i:
+                return outcome
+            return outcome[:q] + "01"[outcome[q] == "0"] + outcome[q + 1 :]
+
+        with mock.patch.object(qka, "measure_positions", corrupt_slots), \
+                mock.patch.object(oracle, "measure_entangled", corrupt_outcome):
+            t, ref, rng, ref_rng = self._both(P, n, xi, kind, p, seed)
+        assert json.dumps(t.to_dict()) == json.dumps(ref.to_dict())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (t.aborted, t.abort_cause, t.extracted_key) == (True, "tamper", "")
