@@ -130,8 +130,10 @@ def churn_traces() -> tuple[list[dict], int, int]:
     """80 seeded events at d=3 with random agents, from 90 members.
 
     Joiners run u91, u92, ..., so their ids cross from two digits to three.
-    Returns the serialized traces and the numbers of splits (a join adding
-    two k-nodes) and merges (a leave removing two).
+    Every trace is kept and serialized only after the last event, so the
+    digest also pins that a trace reads the same after later events as it
+    did when its event ran.  Returns the serialized traces and the numbers
+    of splits (a join adding two k-nodes) and merges (a leave removing two).
     """
     rng = np.random.default_rng(41)
     tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(90)], 4, rng)
@@ -151,9 +153,9 @@ def churn_traces() -> tuple[list[dict], int, int]:
             members = proto.tree.users()
             trace = proto.leave(members[int(events.integers(len(members)))])
             merges += before - len(proto.tree.key_nodes()) == 2
-        traces.append(trace.to_dict(reveal_keys=True))
+        traces.append(trace)
     assert next_uid > 100
-    return traces, splits, merges
+    return [t.to_dict(reveal_keys=True) for t in traces], splits, merges
 
 
 def _churn_digest(traces: list[dict]) -> str:

@@ -16,7 +16,7 @@ from qgka.protocol import (
     ProtocolConfig,
 )
 from qgka.cost import tree_join_cost, tree_leave_cost
-from qgka.rekey import UserView
+from qgka.rekey import MissingKeyError, UserView
 
 from oracle import apply_rekey
 
@@ -333,6 +333,53 @@ class TestConsistency:
                 members = proto.tree.users()
                 proto.leave(members[int(events.integers(len(members)))])
         assert delivered > 0
+
+
+class TestDeliveryCheck:
+    """A recipient holding a stale wrapping key stops delivery, even when it
+    is not the first recipient of its message."""
+
+    @staticmethod
+    def _warmed():
+        # the leave of u1 regenerates u1's path, so those keys have a stale
+        # first version to plant
+        proto = fresh_protocol(3, 30, seed=23, n=4, xi=0.25, verify_after=False)
+        first = {k: proto.tree.key(k) for k in proto.tree.key_nodes()}
+        proto.leave("u1")
+        return proto, first
+
+    def _plant_and_run(self, kind, user, wraps_current_key):
+        reference, _ = self._warmed()
+        trace = getattr(reference, kind)(user)
+        chosen = [
+            (msg, item)
+            for msg in trace.messages
+            for item in msg.items
+            if len(msg.recipients) >= 2
+            and item.enc_version >= 2
+            and wraps_current_key(item.enc_key_id, trace)
+        ]
+        assert chosen
+        msg, item = chosen[0]
+        target = msg.recipients[-1]
+        assert target != msg.recipients[0]
+        proto, first = self._warmed()
+        stale = first[item.enc_key_id]
+        assert stale.version < item.enc_version
+        proto.views[target].install(stale)
+        with pytest.raises(MissingKeyError):
+            getattr(proto, kind)(user)
+
+    def test_stale_wrapping_key_stops_a_join(self):
+        # join messages wrap under the pre-event versions of the path keys
+        self._plant_and_run("join", "u31", lambda key_id, trace: True)
+
+    def test_stale_wrapping_key_stops_a_leave(self):
+        # a key the leave regenerates reaches the target before it wraps
+        # anything, so only a key the leave leaves alone stays planted
+        self._plant_and_run(
+            "leave", "u30", lambda key_id, trace: key_id not in trace.updated_keys
+        )
 
 
 class TestTraceShape:
