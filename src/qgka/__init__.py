@@ -6,7 +6,7 @@ Library layout:
 * ``qka``       multi-party key agreement sessions
 * ``keytree``   the tree key graph and its membership updates
 * ``rekey``     the simulated cipher and rekey message construction
-* ``protocol``  join/leave orchestration with per-user views
+* ``protocol``  join/leave orchestration and per-node key delivery
 * ``cost``      closed-form qubit cost models and sweeps
 * ``adversary`` attack models and detection experiments
 * ``workload``  Poisson churn simulation and backend comparison

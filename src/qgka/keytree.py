@@ -22,8 +22,10 @@ Every k-node caches, for its own subtree, the sorted userset, the height and
 the best join point and split target.  Each cache depends on the node's
 children only, so a membership change refreshes exactly its path, bottom up:
 a join or leave does O(d * log_d N) work plus one O(log N) search and one
-list insertion or deletion per path node, and ``join_point``, ``userset``,
-``height`` and ``stats`` read a cache in O(1).  An undo record started by
+list copy per path node, and ``join_point``, ``userset``, ``height`` and
+``stats`` read a cache in O(1).  Usersets are copy-on-write: a change
+installs a new list and never edits an old one, so a userset read before an
+event still lists the users as they were.  An undo record started by
 ``checkpoint`` saves each node before the event first changes it, so
 ``rollback`` restores an aborted event in time proportional to its path.
 
@@ -85,8 +87,6 @@ class _Undo:
     counter: int
     # node id -> the node as it was before its first change, None if created
     nodes: dict[str, Optional[_Node]] = field(default_factory=dict)
-    # (userset list, user id, True if inserted) in the order they happened
-    users: list[tuple[list[str], str, bool]] = field(default_factory=list)
 
 
 def _user_sort_key(uid: str) -> tuple[int, str]:
@@ -201,10 +201,29 @@ class KeyTree:
     def userset(self, key_id: str) -> Sequence[str]:
         """Users in the key node's subtree, in stable user order.
 
-        This is the tree's own list, kept current by every change: read it,
-        never modify it, and copy it to keep it past the next change.
+        This is the tree's own list; never modify it.  A change replaces a
+        node's list instead of editing it, so the list returned here keeps
+        listing the subtree's users as they were when it was read.
         """
         return self._k_node(key_id).users
+
+    def child_toward(self, key_id: str, user_id: str) -> Optional[str]:
+        """The child of ``key_id`` whose subtree holds the user, or None
+        when the user is not under ``key_id``.
+
+        Heights grow strictly upward, so the climb from the user stops at
+        the first node as high as ``key_id``.
+        """
+        height = self._k_node(key_id).height
+        node = self._u_node(user_id)
+        while node.parent is not None:
+            parent = self.nodes[node.parent]
+            if parent.id == key_id:
+                return node.id if node.kind == "k" else None
+            if parent.height >= height:
+                return None
+            node = parent
+        return None
 
     def depth(self, node_id: str) -> int:
         d, node = 0, self.nodes[node_id]
@@ -269,18 +288,16 @@ class KeyTree:
         """Insert or delete a user in every userset from ``node_id`` up to
         the root, refreshing each node's summary; returns the ids walked."""
         path = []
-        undo = self._undo
         while node_id is not None:
             node = self.nodes[node_id]
             self._save(node)
-            users = node.users
+            users = list(node.users)
             i = _user_index(users, user_id)
             if add:
                 users.insert(i, user_id)
             else:
                 del users[i]
-            if undo is not None:
-                undo.users.append((users, user_id, add))
+            node.users = users
             node.height, node.attach, node.split = self._summary(node)
             path.append(node_id)
             node_id = node.parent
@@ -302,12 +319,6 @@ class KeyTree:
         undo, self._undo = self._undo, None
         if undo is None:
             raise KeyTreeError("no checkpoint to roll back to")
-        for users, user_id, added in reversed(undo.users):
-            i = _user_index(users, user_id)
-            if added:
-                del users[i]
-            else:
-                users.insert(i, user_id)
         for nid, saved in undo.nodes.items():
             if saved is None:
                 self.nodes.pop(nid, None)
@@ -318,8 +329,7 @@ class KeyTree:
     def _save(self, node: _Node) -> None:
         """Record a node before its first change since the checkpoint.
 
-        The copy shares the node's userset list, whose changes are recorded
-        one by one instead.
+        The copy shares the node's userset list, which no change edits.
         """
         undo = self._undo
         if undo is not None and node.id not in undo.nodes:
@@ -340,31 +350,38 @@ class KeyTree:
 
         Groups are split as evenly as possible at every level; every k-node
         gets fresh random key material.  A single user yields a tree whose
-        individual key is also the root (height 1).
+        individual key is also the root (height 1).  The key bits come from
+        one draw of a (k-nodes, key_len) array, handed out in creation order,
+        which is pre-order: the same bits, and the same generator state
+        after, as one ``random_bits`` call per k-node in that order.
         """
         if not users:
             raise KeyTreeError("cannot build a tree with no users")
         if len(set(users)) != len(users):
             raise KeyTreeError("user ids must be unique")
         tree = cls(degree, key_len)
-        tree.root = tree._build(sorted(users, key=_user_sort_key), rng)
+        tree.root = tree._build(sorted(users, key=_user_sort_key))
+        k_nodes = [n for n in tree.nodes.values() if n.kind == "k"]
+        draw = rng.integers(0, 2, size=(len(k_nodes), key_len))
+        text = (draw.astype(np.uint8) + ord("0")).tobytes().decode()
+        for i, node in enumerate(k_nodes):
+            node.key = GroupKey(node.id, 1, text[i * key_len : (i + 1) * key_len])
         return tree
 
-    def _leaf_for(self, user_id: str, rng: np.random.Generator) -> str:
+    def _leaf_for(self, user_id: str) -> str:
         """Create a u-node plus its individual k-node, returning the k-node."""
         u = self._new_node("u", node_id=user_id)
         k = self._new_node("k")
-        self.set_key(k.id, random_bits(self.key_len, rng))
         u.parent = k.id
         k.children.append(u.id)
         k.users = [user_id]
         k.height = 1
         return k.id
 
-    def _build(self, users: list[str], rng: np.random.Generator) -> str:
-        """Subtree over ``users`` (sorted, and kept as its userset)."""
+    def _build(self, users: list[str]) -> str:
+        """Keyless subtree over ``users`` (sorted, and kept as its userset)."""
         if len(users) == 1:
-            return self._leaf_for(users[0], rng)
+            return self._leaf_for(users[0])
         if len(users) <= self.degree:
             sizes = [1] * len(users)
         else:
@@ -372,11 +389,10 @@ class KeyTree:
             q, r = divmod(len(users), groups)
             sizes = [q + 1] * r + [q] * (groups - r)
         parent = self._new_node("k")
-        self.set_key(parent.id, random_bits(self.key_len, rng))
         parent.users = users
         start = 0
         for size in sizes:
-            child = self._build(users[start : start + size], rng)
+            child = self._build(users[start : start + size])
             self.nodes[child].parent = parent.id
             parent.children.append(child)
             start += size
@@ -405,7 +421,7 @@ class KeyTree:
         # a lone individual root is the only split target there is
         target = root if root.split is None else self.nodes[root.split[-1]]
         fresh = self._new_node("k")
-        fresh.users = list(target.users)
+        fresh.users = target.users
         parent = target.parent
         if parent is None:
             self.root = fresh.id
@@ -438,7 +454,8 @@ class KeyTree:
         if user_id in self.nodes:
             raise KeyTreeError(f"user {user_id!r} already present")
         point = self.nodes[self.join_point()]
-        leaf = self._leaf_for(user_id, rng)
+        leaf = self._leaf_for(user_id)
+        self.set_key(leaf, random_bits(self.key_len, rng))
         self._save(point)
         self.nodes[leaf].parent = point.id
         point.children.append(leaf)
@@ -551,8 +568,8 @@ class KeyTree:
         other.root = self.root
         other._counter = self._counter
         for nid, node in self.nodes.items():
-            users = list(node.users) if node.kind == "k" else None
-            other.nodes[nid] = replace(node, children=list(node.children), users=users)
+            # usersets are copy-on-write, so the clone shares them
+            other.nodes[nid] = replace(node, children=list(node.children))
         return other
 
     def to_dict(self, include_keys: bool = False) -> dict:

@@ -17,28 +17,35 @@ back to the pre-event checkpoint.  Views, history and counters are written
 only after an event's last abort point, so an abort leaves them untouched;
 the resources an aborted event spent go to ``aborted_counters``.
 
-Apart from delivery, which installs keys into every recipient's view, an
-event touches only its path: the tree work, the sessions and the message
-addressing are O(d * log_d N), and each message's recipients are read off
-the tree's sorted usersets without sorting.
+Members' keys are recorded per node, not per user: an entry for a key at a
+node says that every user under the node holds that version, unless an
+entry deeper on the user's path says otherwise.  A rekey message reaches a
+subtree difference, the users under one node minus those under a few nodes
+below it, so delivery enters each key once at that node and, where needed,
+once at each excluded node to keep what it held; after the event the
+entries fold back into one per key, at the key's own node.  An event
+therefore touches only its path: the tree work, the sessions, the message
+addressing and the delivery grow with d and log_d N, not with the number of
+recipients.  ``views`` reads each member's keys off the entries on demand.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree, KeyTreeError, random_bits
+from .keytree import GroupKey, KeyTree, KeyTreeError, _user_sort_key, random_bits
 from .qka import ChannelModel, QkaTranscript, make_config, run_session
 from .rekey import (
     MissingKeyError,
     RekeyMessage,
     SimCipherText,
-    UserView,
     build_join_messages,
     build_leave_messages,
     decrypt_key,
@@ -129,8 +136,291 @@ class EventTrace:
         return d
 
 
+#: get()'s answer for a node with no entry for the key
+_ABSENT = object()
+
+
+class _Entries:
+    """Delivered keys, recorded per node.
+
+    An entry for key K at node X says that every user under X holds the
+    given version of K, or with None that none holds K, unless an entry for
+    K deeper on the user's path says otherwise.  The entry for K at K's own
+    node lives in ``own``, every other entry in ``extra``, and ``where``
+    indexes the extra entries by key.  Settled, every key has one entry, at
+    its own node; an event adds entries along its path and at its session
+    users' u-nodes (a u-node's id is its user's id), and ``merge`` folds
+    them back up.
+    """
+
+    def __init__(self, tree: KeyTree):
+        self.tree = tree
+        self.own: dict[str, Optional[GroupKey]] = {
+            nid: node.key for nid, node in tree.nodes.items() if node.key is not None
+        }
+        self.extra: dict[str, dict[str, Optional[GroupKey]]] = {}
+        self.where: dict[str, set[str]] = {}
+
+    def get(self, node_id: str, key_id: str):
+        """The entry for ``key_id`` at ``node_id``, or ``_ABSENT``."""
+        if node_id == key_id:
+            return self.own.get(key_id, _ABSENT)
+        entries = self.extra.get(node_id)
+        return _ABSENT if entries is None else entries.get(key_id, _ABSENT)
+
+    def _set(self, node_id: str, key_id: str, value: Optional[GroupKey]) -> None:
+        if node_id == key_id:
+            self.own[key_id] = value
+            return
+        self.extra.setdefault(node_id, {})[key_id] = value
+        self.where.setdefault(key_id, set()).add(node_id)
+
+    def _pop(self, node_id: str, key_id: str) -> None:
+        if node_id == key_id:
+            del self.own[key_id]
+            return
+        entries = self.extra[node_id]
+        del entries[key_id]
+        if not entries:
+            del self.extra[node_id]
+        nodes = self.where[key_id]
+        nodes.discard(node_id)
+        if not nodes:
+            del self.where[key_id]
+
+    def lookup(self, node_id: Optional[str], key_id: str) -> Optional[GroupKey]:
+        """What the users under ``node_id`` hold as ``key_id``, barring
+        entries below it."""
+        nodes, own, extra = self.tree.nodes, self.own, self.extra
+        while node_id is not None:
+            if node_id == key_id:
+                if key_id in own:
+                    return own[key_id]
+            else:
+                entries = extra.get(node_id)
+                if entries is not None and key_id in entries:
+                    return entries[key_id]
+            node_id = nodes[node_id].parent
+        return None
+
+    def keys_of(self, user_id: str) -> dict[str, GroupKey]:
+        """Every key the user holds, by id."""
+        nodes, own, extra = self.tree.nodes, self.own, self.extra
+        held: dict[str, Optional[GroupKey]] = {}
+        node_id: Optional[str] = user_id
+        while node_id is not None:
+            entries = extra.get(node_id)
+            if entries:
+                for key_id, value in entries.items():
+                    held.setdefault(key_id, value)
+            if node_id in own:
+                held.setdefault(node_id, own[node_id])
+            node_id = nodes[node_id].parent
+        if None in held.values():
+            return {k: v for k, v in held.items() if v is not None}
+        return held  # type: ignore[return-value]
+
+    def _within(self, node_id: str, top: str, height: int) -> bool:
+        """Whether ``node_id`` is ``top`` or below it; ``height`` is top's.
+
+        Heights grow strictly upward, so the climb stops at the first node
+        as high as ``top``.
+        """
+        nodes = self.tree.nodes
+        while node_id != top:
+            node = nodes[node_id]
+            if node.height >= height or node.parent is None:
+                return False
+            node_id = node.parent
+        return True
+
+    def inside(self, top: str, key_id: str) -> list[str]:
+        """The nodes at or below ``top`` with an entry for ``key_id``."""
+        height = self.tree.nodes[top].height
+        found = [y for y in self.where.get(key_id, ()) if self._within(y, top, height)]
+        if key_id in self.own and self._within(key_id, top, height):
+            found.append(key_id)
+        return found
+
+    def put(
+        self,
+        node_id: str,
+        key_id: str,
+        value: Optional[GroupKey],
+        keep: Sequence[str] = (),
+    ) -> None:
+        """Every user under ``node_id``, bar the users under the nodes
+        ``keep``, now holds ``value`` as ``key_id``.
+
+        A kept node's entry then says what its users held before, or goes
+        if its parent says the same.
+        """
+        nodes = self.tree.nodes
+        kept = [(e, nodes[e].height) for e in keep]
+        before = [(e, self.lookup(e, key_id)) for e in keep]
+        for y in self.inside(node_id, key_id):
+            if y != node_id and not any(self._within(y, e, h) for e, h in kept):
+                self._pop(y, key_id)
+        self._set(node_id, key_id, value)
+        for e, old in before:
+            if self.lookup(nodes[e].parent, key_id) != old:
+                self._set(e, key_id, old)
+            elif self.get(e, key_id) is not _ABSENT:
+                self._pop(e, key_id)
+
+    def drop(self, node_id: str, key_id: str) -> None:
+        """No user under ``node_id`` holds ``key_id`` any more."""
+        self.put(node_id, key_id, None)
+        if self.lookup(self.tree.nodes[node_id].parent, key_id) is None:
+            self._pop(node_id, key_id)
+
+    def holds(self, top: str, wrap: GroupKey, keep: Sequence[str] = ()) -> bool:
+        """Whether every user under ``top``, bar the users under the nodes
+        ``keep``, holds exactly ``wrap``.
+
+        Only the paths down to the entries and kept nodes below ``top`` are
+        walked; every other subtree holds what its root inherits.
+        """
+        nodes, key_id = self.tree.nodes, wrap.key_id
+        # a kept user who holds the key anyway is no exception
+        keep = [
+            e for e in keep if nodes[e].kind == "k" or self.lookup(e, key_id) != wrap
+        ]
+        height = nodes[top].height
+        below: set[str] = set()  # nodes with an entry or a kept node under them
+        for y in (*self.inside(top, key_id), *keep):
+            if y == top or not self._within(y, top, height):
+                continue
+            y = nodes[y].parent  # type: ignore[assignment]
+            while y not in below:
+                below.add(y)
+                if y == top:
+                    break
+                y = nodes[y].parent  # type: ignore[assignment]
+        if not below:
+            return self.lookup(top, key_id) == wrap
+        todo = [(top, self.lookup(nodes[top].parent, key_id))]
+        while todo:
+            node_id, value = todo.pop()
+            here = self.get(node_id, key_id)
+            if here is not _ABSENT:
+                value = here
+            if node_id in keep:
+                continue
+            if node_id in below:
+                todo.extend((c, value) for c in nodes[node_id].children)
+            elif value != wrap:
+                return False
+        return True
+
+    def merge(self, key_id: str) -> None:
+        """Fold the entries for ``key_id`` upward, bottom up: the children's
+        entries into their parent where all of them carry the same one, and
+        an entry that repeats what its node inherits into nothing."""
+        nodes = self.tree.nodes
+        todo = [(nodes[y].height, y) for y in self.where.get(key_id, ())]
+        heapq.heapify(todo)
+        while todo:
+            _, node_id = heapq.heappop(todo)
+            value = self.get(node_id, key_id)
+            parent = nodes[node_id].parent
+            if value is _ABSENT or parent is None:
+                continue
+            kids = nodes[parent].children
+            if all(self.get(c, key_id) == value for c in kids):
+                for c in kids:
+                    self._pop(c, key_id)
+                self._set(parent, key_id, value)
+                heapq.heappush(todo, (nodes[parent].height, parent))
+            elif self.lookup(parent, key_id) == value:
+                self._pop(node_id, key_id)
+
+    def forget(self, node_id: str) -> None:
+        """Remove every entry at a node that left the tree."""
+        for key_id in list(self.extra.get(node_id, ())):
+            self._pop(node_id, key_id)
+        self.own.pop(node_id, None)
+
+
+class _HeldKeys(Mapping):
+    """A member's keys by id, read off the entries on every access."""
+
+    __slots__ = ("_entries", "_user_id")
+
+    def __init__(self, entries: _Entries, user_id: str):
+        self._entries = entries
+        self._user_id = user_id
+
+    def __getitem__(self, key_id: str) -> GroupKey:
+        key = self._entries.lookup(self._user_id, key_id)
+        if key is None:
+            raise KeyError(key_id)
+        return key
+
+    def get(self, key_id: str, default=None):  # type: ignore[override]
+        key = self._entries.lookup(self._user_id, key_id)
+        return default if key is None else key
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries.keys_of(self._user_id))
+
+    def __len__(self) -> int:
+        return len(self._entries.keys_of(self._user_id))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self._entries.keys_of(self._user_id) == dict(other.items())
+
+
+class MemberView:
+    """One member's keys, read off the delivered entries.
+
+    ``keys`` maps key ids to what the member holds now; ``install`` and
+    ``drop`` change it through entries at her u-node.
+    """
+
+    __slots__ = ("_entries", "user_id")
+
+    def __init__(self, entries: _Entries, user_id: str):
+        self._entries = entries
+        self.user_id = user_id
+
+    @property
+    def keys(self) -> Mapping[str, GroupKey]:
+        return _HeldKeys(self._entries, self.user_id)
+
+    def install(self, key: GroupKey) -> None:
+        self._entries.put(self.user_id, key.key_id, key)
+
+    def drop(self, key_id: str) -> None:
+        self._entries.drop(self.user_id, key_id)
+
+
+class _Members(Mapping):
+    """Current members' views, in stable user order, made on demand."""
+
+    def __init__(self, entries: _Entries):
+        self._entries = entries
+
+    def __getitem__(self, user_id: str) -> MemberView:
+        if not self._entries.tree.has_user(user_id):
+            raise KeyError(user_id)
+        return MemberView(self._entries, user_id)
+
+    def __contains__(self, user_id: object) -> bool:
+        return isinstance(user_id, str) and self._entries.tree.has_user(user_id)
+
+    def __iter__(self) -> Iterator[str]:
+        tree = self._entries.tree
+        return iter(tree.userset(tree.root) if tree.root else ())
+
+    def __len__(self) -> int:
+        return self._entries.tree.group_size()
+
+
 class GroupProtocol:
-    """Server-side driver holding the tree, every member's view, and totals."""
+    """Server-side driver holding the tree, every member's keys, and totals."""
 
     def __init__(
         self,
@@ -149,24 +439,26 @@ class GroupProtocol:
         # spent by events that aborted and were rolled back
         self.aborted_counters = ResourceCounters()
         self.step = 0
-        self.views: dict[str, UserView] = {}
+        # every member starts with her keyset, one entry per key
+        self._entries = _Entries(tree)
+        self.views: Mapping[str, MemberView] = _Members(self._entries)
         self.archives: dict[str, set[tuple[str, int, str]]] = {}
-        self.joined_at: dict[str, int] = {}
+        self.joined_at: dict[str, int] = dict.fromkeys(tree.users(), 0)
         self.departed: dict[str, int] = {}
         self.probes: list[tuple[int, SimCipherText]] = []
-        for uid in tree.users():
-            view = UserView(uid, (tree.key(k) for k in tree.keyset(uid)))
-            self.views[uid] = view
-            self.joined_at[uid] = 0
-            if config.track_history:
+        # item -> (wrapping key, opened key) over one event's messages
+        self._opened: dict[SimCipherText, tuple[GroupKey, GroupKey]] = {}
+        if config.track_history:
+            for uid in tree.users():
                 self.archives[uid] = {
-                    (k.key_id, k.version, k.bits) for k in view.keys.values()
+                    (k.key_id, k.version, k.bits)
+                    for k in map(tree.key, tree.keyset(uid))
                 }
 
     # ------------------------------------------------------------------ #
 
     def _install(self, uid: str, key: GroupKey) -> None:
-        self.views[uid].install(key)
+        self._entries.put(uid, key.key_id, key)
         if self.config.track_history:
             self.archives.setdefault(uid, set()).add(
                 (key.key_id, key.version, key.bits)
@@ -190,49 +482,53 @@ class GroupProtocol:
         self.aborted_counters.merge(counters)
 
     def _deliver(self, message: RekeyMessage) -> None:
-        """Install one message's keys into every addressed view.
+        """Enter one message's keys for its recipients.
 
-        Decryption is deterministic and every recipient of a message holds
-        the identical wrapping key, so each item is unwrapped once against
-        the first recipient's copy and installed everywhere, after checking
-        that every other recipient holds exactly the same wrapping key.
-        Semantically equivalent to each recipient decrypting every item with
-        its own copy of the wrapping key, the per-user form the test suite
-        keeps as its reference.  An opened key equal to the tree's is
-        installed as the tree's own object.  Views then share the tree's key
-        objects, and the per-recipient check passes on identity unless a view
-        holds a separate equal copy.
+        The recipients are the users under the message's include node less
+        those under its exclude nodes.  Decryption is deterministic and every
+        recipient must hold the identical wrapping key, so each item is
+        unwrapped once, with the first recipient's copy, after checking that
+        every recipient holds that copy; the check walks only the paths down
+        to the entries and exclude nodes below the include node.  An item
+        that an earlier message of the event opened under the same wrapping
+        key is not unwrapped again.  Each opened key, never the tree's, is
+        entered once at the include node, and the exclude nodes keep what
+        they held.  Semantically equivalent to each recipient decrypting
+        every item with her own copy of the wrapping key, the per-user form
+        the test suite keeps as its reference.
         """
-        if not message.recipients:
-            return
-        first = self.views[message.recipients[0]]
-        opened: list[tuple[str, GroupKey, GroupKey]] = []
+        entries, nodes = self._entries, self.tree.nodes
+        include, exclude = message.include, message.exclude
+        children = nodes[include].children
+        if exclude and exclude[0] in children:  # a join message
+            first = min(
+                (nodes[c].users[0] for c in children if c not in exclude),
+                key=_user_sort_key,
+            )
+        else:
+            first = next(u for u in nodes[include].users if u not in exclude)
+        opened: list[GroupKey] = []
         for item in message.items:
-            held = first.keys.get(item.enc_key_id)
-            if held is None or held.version != item.enc_version:
+            wrap = entries.lookup(first, item.enc_key_id)
+            if wrap is None or wrap.version != item.enc_version:
                 raise MissingKeyError(
-                    f"{first.user_id} lacks {item.enc_key_id} v{item.enc_version}"
+                    f"{first} lacks {item.enc_key_id} v{item.enc_version}"
                 )
-            new_key = decrypt_key(held, item)
-            live = self.tree.key(new_key.key_id)
-            if live == new_key:
-                new_key = live
-            opened.append((item.enc_key_id, held, new_key))
-        track = self.config.track_history
-        views = self.views
-        for uid in message.recipients:
-            keys = views[uid].keys
-            for enc_id, wrap_key, new_key in opened:
-                held = keys.get(enc_id)
-                if held is not wrap_key and held != wrap_key:
-                    raise MissingKeyError(
-                        f"{uid} lacks {enc_id} v{wrap_key.version}"
-                    )
-                keys[new_key.key_id] = new_key
-                if track:
-                    self.archives[uid].add(
-                        (new_key.key_id, new_key.version, new_key.bits)
-                    )
+            if not entries.holds(include, wrap, exclude):
+                raise MissingKeyError(
+                    f"a recipient under {include} lacks {wrap.key_id} v{wrap.version}"
+                )
+            seen = self._opened.get(item)
+            if seen is None or seen[0] != wrap:
+                seen = self._opened[item] = (wrap, decrypt_key(wrap, item))
+            opened.append(seen[1])
+        for key in opened:
+            entries.put(include, key.key_id, key, exclude)
+        if self.config.track_history:
+            for uid in message.recipients:
+                self.archives[uid].update(
+                    (key.key_id, key.version, key.bits) for key in opened
+                )
 
     def _run_key_session(
         self, participant_ids: list[str], counters: ResourceCounters
@@ -291,15 +587,20 @@ class GroupProtocol:
         )
         for msg in messages:
             self._deliver(msg)
+        self._opened.clear()
 
-        # the joiner holds her registration key plus everything she agreed on
-        self.views[user_id] = UserView(user_id)
+        # the joiner holds her registration key plus everything she agreed
+        # on, and nothing else the entries above her would say
         self.joined_at[user_id] = self.step
         if self.config.track_history:
             self.archives.setdefault(user_id, set())
-        self._install(user_id, self.tree.key(self.tree.individual_key(user_id)))
-        for key_id in path_root_first:
+        own_keys = [self.tree.individual_key(user_id), *path_root_first]
+        for key_id in own_keys:
             self._install(user_id, self.tree.key(key_id))
+        for key_id in self._entries.keys_of(user_id).keys() - set(own_keys):
+            self._entries.put(user_id, key_id, None)
+        for key_id in own_keys:
+            self._entries.merge(key_id)
 
         self.counters.merge(counters)
         trace = EventTrace(
@@ -330,7 +631,7 @@ class GroupProtocol:
         tree_before = (
             self.tree.to_dict() if self.config.record_tree_snapshots else None
         )
-        parent = self.tree.keyset(user_id)[1]
+        old_path = [user_id, *self.tree.keyset(user_id)]
         counters = ResourceCounters()
         updated = self.tree.remove_user(user_id)  # deepest first
         path_root_first = list(reversed(updated))
@@ -365,21 +666,28 @@ class GroupProtocol:
             counters,
         )
 
+        # the leaver's u-node, individual key and any emptied node are gone,
+        # and so is a parent merged into its remaining child, which then
+        # stands in for it on the update list; between events the entries
+        # at a k-node are only its own key's
+        gone = [n for n in old_path if n not in self.tree.nodes]
+        for node_id in gone:
+            self._entries.forget(node_id)
+
         # session participants learn their keys from the agreement itself
         for key_id in path_root_first:
             for uid in session_users[key_id]:
                 self._install(uid, self.tree.key(key_id))
         for msg in messages:
             self._deliver(msg)
+        self._opened.clear()
 
-        # the leaver's parent vanished if it merged into its remaining child,
-        # which then stands in for it on the update list; only that child's
-        # users held it besides the leaver
-        if updated[0] != parent:
-            for uid in self.tree.userset(updated[0]):
-                self.views[uid].drop(parent)
-
-        self.views.pop(user_id, None)
+        # only the remaining child's users held the merged parent's key
+        # besides the leaver
+        if updated[0] not in old_path:
+            self._entries.drop(updated[0], gone[-1])
+        for key_id in updated:
+            self._entries.merge(key_id)
         self.departed[user_id] = self.step
 
         self.counters.merge(counters)
@@ -452,7 +760,7 @@ class GroupProtocol:
         mismatches: dict[str, dict] = {}
         for uid in self.tree.users():
             projection = {k: self.tree.key(k) for k in self.tree.keyset(uid)}
-            held = self.views[uid].keys
+            held = self._entries.keys_of(uid)
             if held != projection:
                 mismatches[uid] = {
                     "missing": sorted(set(projection) - set(held)),

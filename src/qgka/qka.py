@@ -274,40 +274,51 @@ def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
 _DECOYS = tuple(DecoyQubit(kind) for kind in DecoyKind)
 
 
-def _checked_hop(
-    payload_qubits: int,
+def _checked_hops(
+    payloads: Sequence[int],
     xi: Fraction,
     channel: Optional[ChannelModel],
     rng: np.random.Generator,
     counters: ResourceCounters,
 ) -> bool:
-    """Send one sequence through the channel and verify its decoys.
+    """Send one sequence per payload through the channel, in order, and
+    verify each one's decoys.
 
     The sender prepares ceil(xi * payload) decoys, the channel may tamper
     with them, and the receiver measures each in its announced basis.  The
     bases/positions announcement plus the verification reply count as one
-    classical exchange.  Returns True when no decoy shows an error
-    (vacuously true without decoys).
+    classical exchange per sequence that has decoys.  Returns False at the
+    first sequence whose decoys show an error.  An honest channel never
+    touches a decoy, so its sequences draw all their decoy kinds at once:
+    the same draws, in the same order, as one draw per sequence.
     """
-    n_decoys = decoys_for_payload(payload_qubits, xi)
-    counters.qubits_prepared += n_decoys
-    counters.qubits_transmitted += payload_qubits + n_decoys
-    if n_decoys == 0:
-        return True
-    kinds = rng.integers(4, size=n_decoys).tolist()
-    counters.classical_messages += 1
+    decoys = [decoys_for_payload(p, xi) for p in payloads]
     if channel is None:
-        counters.decoy_measurements += n_decoys
+        total = sum(decoys)
+        counters.qubits_prepared += total
+        counters.qubits_transmitted += sum(payloads) + total
+        counters.classical_messages += len(decoys) - decoys.count(0)
+        counters.decoy_measurements += total
+        if total:
+            rng.integers(4, size=total)
         return True
-    sent = [_DECOYS[k] for k in kinds]
-    received = channel.transmit(list(sent), rng)
-    errors = 0
-    for s, r in zip(sent, received):
-        counters.decoy_measurements += 1
-        # an untouched decoy reads back its own bit without a draw
-        if r is not s and decoy_measure(r, s.basis, rng) != s.bit:
-            errors += 1
-    return errors == 0
+    for payload, n_decoys in zip(payloads, decoys):
+        counters.qubits_prepared += n_decoys
+        counters.qubits_transmitted += payload + n_decoys
+        if n_decoys == 0:
+            continue
+        sent = [_DECOYS[k] for k in rng.integers(4, size=n_decoys).tolist()]
+        counters.classical_messages += 1
+        received = channel.transmit(list(sent), rng)
+        errors = 0
+        for s, r in zip(sent, received):
+            counters.decoy_measurements += 1
+            # an untouched decoy reads back its own bit without a draw
+            if r is not s and decoy_measure(r, s.basis, rng) != s.bit:
+                errors += 1
+        if errors:
+            return False
+    return True
 
 
 def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndarray:
@@ -358,10 +369,9 @@ def run_session(
 
     # Distribution: one sequence per other participant (her particle of every
     # state plus decoys), each channel-checked on receipt.
-    for _ in range(1, P):
-        if not _checked_hop(n, xi, channel, rng, counters):
-            t.aborted, t.abort_cause = True, "eavesdropper"
-            return t
+    if not _checked_hops([n] * (P - 1), xi, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+        return t
 
     # Encoding: everyone applies the gate for her key bit on her own particle.
     choice = rng.integers(2, size=n)
@@ -377,12 +387,15 @@ def run_session(
     # Return: every non-leader sends her particles for each leader's
     # positions back to that leader, one checked sequence per (sender,
     # leader) pair; participant j leads positions j, j + P, ...
-    for j in range(min(P, n)):
-        led = len(range(j, n, P))
-        for sender in range(P):
-            if sender != j and not _checked_hop(led, xi, channel, rng, counters):
-                t.aborted, t.abort_cause = True, "eavesdropper"
-                return t
+    returns = [
+        len(range(j, n, P))
+        for j in range(min(P, n))
+        for sender in range(P)
+        if sender != j
+    ]
+    if not _checked_hops(returns, xi, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+        return t
 
     # Measurement and publication: one entangled measurement per position,
     # one classical broadcast per leader that led at least one position.

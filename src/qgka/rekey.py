@@ -10,12 +10,15 @@ same-bits key at a different version.  The construction is deterministic
 given (key, nonce) so traces replay byte-for-byte; it is explicitly NOT
 cryptographically secure.
 
-Message building is pure given a tree snapshot; delivery is per-user and
-independent, safe to parallelize across users.  Within one event, messages
-must be applied in list order: leave-time messages for deeper keys precede
-the ones encrypted under them.  Recipient tuples keep the tree's stable user
-order: they are filtered out of the tree's sorted usersets, never sorted
-again.
+Message building is pure given a tree snapshot.  Every message is
+addressed to a subtree difference, the users under one k-node minus the
+users under some nodes below it, so it is built and delivered in time that
+does not grow with how many users it reaches.  Within one
+event, messages must be applied in list order: leave-time messages for
+deeper keys precede the ones encrypted under them.  A recipient tuple is
+built only when it is read, from the tree's copy-on-write usersets of the
+send time, and keeps the tree's stable user order: it is filtered out of a
+sorted userset, never sorted again.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -145,12 +148,38 @@ def try_unwrap(enc_key: GroupKey, ct: SimCipherText) -> Optional[GroupKey]:
     return GroupKey(key_id=key_id, version=int(version), bits=bits)
 
 
-@dataclass(frozen=True)
 class RekeyMessage:
-    """One ciphertext bundle addressed to one group of users."""
+    """One ciphertext bundle addressed to one group of users.
 
-    recipients: tuple[str, ...]
-    items: tuple[SimCipherText, ...]
+    The recipients are ``recipients`` less ``skip``, in ``recipients``
+    order, built on each read.  A built message keeps the two lists of its
+    send time and names its addressing: the users under the k-node
+    ``include`` minus the users under the nodes ``exclude``, which is either
+    one child of ``include`` (a join message) or the u-nodes of session users
+    under ``include`` (a leave message; a u-node's id is its user's id).  A
+    message without ``include`` only opens per user.
+    """
+
+    __slots__ = ("items", "include", "exclude", "_users", "_skip")
+
+    def __init__(
+        self,
+        recipients: Sequence[str],
+        items: tuple[SimCipherText, ...],
+        include: Optional[str] = None,
+        exclude: tuple[str, ...] = (),
+        skip: Sequence[str] = (),
+    ):
+        self.items = items
+        self.include = include
+        self.exclude = exclude
+        self._users = recipients
+        self._skip = skip
+
+    @property
+    def recipients(self) -> tuple[str, ...]:
+        skip = set(self._skip)
+        return tuple(filterfalse(skip.__contains__, self._users))
 
     def to_dict(self, reveal_keys: Mapping[str, GroupKey] | None = None) -> dict:
         items = []
@@ -191,8 +220,7 @@ def build_join_messages(
         new_key = tree.key(key_id)
         below = path[j + 1] if j + 1 < len(path) else tree.individual_key(joiner)
         # the joiner is under ``below``, on her own path
-        skip = set(tree.userset(below))
-        recipients = tuple(filterfalse(skip.__contains__, tree.userset(key_id)))
+        skip, users = tree.userset(below), tree.userset(key_id)
         old = old_material.get(key_id)
         if old is not None:
             enc_key = old
@@ -205,9 +233,9 @@ def build_join_messages(
                 )
             enc_key = old_material[children[0]]
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
-        if recipients:
+        if len(users) > len(skip):
             messages.append(
-                RekeyMessage(recipients=recipients, items=tuple(ciphertexts))
+                RekeyMessage(users, tuple(ciphertexts), key_id, (below,), skip)
             )
             counters.rekey_messages += 1
     return messages
@@ -233,19 +261,28 @@ def build_leave_messages(
     messages: list[RekeyMessage] = []
     for key_id, session_users in updated_deepest_first:
         new_key = tree.key(key_id)
-        skip = set(session_users)
-        for child in tree.child_keys(key_id):
-            recipients = tuple(filterfalse(skip.__contains__, tree.userset(child)))
-            if not recipients:
+        children = tree.child_keys(key_id)
+        # the session users under each child
+        agents: dict[Optional[str], tuple[str, ...]] = {}
+        for uid in session_users if children else ():
+            child = tree.child_toward(key_id, uid)
+            agents[child] = (*agents.get(child, ()), uid)
+        for child in children:
+            users, skip = tree.userset(child), agents.get(child, ())
+            if len(users) == len(skip):
                 continue
             ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
-            messages.append(RekeyMessage(recipients=recipients, items=(ct,)))
+            messages.append(RekeyMessage(users, (ct,), child, skip, skip))
             counters.rekey_messages += 1
     return messages
 
 
 class UserView:
-    """One user's local key store, updated by sessions and rekey messages."""
+    """One user's own key store, the per-user form of a member's keys.
+
+    The protocol keeps members' keys per node instead; per-user delivery
+    into these stores is the test suite's reference for it.
+    """
 
     def __init__(self, user_id: str, keys: Iterable[GroupKey] = ()):
         self.user_id = user_id

@@ -153,7 +153,7 @@ def run_simulation(config: WorkloadConfig) -> SimulationResult:
                 cum_joins += 1
             else:
                 if protocol is not None:
-                    members = protocol.tree.users()
+                    members = protocol.tree.userset(protocol.tree.root)
                     uid = members[int(rng.integers(len(members)))]
                     trace = protocol.leave(uid)
                     sizes = tuple(trace.session_sizes)

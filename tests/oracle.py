@@ -11,7 +11,9 @@ the keys in that user's view, the reference for the protocol's shared
 delivery.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
-references for the tree's cached height and join summaries.
+references for the tree's cached height and join summaries, and
+``per_node_keys`` draws a balanced tree's keys one k-node at a time, the
+reference for ``KeyTree.build_balanced``'s single draw.
 
 ``run_session`` is the key-agreement session one qubit at a time: one
 ``EntangledState`` per position, one gate per participant, one scalar draw
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from qgka.counters import ResourceCounters
-from qgka.keytree import GroupKey, KeyTree
+from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka.qka import (
     ChannelModel,
     Participant,
@@ -138,6 +140,15 @@ def dfs_height(tree: KeyTree) -> int:
         else:
             stack.extend((c, depth + 1) for c in node.children)
     return best
+
+
+def per_node_keys(tree: KeyTree, rng: np.random.Generator) -> dict[str, GroupKey]:
+    """First-version keys for every k-node of ``tree``, drawn with one
+    ``random_bits`` call per node in creation order."""
+    k_nodes = sorted(
+        (n for n in tree.nodes.values() if n.kind == "k"), key=lambda n: n.created
+    )
+    return {n.id: GroupKey(n.id, 1, random_bits(tree.key_len, rng)) for n in k_nodes}
 
 
 def scan_join_point(tree: KeyTree) -> tuple[str, str]:

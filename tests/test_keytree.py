@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qgka.keytree import KeyTree, KeyTreeError
 
+from oracle import per_node_keys
+
 
 def build(d, N, seed=1, n=1):
     rng = np.random.default_rng(seed)
@@ -59,6 +61,17 @@ class TestBuild:
             assert tree.height() <= math.ceil(math.log(N, d)) + 1
 
 
+@pytest.mark.parametrize("N", [1, 2, 5, 100])
+@pytest.mark.parametrize("key_len", [1, 3, 16])
+def test_balanced_keys_match_per_node_draws(N, key_len):
+    users = [f"u{i + 1}" for i in range(N)]
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    tree = KeyTree.build_balanced(3, users, key_len, rng)
+    expected = per_node_keys(tree, reference)
+    assert {kid: tree.key(kid) for kid in tree.key_nodes()} == expected
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestKeysetUserset:
     def test_keyset_runs_leaf_to_root(self):
         tree, _ = build(3, 9)
@@ -91,6 +104,15 @@ class TestKeysetUserset:
             tree.keyset("nobody")
         with pytest.raises(KeyTreeError):
             tree.userset("k999")
+
+    def test_child_toward(self):
+        tree, _ = build(3, 9)
+        for uid in tree.users():
+            path = tree.keyset(uid)
+            for below, key_id in zip(path, path[1:]):
+                assert tree.child_toward(key_id, uid) == below
+            assert tree.child_toward(path[0], uid) is None
+        assert tree.child_toward(tree.keyset("u9")[1], "u1") is None
 
     def test_duality(self):
         tree, _ = build(3, 9)
@@ -230,6 +252,25 @@ class TestInsertRemove:
         for uid in tree.users():
             for kid in tree.keyset(uid):
                 assert uid in tree.userset(kid)
+
+    def test_usersets_read_earlier_stay_as_read(self):
+        # usersets are copy-on-write: a list read before a change, or before
+        # a rolled-back change, still lists the users it listed then
+        tree, rng = build(3, 9)
+        root = tree.root
+        before = tree.userset(root)
+        kept = list(before)
+        tree.insert_user("u10", rng)
+        tree.checkpoint()
+        tree.remove_user("u3")
+        during = tree.userset(tree.root)
+        tree.rollback()
+        assert before == kept
+        assert "u10" in tree.userset(root) and "u3" not in during
+        assert list(tree.userset(root)) == sorted(
+            [*kept, "u10"], key=lambda u: (len(u), u)
+        )
+        tree.check_invariants()
 
     def test_clone_is_independent(self):
         tree, rng = build(2, 4)

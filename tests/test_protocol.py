@@ -374,6 +374,18 @@ class TestDeliveryCheck:
         # join messages wrap under the pre-event versions of the path keys
         self._plant_and_run("join", "u31", lambda key_id, trace: True)
 
+    def test_delivery_replaces_a_planted_key(self):
+        # u5 is not the first member of its root subgroup, so not a root
+        # agent: the new group key reaches it by message, over the stale one
+        proto = fresh_protocol(3, 27, agent_selection="first")
+        stale = proto.tree.key(proto.tree.root)
+        proto.leave("u27")
+        proto.views["u5"].install(stale)
+        assert not proto.verify_consistency()["consistent"]
+        proto.leave("u26")
+        assert proto.views["u5"].keys[proto.tree.root] == proto.tree.key(proto.tree.root)
+        assert proto.verify_consistency()["consistent"]
+
     def test_stale_wrapping_key_stops_a_leave(self):
         # a key the leave regenerates reaches the target before it wraps
         # anything, so only a key the leave leaves alone stays planted

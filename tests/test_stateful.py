@@ -3,7 +3,9 @@
 Hypothesis drives one ``GroupProtocol`` through a sequence of events.  An
 attacked event runs over an intercept-resend channel that taps a fraction
 of the decoys, so some events abort after earlier sessions of the same
-event succeeded.  After every step the tree's caches must match a
+event succeeded.  Every rekey message is also opened per user by the
+test oracle, on a copy of each recipient's view, and after every message
+all views must equal the oracle's.  After every step the tree's caches must match a
 recomputation and the whole-tree oracles, every view must match its keyset,
 both secrecy games must hold and the committed counters must not shrink;
 an aborted event must leave the tree exactly as a pre-event clone, children
@@ -25,8 +27,22 @@ from hypothesis.stateful import (
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
+from qgka.rekey import UserView
 
-from oracle import dfs_height, scan_join_point
+from oracle import apply_rekey, dfs_height, scan_join_point
+
+
+class OracleDelivery(GroupProtocol):
+    """A protocol whose every message is checked against per-user delivery."""
+
+    def _deliver(self, message):
+        expected = {u: dict(v.keys) for u, v in self.views.items()}
+        for uid in message.recipients:
+            view = UserView(uid, expected[uid].values())
+            apply_rekey(view, message)
+            expected[uid] = view.keys
+        super()._deliver(message)
+        assert {u: dict(v.keys) for u, v in self.views.items()} == expected
 
 
 def tree_state(tree: KeyTree) -> tuple:
@@ -58,7 +74,7 @@ class GroupChurn(RuleBasedStateMachine):
         users = [f"u{i + 1}" for i in range(size)]
         tree = KeyTree.build_balanced(degree, users, 4, rng)
         config = ProtocolConfig(key_len=4, xi=0.5, track_history=True)
-        self.proto = GroupProtocol(tree, config, rng)
+        self.proto = OracleDelivery(tree, config, rng)
         self.channel = AdversarialChannel(EveStrategy("intercept_resend", 0.15))
         self.next_uid = size + 1
         self.last_counters = self.proto.counters.as_dict()
@@ -110,6 +126,10 @@ class GroupChurn(RuleBasedStateMachine):
         else:
             assert point not in tree.nodes
             assert trial.child_keys(point) == [expected]
+
+    @invariant()
+    def delivered_keys_settle_at_their_own_nodes(self):
+        assert not self.proto._entries.extra
 
     @invariant()
     def views_secrecy_and_counters_hold(self):
