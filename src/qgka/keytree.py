@@ -350,10 +350,11 @@ class KeyTree:
 
         Groups are split as evenly as possible at every level; every k-node
         gets fresh random key material.  A single user yields a tree whose
-        individual key is also the root (height 1).  The key bits come from
-        one draw of a (k-nodes, key_len) array, handed out in creation order,
-        which is pre-order: the same bits, and the same generator state
-        after, as one ``random_bits`` call per k-node in that order.
+        individual key is also the root (height 1).  The key bits are drawn
+        as (k-nodes, key_len) arrays of at most 2**14 bits and handed out in
+        creation order, which is pre-order: the same bits, and the same
+        generator state after, as one ``random_bits`` call per k-node in
+        that order.
         """
         if not users:
             raise KeyTreeError("cannot build a tree with no users")
@@ -362,10 +363,13 @@ class KeyTree:
         tree = cls(degree, key_len)
         tree.root = tree._build(sorted(users, key=_user_sort_key))
         k_nodes = [n for n in tree.nodes.values() if n.kind == "k"]
-        draw = rng.integers(0, 2, size=(len(k_nodes), key_len))
-        text = (draw.astype(np.uint8) + ord("0")).tobytes().decode()
-        for i, node in enumerate(k_nodes):
-            node.key = GroupKey(node.id, 1, text[i * key_len : (i + 1) * key_len])
+        rows = max(1, 2**14 // key_len)
+        for start in range(0, len(k_nodes), rows):
+            block = k_nodes[start : start + rows]
+            draw = rng.integers(0, 2, size=(len(block), key_len))
+            text = (draw.astype(np.uint8) + ord("0")).tobytes().decode()
+            for i, node in enumerate(block):
+                node.key = GroupKey(node.id, 1, text[i * key_len : (i + 1) * key_len])
         return tree
 
     def _leaf_for(self, user_id: str) -> str:

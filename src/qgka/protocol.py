@@ -250,10 +250,10 @@ class _Entries:
         keep: Sequence[str] = (),
     ) -> None:
         """Every user under ``node_id``, bar the users under the nodes
-        ``keep``, now holds ``value`` as ``key_id``.
+        ``keep``, now holds ``value`` as ``key_id`` (None: does not hold it).
 
-        A kept node's entry then says what its users held before, or goes
-        if its parent says the same.
+        An entry that repeats what its node inherits is not kept, and a kept
+        node's entry then says what its users held before.
         """
         nodes = self.tree.nodes
         kept = [(e, nodes[e].height) for e in keep]
@@ -262,17 +262,13 @@ class _Entries:
             if y != node_id and not any(self._within(y, e, h) for e, h in kept):
                 self._pop(y, key_id)
         self._set(node_id, key_id, value)
+        if self.lookup(nodes[node_id].parent, key_id) == value:
+            self._pop(node_id, key_id)
         for e, old in before:
             if self.lookup(nodes[e].parent, key_id) != old:
                 self._set(e, key_id, old)
             elif self.get(e, key_id) is not _ABSENT:
                 self._pop(e, key_id)
-
-    def drop(self, node_id: str, key_id: str) -> None:
-        """No user under ``node_id`` holds ``key_id`` any more."""
-        self.put(node_id, key_id, None)
-        if self.lookup(self.tree.nodes[node_id].parent, key_id) is None:
-            self._pop(node_id, key_id)
 
     def holds(self, top: str, wrap: GroupKey, keep: Sequence[str] = ()) -> bool:
         """Whether every user under ``top``, bar the users under the nodes
@@ -287,10 +283,10 @@ class _Entries:
             e for e in keep if nodes[e].kind == "k" or self.lookup(e, key_id) != wrap
         ]
         height = nodes[top].height
+        marks = [y for y in self.inside(top, key_id) if y != top]
+        marks += [e for e in keep if e != top and self._within(e, top, height)]
         below: set[str] = set()  # nodes with an entry or a kept node under them
-        for y in (*self.inside(top, key_id), *keep):
-            if y == top or not self._within(y, top, height):
-                continue
+        for y in marks:
             y = nodes[y].parent  # type: ignore[assignment]
             while y not in below:
                 below.add(y)
@@ -357,20 +353,11 @@ class _HeldKeys(Mapping):
             raise KeyError(key_id)
         return key
 
-    def get(self, key_id: str, default=None):  # type: ignore[override]
-        key = self._entries.lookup(self._user_id, key_id)
-        return default if key is None else key
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries.keys_of(self._user_id))
 
     def __len__(self) -> int:
         return len(self._entries.keys_of(self._user_id))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return self._entries.keys_of(self._user_id) == dict(other.items())
 
 
 class MemberView:
@@ -394,7 +381,7 @@ class MemberView:
         self._entries.put(self.user_id, key.key_id, key)
 
     def drop(self, key_id: str) -> None:
-        self._entries.drop(self.user_id, key_id)
+        self._entries.put(self.user_id, key_id, None)
 
 
 class _Members(Mapping):
@@ -407,9 +394,6 @@ class _Members(Mapping):
         if not self._entries.tree.has_user(user_id):
             raise KeyError(user_id)
         return MemberView(self._entries, user_id)
-
-    def __contains__(self, user_id: object) -> bool:
-        return isinstance(user_id, str) and self._entries.tree.has_user(user_id)
 
     def __iter__(self) -> Iterator[str]:
         tree = self._entries.tree
@@ -590,15 +574,13 @@ class GroupProtocol:
         self._opened.clear()
 
         # the joiner holds her registration key plus everything she agreed
-        # on, and nothing else the entries above her would say
+        # on; the entries on her path are for those keys only
         self.joined_at[user_id] = self.step
         if self.config.track_history:
             self.archives.setdefault(user_id, set())
         own_keys = [self.tree.individual_key(user_id), *path_root_first]
         for key_id in own_keys:
             self._install(user_id, self.tree.key(key_id))
-        for key_id in self._entries.keys_of(user_id).keys() - set(own_keys):
-            self._entries.put(user_id, key_id, None)
         for key_id in own_keys:
             self._entries.merge(key_id)
 
@@ -685,7 +667,7 @@ class GroupProtocol:
         # only the remaining child's users held the merged parent's key
         # besides the leaver
         if updated[0] not in old_path:
-            self._entries.drop(updated[0], gone[-1])
+            self._entries.put(updated[0], gone[-1], None)
         for key_id in updated:
             self._entries.merge(key_id)
         self.departed[user_id] = self.step

@@ -62,7 +62,7 @@ class TestBuild:
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 100])
-@pytest.mark.parametrize("key_len", [1, 3, 16])
+@pytest.mark.parametrize("key_len", [1, 3, 16, 300])  # 300: several draws
 def test_balanced_keys_match_per_node_draws(N, key_len):
     users = [f"u{i + 1}" for i in range(N)]
     rng, reference = np.random.default_rng(5), np.random.default_rng(5)
