@@ -337,7 +337,8 @@ class TestConsistency:
 
 class TestDeliveryCheck:
     """A recipient holding a stale wrapping key stops delivery, even when it
-    is not the first recipient of its message."""
+    is not the first recipient of its message; a delivered key replaces
+    whatever a recipient held under its id."""
 
     @staticmethod
     def _warmed():
@@ -374,6 +375,13 @@ class TestDeliveryCheck:
         # join messages wrap under the pre-event versions of the path keys
         self._plant_and_run("join", "u31", lambda key_id, trace: True)
 
+    def test_stale_wrapping_key_stops_a_leave(self):
+        # a key the leave regenerates reaches the target before it wraps
+        # anything, so only a key the leave leaves alone stays planted
+        self._plant_and_run(
+            "leave", "u30", lambda key_id, trace: key_id not in trace.updated_keys
+        )
+
     def test_delivery_replaces_a_planted_key(self):
         # u5 is not the first member of its root subgroup, so not a root
         # agent: the new group key reaches it by message, over the stale one
@@ -385,13 +393,6 @@ class TestDeliveryCheck:
         proto.leave("u26")
         assert proto.views["u5"].keys[proto.tree.root] == proto.tree.key(proto.tree.root)
         assert proto.verify_consistency()["consistent"]
-
-    def test_stale_wrapping_key_stops_a_leave(self):
-        # a key the leave regenerates reaches the target before it wraps
-        # anything, so only a key the leave leaves alone stays planted
-        self._plant_and_run(
-            "leave", "u30", lambda key_id, trace: key_id not in trace.updated_keys
-        )
 
 
 class TestTraceShape:

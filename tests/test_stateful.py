@@ -5,8 +5,9 @@ attacked event runs over an intercept-resend channel that taps a fraction
 of the decoys, so some events abort after earlier sessions of the same
 event succeeded.  Every rekey message is also opened per user by the
 test oracle, on a copy of each recipient's view, and after every message
-all views must equal the oracle's.  After every step the tree's caches must match a
-recomputation and the whole-tree oracles, every view must match its keyset,
+all views must equal the oracle's.  After every step the tree's caches
+must match a recomputation and the whole-tree oracles, the delivered keys
+must have settled at their own nodes, every view must match its keyset,
 both secrecy games must hold and the committed counters must not shrink;
 an aborted event must leave the tree exactly as a pre-event clone, children
 order and node counter included, and the protocol's state untouched.
