@@ -235,7 +235,13 @@ def build_join_messages(
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
         if len(users) > len(skip):
             messages.append(
-                RekeyMessage(users, tuple(ciphertexts), key_id, (below,), skip)
+                RekeyMessage(
+                    users,
+                    tuple(ciphertexts),
+                    include=key_id,
+                    exclude=(below,),
+                    skip=skip,
+                )
             )
             counters.rekey_messages += 1
     return messages
@@ -263,16 +269,17 @@ def build_leave_messages(
         new_key = tree.key(key_id)
         children = tree.child_keys(key_id)
         # the session users under each child
-        agents: dict[Optional[str], tuple[str, ...]] = {}
+        agents: dict[Optional[str], list[str]] = {}
         for uid in session_users if children else ():
-            child = tree.child_toward(key_id, uid)
-            agents[child] = (*agents.get(child, ()), uid)
+            agents.setdefault(tree.child_toward(key_id, uid), []).append(uid)
         for child in children:
-            users, skip = tree.userset(child), agents.get(child, ())
+            users, skip = tree.userset(child), tuple(agents.get(child, ()))
             if len(users) == len(skip):
                 continue
             ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
-            messages.append(RekeyMessage(users, (ct,), child, skip, skip))
+            messages.append(
+                RekeyMessage(users, (ct,), include=child, exclude=skip, skip=skip)
+            )
             counters.rekey_messages += 1
     return messages
 

@@ -391,7 +391,8 @@ class TestDeliveryCheck:
         proto.views["u5"].install(stale)
         assert not proto.verify_consistency()["consistent"]
         proto.leave("u26")
-        assert proto.views["u5"].keys[proto.tree.root] == proto.tree.key(proto.tree.root)
+        root = proto.tree.key(proto.tree.root)
+        assert proto.views["u5"].keys[root.key_id] == root
         assert proto.verify_consistency()["consistent"]
 
 
