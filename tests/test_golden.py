@@ -9,7 +9,10 @@ where ``xi * payload`` is exact in binary floating point, so the decoy
 counts do not depend on how the rounding is computed.  The session case
 runs single key-agreement sessions on one generator across group sizes,
 key lengths, decoy proportions and attacked channels, so it pins every
-random draw of the session engine, aborted sessions included.  A change
+random draw of the session engine, aborted sessions included.  The
+dishonest-leader case runs ``malicious_leader_experiment`` on one generator
+across group sizes, key lengths, attackers, leader rotation, forging and
+target bits, so it pins that experiment's reports and draws.  A change
 that alters an output on purpose regenerates the table and the digests with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -21,7 +24,11 @@ import json
 import numpy as np
 import pytest
 
-from qgka.adversary import AdversarialChannel, EveStrategy
+from qgka.adversary import (
+    AdversarialChannel,
+    EveStrategy,
+    malicious_leader_experiment,
+)
 from qgka.cli import main
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolConfig
@@ -122,6 +129,35 @@ def session_batch() -> tuple[dict, int]:
     return {"sessions": sessions, "state": rng.bit_generator.state}, aborted
 
 
+#: Every report of ``leader_batch()`` plus the generator state after it.
+LEADER_DIGEST = "0abc2941b2de2152a3c131374a8d11b71c4a4f964f042eb38afd158fa0335d2a"
+
+
+def leader_batch() -> dict:
+    """Seeded dishonest-leader experiments for P = 2..6, n in {1, 5, 12},
+    the server or the last participant dishonest, leader rotation on and
+    off, forging on and off and both target bits, three trials each, all
+    drawing from one generator.
+
+    Returns the reports with the final generator state.
+    """
+    rng = np.random.default_rng(44)
+    reports = []
+    for P in range(2, 7):
+        ids = ["s"] + [f"u{i}" for i in range(1, P)]
+        for n in (1, 5, 12):
+            for dishonest in (ids[0], ids[-1]):
+                for rotate in (True, False):
+                    for forge in (True, False):
+                        for target in (0, 1):
+                            report = malicious_leader_experiment(
+                                ids, n, dishonest, rng, rotate_leaders=rotate,
+                                forge=forge, target_bit=target, trials=3,
+                            )
+                            reports.append(report.to_dict())
+    return {"reports": reports, "state": rng.bit_generator.state}
+
+
 def _session_digest(batch: dict) -> str:
     return hashlib.sha256(json.dumps(batch, sort_keys=True).encode()).hexdigest()
 
@@ -187,6 +223,13 @@ def test_session_batch_digest():
     assert _session_digest(batch) == SESSION_DIGEST
 
 
+def test_leader_batch_digest():
+    batch = leader_batch()
+    forced = {r["forced_fraction"] for r in batch["reports"]}
+    assert 0.0 in forced and 1.0 in forced and len(forced) > 2
+    assert _session_digest(batch) == LEADER_DIGEST
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -202,3 +245,4 @@ if __name__ == "__main__":
         print(f'    "{name}": "{hashlib.sha256(blob).hexdigest()}",')
     print(f'CHURN_DIGEST = "{_churn_digest(churn_traces()[0])}"')
     print(f'SESSION_DIGEST = "{_session_digest(session_batch()[0])}"')
+    print(f'LEADER_DIGEST = "{_session_digest(leader_batch())}"')
