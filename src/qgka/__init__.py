@@ -46,7 +46,6 @@ from .rekey import (
     MissingKeyError,
     RekeyMessage,
     SimCipherText,
-    UserView,
     decrypt_key,
     encrypt_key,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "ResourceCounters",
     "SimCipherText",
     "TamperError",
-    "UserView",
     "apply_pauli",
     "decoy_measure",
     "decrypt_key",

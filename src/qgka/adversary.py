@@ -22,34 +22,24 @@ measurement results for the positions she leads, forcing those key bits.
 Leader rotation caps her influence at the share of positions she leads,
 which is what the rotation is for.
 
-Trials are independent; the experiments draw their randomness in bulk but
-follow the same per-qubit mechanics as the scalar taps.
+Trials are independent.  ``detection_experiment`` draws its randomness in
+bulk, one array per random choice of the per-qubit taps, and matches the
+taps' statistics.  ``malicious_leader_experiment`` runs each trial's
+positions on the session engine's own arrays: ``qka.encode_gates``,
+``qka.measure_positions`` and ``qka.extract_shared``, with the forged
+publication written into the dishonest leader's slots.  Its reference,
+the same experiment one qubit at a time, is in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .quantum import (
-    DecoyKind,
-    DecoyQubit,
-    EntangledState,
-    Pauli,
-    apply_pauli,
-    decoy_measure,
-    ghz_state,
-    measure_entangled,
-)
-from .qka import (
-    _LEADER_KEY_EVEN,
-    _LEADER_KEY_ODD,
-    encode_operation,
-    extract_keys,
-)
+from .qka import encode_gates, extract_shared, make_config, measure_positions
+from .quantum import DecoyKind, DecoyQubit, EntangledState, decoy_measure
 
 _KINDS = (DecoyKind.Z0, DecoyKind.Z1, DecoyKind.XPLUS, DecoyKind.XMINUS)
 _KIND_FOR = {("Z", 0): DecoyKind.Z0, ("Z", 1): DecoyKind.Z1,
@@ -148,9 +138,6 @@ class AttackReport:
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def csv_row(self) -> str:
         return (
             f"{self.strategy},{self.decoys_per_run or 0},{self.trials},"
@@ -223,33 +210,6 @@ def detection_experiment(
     )
 
 
-def forge_outcome(
-    true_outcome: str, own_op: Pauli, parity: str, target_bit: int
-) -> str:
-    """The outcome a dishonest leader publishes to force the shared bit.
-
-    She measures honestly, derives every operation key, and republishes the
-    outcome she would have obtained had her own operation encoded whatever
-    bit makes the XOR hit the target.  Follower bits are untouched, so every
-    follower's self-check still passes and all extractions agree on the
-    forced value.
-    """
-    keys, shared = extract_keys(true_outcome, own_op, 0, parity)
-    if shared == target_bit:
-        return true_outcome
-    others = shared ^ keys[0]
-    wanted_leader_bit = target_bit ^ others
-    table = _LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD
-    fake_op = next(op for op, bit in table.items() if bit == wanted_leader_bit)
-    flip_true = own_op in (Pauli.X, Pauli.Y)
-    flip_fake = fake_op in (Pauli.X, Pauli.Y)
-    sign_fake = "1" if fake_op in (Pauli.Y, Pauli.Z) else "0"
-    body = true_outcome[1:]
-    if flip_true != flip_fake:
-        body = "".join("1" if b == "0" else "0" for b in body)
-    return sign_fake + body
-
-
 def malicious_leader_experiment(
     participant_ids: list[str],
     n: int,
@@ -270,53 +230,39 @@ def malicious_leader_experiment(
     counts as forced only when every other participant's extraction lands on
     the target.
     """
-    ids = list(participant_ids)
+    ids = [p.id for p in make_config(participant_ids, n).participants]
     if dishonest not in ids:
         raise ValueError(f"dishonest participant {dishonest!r} not in session")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if target_bit not in (0, 1):
+        raise ValueError(f"target bit must be 0 or 1, got {target_bit!r}")
     P = len(ids)
-    parity = "even" if P % 2 == 0 else "odd"
+    bad = ids.index(dishonest)
+    honest = np.arange(P) != bad
+    lead = np.arange(n) % P if rotate_leaders else np.full(n, bad)
+    led = lead == bad
     forced = 0
-    led = 0
-    total_positions = 0
-    shared_bits_seen: list[int] = []
     for _ in range(trials):
-        key_bits = {pid: rng.integers(0, 2, size=n) for pid in ids}
-        for i in range(n):
-            leader = ids[i % P] if rotate_leaders else dishonest
-            order = [leader] + [pid for pid in ids if pid != leader]
-            state = ghz_state(P)
-            ops: dict[str, Pauli] = {}
-            for q, pid in enumerate(order):
-                op = encode_operation(
-                    int(key_bits[pid][i]), leader=(q == 0), parity=parity, rng=rng
-                )
-                state = apply_pauli(state, q, op)
-                ops[pid] = op
-            outcome = measure_entangled(state)
-            total_positions += 1
-            if leader == dishonest:
-                led += 1
-            published = (
-                forge_outcome(outcome, ops[dishonest], parity, target_bit)
-                if forge and leader == dishonest
-                else outcome
-            )
-            bits = set()
-            for q, pid in enumerate(order):
-                if pid == dishonest:
-                    continue
-                _, shared = extract_keys(published, ops[pid], q, parity)
-                bits.add(shared)
-            if len(bits) == 1:
-                shared_bits_seen.append(bits.pop())
-                if forge and leader == dishonest and shared_bits_seen[-1] == target_bit:
-                    forced += 1
+        keys = rng.integers(0, 2, size=(P, n))
+        choice = rng.integers(2, size=n)
+        if not forge:
+            continue
+        x, z = encode_gates(keys, choice, lead)
+        # She measures honestly, then publishes what her own gate would
+        # have produced had it encoded the bit that puts the XOR on target.
+        keys[bad] = target_bit ^ np.bitwise_xor.reduce(keys[honest], axis=0)
+        fake_x, fake_z = encode_gates(keys, np.zeros_like(choice), lead)
+        x[bad, led], z[bad, led] = fake_x[bad, led], fake_z[bad, led]
+        # the honest seats' own gates are untouched, so they extract as usual
+        _, shared = extract_shared(measure_positions(x, z, lead), x, lead)
+        forced += int((led & (shared[honest] == target_bit).all(axis=0)).sum())
     return AttackReport(
         strategy="malicious_leader",
         trials=trials,
         detections=0,
         per_decoy_error_rate=0.0,
         detection_rate=0.0,
-        forced_fraction=forced / total_positions if total_positions else 0.0,
-        positions_led_fraction=led / total_positions if total_positions else 0.0,
+        forced_fraction=forced / (trials * n),
+        positions_led_fraction=int(led.sum()) / n,
     )

@@ -156,24 +156,3 @@ def sweep_degree(
         near[xi] = [d for d in degrees if costs[d] <= costs[best] * 1.01]
     return SweepResult(entries=entries, argmin=argmin, near_ties=near)
 
-
-def star_vs_tree(
-    N_values: Sequence[int],
-    d: int,
-    n: int = 1,
-    xi: float = 0.0,
-) -> list[dict[str, float]]:
-    """Side-by-side star and tree costs per group size, with ratios."""
-    rows = []
-    for N in N_values:
-        row: dict[str, float] = {"N": N}
-        for name, fn in STAR_COSTS.items():
-            row[name] = fn(N, n, xi)
-        row["tree_join"] = tree_join_cost(N, d, n, xi)
-        row["tree_leave"] = tree_leave_cost(N, d, n, xi)
-        row["tree_avg"] = tree_average_cost(N, d, n, xi)
-        row["ghz_over_tree_avg"] = (
-            row["ghz"] / row["tree_avg"] if row["tree_avg"] else float("inf")
-        )
-        rows.append(row)
-    return rows

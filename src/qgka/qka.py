@@ -126,64 +126,6 @@ class ChannelModel(Protocol):
     ) -> list[DecoyQubit]: ...
 
 
-# Leader key maps by participant-count parity.  Followers are parity-free.
-_LEADER_KEY_EVEN = {Pauli.I: 0, Pauli.X: 0, Pauli.Y: 1, Pauli.Z: 1}
-_LEADER_KEY_ODD = {Pauli.I: 0, Pauli.X: 1, Pauli.Y: 0, Pauli.Z: 1}
-_FOLLOWER_KEY = {Pauli.I: 0, Pauli.X: 1}
-
-
-def encode_operation(
-    key_bit: int, leader: bool, parity: str, rng: np.random.Generator
-) -> Pauli:
-    """Pick the Pauli gate encoding one operation-key bit.
-
-    ``parity`` is the parity ("even"/"odd") of the session's participant
-    count, server included.  Followers have no choice; leaders pick uniformly
-    between the two gates that encode their bit under that parity.
-    """
-    if not leader:
-        return Pauli.X if key_bit else Pauli.I
-    table = _LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD
-    options = [op for op, bit in table.items() if bit == key_bit]
-    return options[int(rng.integers(len(options)))]
-
-
-def extract_keys(
-    outcome: str, own_op: Pauli, own_index: int, parity: str
-) -> tuple[list[int], int]:
-    """Recover every participant's operation-key bit from a published outcome.
-
-    The published outcome alone does not determine the key: the extractor
-    needs her own operation.  A follower whose outcome bit differs from her
-    own key bit knows the leader applied a bit-flipping gate (X or Y) and
-    complements the whole outcome first; the leader knows her gate directly.
-    After that correction the follower bits read off directly, and the leader
-    bit is the uncorrected sign bit under even parity or the corrected sign
-    bit under odd parity.
-
-    Returns (all operation-key bits in position order, their XOR).  Raises
-    TamperError when the recovered own bit contradicts ``own_op``.
-    """
-    bits = [int(b) for b in outcome]
-    if own_index == 0:
-        own_bit = (_LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD)[own_op]
-        flip = own_op in (Pauli.X, Pauli.Y)
-    else:
-        if own_op not in _FOLLOWER_KEY:
-            raise ValueError(f"followers only apply I or X, got {own_op}")
-        own_bit = _FOLLOWER_KEY[own_op]
-        flip = bool(bits[own_index] ^ own_bit)
-    corrected = [b ^ int(flip) for b in bits]
-    keys = list(corrected)
-    keys[0] = bits[0] if parity == "even" else corrected[0]
-    if keys[own_index] != own_bit:
-        raise TamperError(
-            f"outcome {outcome} inconsistent with own operation {own_op} "
-            f"at position {own_index}"
-        )
-    return keys, int(np.bitwise_xor.reduce(keys))
-
-
 @dataclass
 class PositionRecord:
     """What happened at one key position: who led, who applied what, result."""
@@ -321,6 +263,25 @@ def _checked_hops(
     return True
 
 
+def encode_gates(
+    keys: np.ndarray, choice: np.ndarray, lead: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every participant's gate for her operation-key bits, as (x, z) bits.
+
+    ``keys`` is (P, n) in participant order, ``choice`` holds each
+    position's leader choice bit and ``lead`` its leader row.  Followers
+    apply x = key, z = 0; a leader applies x = choice xor key and z = key
+    when P is even, z = choice when P is odd.
+    """
+    pos = np.arange(keys.shape[1])
+    lead_key = keys[lead, pos]
+    x = keys.copy()
+    z = np.zeros_like(keys)
+    x[lead, pos] = choice ^ lead_key
+    z[lead, pos] = lead_key if keys.shape[0] % 2 == 0 else choice
+    return x, z
+
+
 def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndarray:
     """Every position's published outcome from the gates' (x, z) bits.
 
@@ -333,6 +294,23 @@ def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndar
     out = x ^ x[lead, pos]
     out[lead, pos] = np.bitwise_xor.reduce(z, axis=0)
     return out
+
+
+def extract_shared(
+    published: np.ndarray, x: np.ndarray, lead: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every seat's flip bits and shared key bits from a publication.
+
+    ``published`` and ``x`` are (P, n) in participant order: the published
+    outcome slots and each participant's own x bits.  A leader's flip bit is
+    her own x bit, a follower's her published slot xor her own x bit; her
+    shared bit is the XOR of the position's published slots xor her flip
+    bit.  Returns both as (P, n) arrays.
+    """
+    pos = np.arange(x.shape[1])
+    flip = published ^ x
+    flip[lead, pos] = x[lead, pos]
+    return flip, np.bitwise_xor.reduce(published, axis=0) ^ flip
 
 
 def _bit_rows(bits: np.ndarray) -> list[str]:
@@ -378,11 +356,7 @@ def run_session(
     counters.gates_applied += P * n
     pos = np.arange(n)
     lead = pos % P
-    lead_key = keys[lead, pos]
-    x = keys.copy()
-    z = np.zeros_like(keys)
-    x[lead, pos] = choice ^ lead_key
-    z[lead, pos] = lead_key if P % 2 == 0 else choice
+    x, z = encode_gates(keys, choice, lead)
 
     # Return: every non-leader sends her particles for each leader's
     # positions back to that leader, one checked sequence per (sender,
@@ -406,12 +380,11 @@ def run_session(
     t.operation_keys = dict(zip(ids, _bit_rows(keys)))
 
     # Extraction from every participant's point of view; all must agree.
-    flip = published ^ x
-    flip[lead, pos] = x[lead, pos]
+    flip, shared = extract_shared(published, x, lead)
     if not (published[lead, pos] == z[lead, pos]).all() or not (
         flip == flip[0]
     ).all():
         t.aborted, t.abort_cause = True, "tamper"
         return t
-    t.extracted_key = _bit_rows(np.bitwise_xor.reduce(published, axis=0) ^ flip[0])[0]
+    t.extracted_key = _bit_rows(shared[0])[0]
     return t

@@ -27,7 +27,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -283,20 +283,3 @@ def build_leave_messages(
             counters.rekey_messages += 1
     return messages
 
-
-class UserView:
-    """One user's own key store, the per-user form of a member's keys.
-
-    The protocol keeps members' keys per node instead; per-user delivery
-    into these stores is the test suite's reference for it.
-    """
-
-    def __init__(self, user_id: str, keys: Iterable[GroupKey] = ()):
-        self.user_id = user_id
-        self.keys: dict[str, GroupKey] = {k.key_id: k for k in keys}
-
-    def install(self, key: GroupKey) -> None:
-        self.keys[key.key_id] = key
-
-    def drop(self, key_id: str) -> None:
-        self.keys.pop(key_id, None)

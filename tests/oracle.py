@@ -15,21 +15,32 @@ references for the tree's cached height and join summaries, and
 ``per_node_keys`` draws a balanced tree's keys one k-node at a time, the
 reference for ``KeyTree.build_balanced``'s single draw.
 
+The scalar session path is the reference for the array engine in
+``qgka.qka``, draw for draw.  ``encode_operation`` picks one Pauli gate per
+operation-key bit and ``extract_keys`` recovers every operation key from a
+published outcome string at one seat; both follow the paper's gate tables.
 ``run_session`` is the key-agreement session one qubit at a time: one
 ``EntangledState`` per position, one gate per participant, one scalar draw
-per leader choice and per decoy, and ``extract_keys`` from every seat.  It
-is the reference for the array engine in ``qgka.qka``, draw for draw, and
-``leader_schedule`` is its leader rotation.
+per leader choice and per decoy, and ``extract_keys`` from every seat, with
+``leader_schedule`` as its leader rotation.  ``malicious_leader_experiment``
+is the dishonest-leader experiment on the same scalar path, with
+``forge_outcome`` forging a published outcome string; it is the reference
+for ``qgka.adversary.malicious_leader_experiment``, report for report and
+draw for draw.
+
+``UserView`` is one user's own key store, the per-user form of a member's
+keys that ``apply_rekey`` delivers into.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from qgka.adversary import AttackReport
 from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka.qka import (
@@ -40,8 +51,6 @@ from qgka.qka import (
     QkaTranscript,
     TamperError,
     decoys_for_payload,
-    encode_operation,
-    extract_keys,
 )
 from qgka.quantum import (
     EntangledState,
@@ -52,7 +61,7 @@ from qgka.quantum import (
     measure_entangled,
     random_decoy,
 )
-from qgka.rekey import MissingKeyError, RekeyMessage, UserView, decrypt_key
+from qgka.rekey import MissingKeyError, RekeyMessage, decrypt_key
 
 _MATRICES = {
     Pauli.I: np.eye(2, dtype=complex),
@@ -101,6 +110,24 @@ def oracle_measure(vec: np.ndarray, n: int) -> str:
     flips = format(lo, f"0{n}b")
     head = "0" if sign == 1 else "1"
     return head + flips[1:]
+
+
+class UserView:
+    """One user's own key store, the per-user form of a member's keys.
+
+    The protocol keeps members' keys per node instead; per-user delivery
+    into these stores is the test suite's reference for it.
+    """
+
+    def __init__(self, user_id: str, keys: Iterable[GroupKey] = ()):
+        self.user_id = user_id
+        self.keys: dict[str, GroupKey] = {k.key_id: k for k in keys}
+
+    def install(self, key: GroupKey) -> None:
+        self.keys[key.key_id] = key
+
+    def drop(self, key_id: str) -> None:
+        self.keys.pop(key_id, None)
 
 
 def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
@@ -178,6 +205,64 @@ def scan_join_point(tree: KeyTree) -> tuple[str, str]:
         ),
     )
     return "split", target.id
+
+
+# Leader key maps by participant-count parity.  Followers are parity-free.
+_LEADER_KEY_EVEN = {Pauli.I: 0, Pauli.X: 0, Pauli.Y: 1, Pauli.Z: 1}
+_LEADER_KEY_ODD = {Pauli.I: 0, Pauli.X: 1, Pauli.Y: 0, Pauli.Z: 1}
+_FOLLOWER_KEY = {Pauli.I: 0, Pauli.X: 1}
+
+
+def encode_operation(
+    key_bit: int, leader: bool, parity: str, rng: np.random.Generator
+) -> Pauli:
+    """Pick the Pauli gate encoding one operation-key bit.
+
+    ``parity`` is the parity ("even"/"odd") of the session's participant
+    count, server included.  Followers have no choice; leaders pick uniformly
+    between the two gates that encode their bit under that parity.
+    """
+    if not leader:
+        return Pauli.X if key_bit else Pauli.I
+    table = _LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD
+    options = [op for op, bit in table.items() if bit == key_bit]
+    return options[int(rng.integers(len(options)))]
+
+
+def extract_keys(
+    outcome: str, own_op: Pauli, own_index: int, parity: str
+) -> tuple[list[int], int]:
+    """Recover every participant's operation-key bit from a published outcome.
+
+    The published outcome alone does not determine the key: the extractor
+    needs her own operation.  A follower whose outcome bit differs from her
+    own key bit knows the leader applied a bit-flipping gate (X or Y) and
+    complements the whole outcome first; the leader knows her gate directly.
+    After that correction the follower bits read off directly, and the leader
+    bit is the uncorrected sign bit under even parity or the corrected sign
+    bit under odd parity.
+
+    Returns (all operation-key bits in position order, their XOR).  Raises
+    TamperError when the recovered own bit contradicts ``own_op``.
+    """
+    bits = [int(b) for b in outcome]
+    if own_index == 0:
+        own_bit = (_LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD)[own_op]
+        flip = own_op in (Pauli.X, Pauli.Y)
+    else:
+        if own_op not in _FOLLOWER_KEY:
+            raise ValueError(f"followers only apply I or X, got {own_op}")
+        own_bit = _FOLLOWER_KEY[own_op]
+        flip = bool(bits[own_index] ^ own_bit)
+    corrected = [b ^ int(flip) for b in bits]
+    keys = list(corrected)
+    keys[0] = bits[0] if parity == "even" else corrected[0]
+    if keys[own_index] != own_bit:
+        raise TamperError(
+            f"outcome {outcome} inconsistent with own operation {own_op} "
+            f"at position {own_index}"
+        )
+    return keys, int(np.bitwise_xor.reduce(keys))
 
 
 @dataclass
@@ -308,3 +393,94 @@ def run_session(
         return t
     t.extracted_key = keys[ids[0]]
     return t
+
+
+def forge_outcome(
+    true_outcome: str, own_op: Pauli, parity: str, target_bit: int
+) -> str:
+    """The outcome a dishonest leader publishes to force the shared bit.
+
+    She measures honestly, derives every operation key, and republishes the
+    outcome she would have obtained had her own operation encoded whatever
+    bit makes the XOR hit the target.  Follower bits are untouched, so every
+    follower's self-check still passes and all extractions agree on the
+    forced value.
+    """
+    keys, shared = extract_keys(true_outcome, own_op, 0, parity)
+    if shared == target_bit:
+        return true_outcome
+    others = shared ^ keys[0]
+    wanted_leader_bit = target_bit ^ others
+    table = _LEADER_KEY_EVEN if parity == "even" else _LEADER_KEY_ODD
+    fake_op = next(op for op, bit in table.items() if bit == wanted_leader_bit)
+    flip_true = own_op in (Pauli.X, Pauli.Y)
+    flip_fake = fake_op in (Pauli.X, Pauli.Y)
+    sign_fake = "1" if fake_op in (Pauli.Y, Pauli.Z) else "0"
+    body = true_outcome[1:]
+    if flip_true != flip_fake:
+        body = "".join("1" if b == "0" else "0" for b in body)
+    return sign_fake + body
+
+
+def malicious_leader_experiment(
+    participant_ids: list[str],
+    n: int,
+    dishonest: str,
+    rng: np.random.Generator,
+    rotate_leaders: bool = True,
+    forge: bool = True,
+    target_bit: int = 0,
+    trials: int = 1,
+) -> AttackReport:
+    """The dishonest-leader experiment one qubit at a time.
+
+    Each position runs its own GHZ state, gates and measurement; the
+    attacker forges the outcome string of every position she leads, and a
+    position counts as forced when every other participant's extraction
+    lands on ``target_bit``.  Inputs are taken as given.
+    """
+    ids = list(participant_ids)
+    P = len(ids)
+    parity = "even" if P % 2 == 0 else "odd"
+    forced = 0
+    led = 0
+    total_positions = 0
+    for _ in range(trials):
+        key_bits = {pid: rng.integers(0, 2, size=n) for pid in ids}
+        for i in range(n):
+            leader = ids[i % P] if rotate_leaders else dishonest
+            order = [leader] + [pid for pid in ids if pid != leader]
+            state = ghz_state(P)
+            ops: dict[str, Pauli] = {}
+            for q, pid in enumerate(order):
+                op = encode_operation(
+                    int(key_bits[pid][i]), leader=(q == 0), parity=parity, rng=rng
+                )
+                state = apply_pauli(state, q, op)
+                ops[pid] = op
+            outcome = measure_entangled(state)
+            total_positions += 1
+            if leader == dishonest:
+                led += 1
+            published = (
+                forge_outcome(outcome, ops[dishonest], parity, target_bit)
+                if forge and leader == dishonest
+                else outcome
+            )
+            bits = set()
+            for q, pid in enumerate(order):
+                if pid == dishonest:
+                    continue
+                _, shared = extract_keys(published, ops[pid], q, parity)
+                bits.add(shared)
+            if forge and leader == dishonest and bits == {target_bit}:
+                forced += 1
+    return AttackReport(
+        strategy="malicious_leader",
+        trials=trials,
+        detections=0,
+        per_decoy_error_rate=0.0,
+        detection_rate=0.0,
+        forced_fraction=forced / total_positions if total_positions else 0.0,
+        positions_led_fraction=led / total_positions if total_positions else 0.0,
+    )

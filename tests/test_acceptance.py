@@ -21,7 +21,6 @@ from qgka.cost import (
 )
 from qgka.keytree import GroupKey, KeyTree
 from qgka.protocol import GroupProtocol, ProtocolConfig
-from qgka.qka import extract_keys
 from qgka.quantum import (
     EntangledState,
     Pauli,
@@ -32,6 +31,7 @@ from qgka.quantum import (
 from qgka.rekey import try_unwrap
 from qgka.workload import WorkloadConfig, compare_backends, run_simulation
 
+from oracle import extract_keys
 from test_qka import THREE_PARTY_TABLE, TWO_PARTY_TABLE
 
 

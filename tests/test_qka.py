@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from oracle import leader_schedule
+from oracle import encode_operation, extract_keys, leader_schedule
 from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.qka import (
@@ -16,8 +16,6 @@ from qgka.qka import (
     QkaConfig,
     TamperError,
     decoys_for_payload,
-    encode_operation,
-    extract_keys,
     make_config,
     measure_positions,
     run_session,
@@ -142,6 +140,29 @@ class TestTableConformance:
                 for idx, op in ((0, l_op), (1, f2), (2, f3)):
                     keys, shared = extract_keys(outcome, op, idx, "odd")
                     assert shared == key
+
+    @pytest.mark.parametrize(
+        "table, P", [(TWO_PARTY_TABLE, 2), (THREE_PARTY_TABLE, 3)]
+    )
+    def test_cells_through_array_engine(self, table, P):
+        # every leader (key, choice) and follower keys, one position led by
+        # participant 0: the engine's gates must name each cell exactly once
+        seen = set()
+        for bits in range(2 ** (P + 1)):
+            keys = np.array([[(bits >> q) & 1] for q in range(P)])
+            choice = np.array([bits >> P])
+            lead = np.zeros(1, dtype=np.int64)
+            x, z = qka.encode_gates(keys, choice, lead)
+            gates = [qka._PAULI_OF[code] for code in (x + 2 * z)[:, 0]]
+            followers = gates[1] if P == 2 else tuple(gates[1:])
+            outcome, key = table[followers][gates[0]]
+            published = qka.measure_positions(x, z, lead)
+            assert "".join(map(str, published[:, 0])) == outcome
+            _, shared = qka.extract_shared(published, x, lead)
+            assert shared[:, 0].tolist() == [key] * P
+            assert key == np.bitwise_xor.reduce(keys[:, 0])
+            seen.add((followers, gates[0]))
+        assert len(seen) == sum(len(row) for row in table.values())
 
     def test_worked_three_party_extraction(self):
         # leader performed Y and measured 101: operation keys 0, 1, 0, key 1

@@ -9,14 +9,13 @@ from qgka.rekey import (
     AuthenticationError,
     MissingKeyError,
     RekeyMessage,
-    UserView,
     build_join_messages,
     build_leave_messages,
     decrypt_key,
     encrypt_key,
 )
 
-from oracle import apply_rekey
+from oracle import UserView, apply_rekey
 
 
 def key(kid="k1", version=1, bits="1011"):

@@ -28,9 +28,8 @@ from hypothesis.stateful import (
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
-from qgka.rekey import UserView
 
-from oracle import apply_rekey, dfs_height, scan_join_point
+from oracle import UserView, apply_rekey, dfs_height, scan_join_point
 
 
 class OracleDelivery(GroupProtocol):
