@@ -7,8 +7,8 @@ vector.  Qubit 0 is the most significant bit of the basis index, matching
 the bit-string convention of the package.
 
 ``apply_rekey`` is per-user delivery: one user opens a rekey message with
-the keys in that user's view, the reference for the protocol's shared
-delivery.
+the keys in that user's ``UserView``, her own key store, the reference for
+the protocol's shared delivery.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
 references for the tree's cached height and join summaries, and
@@ -27,9 +27,6 @@ is the dishonest-leader experiment on the same scalar path, with
 ``forge_outcome`` forging a published outcome string; it is the reference
 for ``qgka.adversary.malicious_leader_experiment``, report for report and
 draw for draw.
-
-``UserView`` is one user's own key store, the per-user form of a member's
-keys that ``apply_rekey`` delivers into.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Attack taps, detection statistics, session aborts, malicious leaders."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -202,23 +204,17 @@ class TestMaliciousLeader:
     def test_matches_scalar_experiment(self, P):
         ids = ["s"] + [f"u{i}" for i in range(1, P)]
         fast, slow = np.random.default_rng(P), np.random.default_rng(P)
-        for n in (1, 5, 12):
-            for dishonest in (ids[0], ids[-1]):
-                for rotate in (True, False):
-                    for forge in (True, False):
-                        for target in (0, 1):
-                            kwargs = dict(
-                                rotate_leaders=rotate, forge=forge,
-                                target_bit=target, trials=3,
-                            )
-                            got = malicious_leader_experiment(
-                                ids, n, dishonest, fast, **kwargs
-                            )
-                            want = oracle.malicious_leader_experiment(
-                                ids, n, dishonest, slow, **kwargs
-                            )
-                            assert got.to_dict() == want.to_dict()
-                            assert fast.bit_generator.state == slow.bit_generator.state
+        grid = itertools.product(
+            (1, 5, 12), (ids[0], ids[-1]), (True, False), (True, False), (0, 1)
+        )
+        for n, dishonest, rotate, forge, target in grid:
+            kwargs = dict(
+                rotate_leaders=rotate, forge=forge, target_bit=target, trials=3
+            )
+            got = malicious_leader_experiment(ids, n, dishonest, fast, **kwargs)
+            want = oracle.malicious_leader_experiment(ids, n, dishonest, slow, **kwargs)
+            assert got.to_dict() == want.to_dict()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize(
         "ids, n, dishonest, target_bit, trials",
