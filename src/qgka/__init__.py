@@ -27,7 +27,6 @@ from .qka import (
     Participant,
     QkaConfig,
     QkaTranscript,
-    TamperError,
     make_config,
     run_session,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "RekeyMessage",
     "ResourceCounters",
     "SimCipherText",
-    "TamperError",
     "apply_pauli",
     "decoy_measure",
     "decrypt_key",

@@ -22,13 +22,17 @@ measurement results for the positions she leads, forcing those key bits.
 Leader rotation caps her influence at the share of positions she leads,
 which is what the rotation is for.
 
-Trials are independent.  ``detection_experiment`` draws its randomness in
-bulk, one array per random choice of the per-qubit taps, and matches the
-taps' statistics.  ``malicious_leader_experiment`` runs each trial's
-positions on the session engine's own arrays: ``qka.encode_gates``,
-``qka.measure_positions`` and ``qka.extract_shared``, with the forged
-publication written into the dishonest leader's slots.  Its reference,
-the same experiment one qubit at a time, is in ``tests/oracle.py``.
+Both external attacks are modelled once, by ``tap_decoys`` over an array of
+decoy kinds: ``AdversarialChannel`` applies it to a session's decoys and
+``detection_experiment`` to independent trials.  The taps one qubit at a
+time, on the scalar decoy states of ``qgka.quantum``, are the physics
+reference in ``tests/oracle.py``.
+
+``malicious_leader_experiment`` runs each trial's positions on the session
+engine's own arrays: ``qka.encode_gates``, ``qka.measure_positions`` and
+``qka.extract_shared``, with the forged publication written into the
+dishonest leader's slots.  Its reference, the same experiment one qubit at
+a time, is in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -39,11 +43,6 @@ from typing import Optional
 import numpy as np
 
 from .qka import encode_gates, extract_shared, make_config, measure_positions
-from .quantum import DecoyKind, DecoyQubit, EntangledState, decoy_measure
-
-_KINDS = (DecoyKind.Z0, DecoyKind.Z1, DecoyKind.XPLUS, DecoyKind.XMINUS)
-_KIND_FOR = {("Z", 0): DecoyKind.Z0, ("Z", 1): DecoyKind.Z1,
-             ("X", 0): DecoyKind.XPLUS, ("X", 1): DecoyKind.XMINUS}
 
 
 @dataclass(frozen=True)
@@ -64,33 +63,46 @@ class EveStrategy:
             raise ValueError("attack probability must lie in [0, 1]")
 
 
-def tap_intercept_resend(
-    decoy: DecoyQubit, rng: np.random.Generator
-) -> tuple[DecoyQubit, int]:
-    """Eve measures in a uniformly random basis and resends her result state.
+def tap_decoys(
+    strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Eve's strategy applied to a batch of decoys in transit.
 
-    Returns the forwarded qubit and Eve's measured bit.  With a matching
-    basis her bit equals the encoded bit and the forwarded state is intact.
+    ``kinds`` indexes each decoy's state in (|0>, |1>, |+>, |->): X basis
+    for 2 and 3, bit = index mod 2.  Returns the receiver's reading of each
+    decoy in its announced basis, and Eve's bit for each (None when her
+    strategy is "none"); a decoy she leaves alone counts as read exactly.
+    Each draw is one array over the batch: whether she touches each decoy
+    (skipped when her attack probability is 1), then her basis, her result
+    and the receiver's result under intercept-resend, or the receiver's
+    result and her ancilla's under a CNOT tap.
     """
-    basis = "Z" if rng.integers(2) == 0 else "X"
-    bit = decoy_measure(decoy, basis, rng)
-    return DecoyQubit(kind=_KIND_FOR[(basis, bit)]), bit
+    total = len(kinds)
+    is_x_basis = kinds >= 2
+    encoded_bit = kinds % 2
+    attacked = (
+        np.ones(total, dtype=bool)
+        if strategy.attack_probability >= 1.0
+        else rng.random(total) < strategy.attack_probability
+    )
 
-
-def tap_cnot(decoy: DecoyQubit, rng: np.random.Generator) -> tuple[DecoyQubit, int]:
-    """Eve entangles the qubit with her |0> ancilla via CNOT.
-
-    A Z-basis decoy stays a product state and copies its bit onto the
-    ancilla, so Eve reads it undetectably.  An X-basis decoy turns into the
-    two-qubit pair (|00> +/- |11>)/sqrt(2); Eve's Z-measured ancilla is then
-    uniform (she learns nothing) and so is the user's X-basis result.
-    """
-    if decoy.kind in (DecoyKind.Z0, DecoyKind.Z1):
-        return decoy, decoy.bit
-    sign = 1 if decoy.kind == DecoyKind.XPLUS else -1
-    pair = EntangledState(flips="00", sign=sign)
-    forwarded = DecoyQubit(kind=decoy.kind, entangled=pair)
-    return forwarded, int(rng.integers(2))
+    if strategy.kind == "none":
+        return encoded_bit, None
+    if strategy.kind == "intercept_resend":
+        # Mismatched interception collapses uniformly; the resent state is in
+        # the wrong basis, so the receiver's matched measurement is uniform.
+        eve_x_basis = rng.integers(2, size=total).astype(bool)
+        mismatch = attacked & (eve_x_basis != is_x_basis)
+        eve_bit = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
+        receiver = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
+        return receiver, eve_bit
+    if strategy.kind == "cnot":
+        # Either half of the entangled pair is maximally mixed.
+        entangled = attacked & is_x_basis
+        receiver = np.where(entangled, rng.integers(2, size=total), encoded_bit)
+        eve_bit = np.where(entangled, rng.integers(2, size=total), encoded_bit)
+        return receiver, eve_bit
+    raise ValueError(strategy.kind)  # pragma: no cover - guarded by EveStrategy
 
 
 class AdversarialChannel:
@@ -99,26 +111,10 @@ class AdversarialChannel:
     def __init__(self, strategy: EveStrategy):
         self.strategy = strategy
 
-    def transmit(
-        self, decoys: list[DecoyQubit], rng: np.random.Generator
-    ) -> list[DecoyQubit]:
-        if self.strategy.kind == "none":
-            return decoys
-        tap = (
-            tap_intercept_resend
-            if self.strategy.kind == "intercept_resend"
-            else tap_cnot
-        )
-        out = []
-        for d in decoys:
-            if self.strategy.attack_probability < 1.0 and (
-                rng.random() >= self.strategy.attack_probability
-            ):
-                out.append(d)
-                continue
-            forwarded, _ = tap(d, rng)
-            out.append(forwarded)
-        return out
+    def transmit(self, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """The receiver's reading of each decoy of ``kinds`` (see
+        ``tap_decoys``) in its announced basis."""
+        return tap_decoys(self.strategy, kinds, rng)[0]
 
 
 @dataclass
@@ -155,48 +151,18 @@ def detection_experiment(
 
     Each trial transmits ``decoys_per_run`` fresh decoys through the attacked
     channel and checks them in their announced bases; a run is detected when
-    any decoy errs.  The randomness is drawn in bulk, one array per random
-    choice of the per-qubit mechanics (decoy kind, Eve's basis, collapse
-    outcomes), which keeps 10^5-scale runs fast while matching the scalar
-    taps' behaviour exactly.
+    any decoy errs.  Every decoy kind is drawn in one array and tapped by
+    ``tap_decoys``, the kernel a session's ``AdversarialChannel`` applies.
     """
     if trials < 1 or decoys_per_run < 1:
         raise ValueError(
             f"need at least one trial and one decoy per run, got {trials} and "
             f"{decoys_per_run}"
         )
-    total = trials * decoys_per_run
-    kinds = rng.integers(4, size=total)  # index into _KINDS
-    is_x_basis = kinds >= 2
+    kinds = rng.integers(4, size=trials * decoys_per_run)
+    receiver, eve_bit = tap_decoys(strategy, kinds, rng)
     encoded_bit = kinds % 2
-    attacked = (
-        np.ones(total, dtype=bool)
-        if strategy.attack_probability >= 1.0
-        else rng.random(total) < strategy.attack_probability
-    )
-
-    if strategy.kind == "none":
-        errors = np.zeros(total, dtype=bool)
-        eve_correct: Optional[np.ndarray] = None
-    elif strategy.kind == "intercept_resend":
-        eve_x_basis = rng.integers(2, size=total).astype(bool)
-        mismatch = attacked & (eve_x_basis != is_x_basis)
-        # Mismatched interception collapses uniformly; the resent state is in
-        # the wrong basis, so the receiver's matched measurement is uniform.
-        eve_result = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
-        receiver = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
-        errors = receiver != encoded_bit
-        eve_correct = eve_result == encoded_bit
-    elif strategy.kind == "cnot":
-        entangled = attacked & is_x_basis
-        # Either half of the entangled pair is maximally mixed.
-        receiver = np.where(entangled, rng.integers(2, size=total), encoded_bit)
-        eve_result = np.where(entangled, rng.integers(2, size=total), encoded_bit)
-        errors = receiver != encoded_bit
-        eve_correct = eve_result == encoded_bit
-    else:  # pragma: no cover - guarded by EveStrategy
-        raise ValueError(strategy.kind)
-
+    errors = receiver != encoded_bit
     per_run = errors.reshape(trials, decoys_per_run).any(axis=1)
     detections = int(per_run.sum())
     return AttackReport(
@@ -205,7 +171,9 @@ def detection_experiment(
         detections=detections,
         per_decoy_error_rate=float(errors.mean()),
         detection_rate=detections / trials,
-        eve_bit_accuracy=float(eve_correct.mean()) if eve_correct is not None else None,
+        eve_bit_accuracy=(
+            None if eve_bit is None else float((eve_bit == encoded_bit).mean())
+        ),
         decoys_per_run=decoys_per_run,
     )
 

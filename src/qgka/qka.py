@@ -44,13 +44,15 @@ choice of her flip bit, so a corrupted follower slot shows as seats that
 disagree.  Either failure aborts the session with cause "tamper".
 
 Random draws, in order: the operation keys as one (P, n) draw of bits;
-for each distribution hop, its decoy kinds as one draw of k values in
-[0, 4), then whatever the channel draws, then one bit for each decoy that
-came back changed and reads out at random; the leaders' choice bits as one
-draw of n bits; and the return hops like the distribution hops.  On PCG64
-a draw of k bounded integers returns the same values and leaves the same
-generator state as k scalar draws, so the engine consumes the generator
-exactly as the one-qubit-at-a-time reference in ``tests/oracle.py`` does.
+the decoy kinds of all the distribution hops as one draw of values in
+[0, 4), then whatever the channel draws for that whole batch; the leaders'
+choice bits as one draw of n bits; and the return hops like the
+distribution hops.  A phase without decoys draws nothing for them.  On
+PCG64 a draw of k bounded integers returns the same values and leaves the
+same generator state as k scalar draws, so the engine consumes the
+generator exactly as the one-qubit-at-a-time reference in
+``tests/oracle.py`` does, which draws its decoys one by one and hands the
+channel the same batch.
 
 Sessions are single logical threads; distinct sessions are independent and
 may run concurrently with separate RNGs and counters, merged afterwards.
@@ -66,12 +68,10 @@ import numpy as np
 
 from .counters import ResourceCounters
 
-# The scalar quantum layer.  The engine calls only decoy_measure; the rest
+# The scalar quantum layer.  The engine calls none of these functions; they
 # stay bound here because perfbench/workloads.py counts quantum-layer calls
 # by patching all five names on this module.
 from .quantum import (  # noqa: F401
-    DecoyKind,
-    DecoyQubit,
     Pauli,
     apply_pauli,
     decoy_measure,
@@ -79,10 +79,6 @@ from .quantum import (  # noqa: F401
     measure_entangled,
     random_decoy,
 )
-
-
-class TamperError(Exception):
-    """A published outcome is inconsistent with the extractor's own operation."""
 
 
 @dataclass(frozen=True)
@@ -116,14 +112,16 @@ def make_config(participant_ids: Sequence[str], n: int, xi: float = 0.0) -> QkaC
 
 
 class ChannelModel(Protocol):
-    """Transport for one quantum hop; adversaries tamper with the decoys.
+    """Transport for a batch of decoys; adversaries tamper with them.
 
-    A session run without a channel model has an honest, lossless channel.
+    ``transmit`` takes each decoy's kind as an index into (|0>, |1>, |+>,
+    |->), so its basis is X for 2 and 3 and its bit the index mod 2, and
+    returns the receiver's reading of each decoy in its announced basis.
+    A session run without a channel model has an honest, lossless channel,
+    on which every reading is the decoy's own bit.
     """
 
-    def transmit(
-        self, decoys: list[DecoyQubit], rng: np.random.Generator
-    ) -> list[DecoyQubit]: ...
+    def transmit(self, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
 
 
 @dataclass
@@ -212,10 +210,6 @@ def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
     return -(-xi.numerator * payload_qubits // xi.denominator)
 
 
-#: One decoy per kind, indexed like ``random_decoy``'s draw.
-_DECOYS = tuple(DecoyQubit(kind) for kind in DecoyKind)
-
-
 def _checked_hops(
     payloads: Sequence[int],
     xi: Fraction,
@@ -226,41 +220,32 @@ def _checked_hops(
     """Send one sequence per payload through the channel, in order, and
     verify each one's decoys.
 
-    The sender prepares ceil(xi * payload) decoys, the channel may tamper
-    with them, and the receiver measures each in its announced basis.  The
-    bases/positions announcement plus the verification reply count as one
-    classical exchange per sequence that has decoys.  Returns False at the
-    first sequence whose decoys show an error.  An honest channel never
-    touches a decoy, so its sequences draw all their decoy kinds at once:
-    the same draws, in the same order, as one draw per sequence.
+    The sender prepares ceil(xi * payload) decoys per sequence, the channel
+    may tamper with them, and the receiver measures each in its announced
+    basis.  The bases/positions announcement plus the verification reply
+    count as one classical exchange per sequence that has decoys.  All the
+    decoy kinds of the sequences are drawn at once and the channel carries
+    them in one call.  Returns False when a sequence reads wrong; the
+    sequences after the first such one are never sent, so the counters stop
+    with it.
     """
     decoys = [decoys_for_payload(p, xi) for p in payloads]
-    if channel is None:
-        total = sum(decoys)
-        counters.qubits_prepared += total
-        counters.qubits_transmitted += sum(payloads) + total
-        counters.classical_messages += len(decoys) - decoys.count(0)
-        counters.decoy_measurements += total
-        if total:
-            rng.integers(4, size=total)
-        return True
-    for payload, n_decoys in zip(payloads, decoys):
-        counters.qubits_prepared += n_decoys
-        counters.qubits_transmitted += payload + n_decoys
-        if n_decoys == 0:
-            continue
-        sent = [_DECOYS[k] for k in rng.integers(4, size=n_decoys).tolist()]
-        counters.classical_messages += 1
-        received = channel.transmit(list(sent), rng)
-        errors = 0
-        for s, r in zip(sent, received):
-            counters.decoy_measurements += 1
-            # an untouched decoy reads back its own bit without a draw
-            if r is not s and decoy_measure(r, s.basis, rng) != s.bit:
-                errors += 1
-        if errors:
-            return False
-    return True
+    total = sum(decoys)
+    sent, ok = len(decoys), True
+    if total:
+        kinds = rng.integers(4, size=total)
+        bits = kinds % 2
+        readings = bits if channel is None else channel.transmit(kinds, rng)
+        wrong = np.flatnonzero(readings != bits)
+        if wrong.size:
+            # the first sequence whose decoys run past the first wrong one
+            sent = int(np.searchsorted(np.cumsum(decoys), wrong[0], "right")) + 1
+            total, ok = sum(decoys[:sent]), False
+    counters.qubits_prepared += total
+    counters.qubits_transmitted += sum(payloads[:sent]) + total
+    counters.classical_messages += sent - decoys[:sent].count(0)
+    counters.decoy_measurements += total
+    return ok
 
 
 def encode_gates(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cost import STAR_COSTS, tree_join_cost, tree_leave_cost
+from .cost import STAR_COSTS, CostParams, tree_join_cost, tree_leave_cost
 from .counters import CSV_COLUMNS, ResourceCounters
 from .keytree import KeyTree
 from .protocol import GroupProtocol, ProtocolConfig
@@ -52,8 +52,8 @@ class WorkloadConfig:
     independent_rates: bool = False  # separate Poisson draws for joins/leaves
 
     def __post_init__(self) -> None:
-        if self.initial_group_size < 2:
-            raise ValueError("initial group size must be at least 2")
+        # both modes cost the same tree, so both take only its domain
+        CostParams(self.initial_group_size, self.key_len, self.xi, self.degree)
         if self.lam < 0:
             raise ValueError("event rate must be nonnegative")
         if self.steps < 1:

@@ -27,6 +27,13 @@ is the dishonest-leader experiment on the same scalar path, with
 ``forge_outcome`` forging a published outcome string; it is the reference
 for ``qgka.adversary.malicious_leader_experiment``, report for report and
 draw for draw.
+
+``tap_intercept_resend`` and ``tap_cnot`` are the two channel attacks on
+one scalar decoy state, the physics reference for
+``qgka.adversary.tap_decoys``; ``scalar_tap`` runs them over a batch of
+decoys.  They match the kernel's statistics, not its draws: the session
+reference hands its channel the same batch of decoy kinds as the engine
+does and treats the channel as a black box.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from qgka.adversary import AttackReport
+from qgka.adversary import AttackReport, EveStrategy
 from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka.qka import (
@@ -46,10 +53,11 @@ from qgka.qka import (
     PositionRecord,
     QkaConfig,
     QkaTranscript,
-    TamperError,
     decoys_for_payload,
 )
 from qgka.quantum import (
+    DecoyKind,
+    DecoyQubit,
     EntangledState,
     Pauli,
     apply_pauli,
@@ -204,6 +212,71 @@ def scan_join_point(tree: KeyTree) -> tuple[str, str]:
     return "split", target.id
 
 
+#: The decoy kinds in the order of a kind index: |0>, |1>, |+>, |->.
+_KINDS = tuple(DecoyKind)
+_KIND_FOR = {("Z", 0): DecoyKind.Z0, ("Z", 1): DecoyKind.Z1,
+             ("X", 0): DecoyKind.XPLUS, ("X", 1): DecoyKind.XMINUS}
+
+
+def tap_intercept_resend(
+    decoy: DecoyQubit, rng: np.random.Generator
+) -> tuple[DecoyQubit, int]:
+    """Eve measures in a uniformly random basis and resends her result state.
+
+    Returns the forwarded qubit and Eve's measured bit.  With a matching
+    basis her bit equals the encoded bit and the forwarded state is intact.
+    """
+    basis = "Z" if rng.integers(2) == 0 else "X"
+    bit = decoy_measure(decoy, basis, rng)
+    return DecoyQubit(kind=_KIND_FOR[(basis, bit)]), bit
+
+
+def tap_cnot(decoy: DecoyQubit, rng: np.random.Generator) -> tuple[DecoyQubit, int]:
+    """Eve entangles the qubit with her |0> ancilla via CNOT.
+
+    A Z-basis decoy stays a product state and copies its bit onto the
+    ancilla, so Eve reads it undetectably.  An X-basis decoy turns into the
+    two-qubit pair (|00> +/- |11>)/sqrt(2); Eve's Z-measured ancilla is then
+    uniform (she learns nothing) and so is the user's X-basis result.
+    """
+    if decoy.kind in (DecoyKind.Z0, DecoyKind.Z1):
+        return decoy, decoy.bit
+    sign = 1 if decoy.kind == DecoyKind.XPLUS else -1
+    pair = EntangledState(flips="00", sign=sign)
+    forwarded = DecoyQubit(kind=decoy.kind, entangled=pair)
+    return forwarded, int(rng.integers(2))
+
+
+def scalar_tap(
+    strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
+) -> tuple[list[int], list[int]]:
+    """``qgka.adversary.tap_decoys`` one decoy at a time.
+
+    Each decoy of ``kinds`` (indices into |0>, |1>, |+>, |->) is touched
+    with the attack probability, tapped, and measured by the receiver in
+    its announced basis.  Returns the receiver's readings and Eve's bits;
+    Eve's bit of a decoy she leaves alone is its encoded bit, as in the
+    kernel.  The statistics match the kernel's, the draws do not.
+    """
+    tap = tap_intercept_resend if strategy.kind == "intercept_resend" else tap_cnot
+    readings, eve = [], []
+    for k in kinds.tolist():
+        decoy = DecoyQubit(_KINDS[k])
+        forwarded, eve_bit = decoy, decoy.bit
+        if strategy.kind != "none" and (
+            strategy.attack_probability >= 1.0
+            or rng.random() < strategy.attack_probability
+        ):
+            forwarded, eve_bit = tap(decoy, rng)
+        readings.append(decoy_measure(forwarded, decoy.basis, rng))
+        eve.append(eve_bit)
+    return readings, eve
+
+
+class TamperError(Exception):
+    """A published outcome is inconsistent with the extractor's own operation."""
+
+
 # Leader key maps by participant-count parity.  Followers are parity-free.
 _LEADER_KEY_EVEN = {Pauli.I: 0, Pauli.X: 0, Pauli.Y: 1, Pauli.Z: 1}
 _LEADER_KEY_ODD = {Pauli.I: 0, Pauli.X: 1, Pauli.Y: 0, Pauli.Z: 1}
@@ -286,28 +359,43 @@ def leader_schedule(participants: Sequence[Participant], position: int) -> Parti
     return participants[position % len(participants)]
 
 
-def _checked_hop(
-    payload_qubits: int,
+def _checked_hops(
+    payloads: Sequence[int],
     xi: Fraction,
     channel: Optional[ChannelModel],
     rng: np.random.Generator,
     counters: ResourceCounters,
 ) -> bool:
-    """Send one sequence with fresh decoys and check every decoy."""
-    n_decoys = decoys_for_payload(payload_qubits, xi)
-    counters.qubits_prepared += n_decoys
-    counters.qubits_transmitted += payload_qubits + n_decoys
-    if n_decoys == 0:
-        return True
-    sent = [random_decoy(rng) for _ in range(n_decoys)]
-    received = sent if channel is None else channel.transmit(list(sent), rng)
-    errors = 0
-    for s, r in zip(sent, received):
-        counters.decoy_measurements += 1
-        if decoy_measure(r, s.basis, rng) != s.bit:
-            errors += 1
-    counters.classical_messages += 1
-    return errors == 0
+    """Send one sequence with fresh decoys per payload and check each decoy,
+    sequence by sequence, up to the first sequence with an error.
+
+    Every decoy of the phase is drawn first, one at a time; the channel, a
+    black box, then carries them all in one call.  Without a channel the
+    receiver measures each decoy as it was prepared.
+    """
+    counts = [decoys_for_payload(p, xi) for p in payloads]
+    sent = [random_decoy(rng) for _ in range(sum(counts))]
+    if channel is None or not sent:
+        readings = [decoy_measure(d, d.basis, rng) for d in sent]
+    else:
+        kinds = np.array([_KINDS.index(d.kind) for d in sent])
+        readings = channel.transmit(kinds, rng).tolist()
+    checks = iter(zip(sent, readings))
+    for payload, n_decoys in zip(payloads, counts):
+        counters.qubits_prepared += n_decoys
+        counters.qubits_transmitted += payload + n_decoys
+        if n_decoys == 0:
+            continue
+        errors = 0
+        for _ in range(n_decoys):
+            decoy, reading = next(checks)
+            counters.decoy_measurements += 1
+            if reading != decoy.bit:
+                errors += 1
+        counters.classical_messages += 1
+        if errors:
+            return False
+    return True
 
 
 def run_session(
@@ -328,10 +416,9 @@ def run_session(
     states = [ghz_state(P) for _ in range(n)]
     counters.qubits_prepared += P * n
 
-    for _ in ids[1:]:
-        if not _checked_hop(n, xi, channel, rng, counters):
-            t.aborted, t.abort_cause = True, "eavesdropper"
-            return t
+    if not _checked_hops([n] * (P - 1), xi, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+        return t
 
     # qubit 0 of each state goes to the position's leader, the rest follow
     # participant order
@@ -353,15 +440,16 @@ def run_session(
         ops_by_pos.append(ops)
 
     positions_led = {pid: [i for i in range(n) if leaders[i].id == pid] for pid in ids}
-    for leader_id, led in positions_led.items():
-        if not led:
-            continue
-        for sender in ids:
-            if sender == leader_id:
-                continue
-            if not _checked_hop(len(led), xi, channel, rng, counters):
-                t.aborted, t.abort_cause = True, "eavesdropper"
-                return t
+    returns = [
+        len(led)
+        for leader_id, led in positions_led.items()
+        if led
+        for sender in ids
+        if sender != leader_id
+    ]
+    if not _checked_hops(returns, xi, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+        return t
 
     outcomes = [measure_entangled(states[i]) for i in range(n)]
     counters.entangled_measurements += n

@@ -10,14 +10,13 @@ from qgka.adversary import (
     EveStrategy,
     detection_experiment,
     malicious_leader_experiment,
-    tap_cnot,
-    tap_intercept_resend,
+    tap_decoys,
 )
 from qgka.qka import make_config, run_session
 from qgka.quantum import DecoyKind, DecoyQubit, Pauli, decoy_measure
 
 import oracle
-from oracle import forge_outcome
+from oracle import forge_outcome, tap_cnot, tap_intercept_resend
 
 
 class TestTaps:
@@ -71,6 +70,30 @@ class TestTaps:
         minus, _ = tap_cnot(DecoyQubit(DecoyKind.XMINUS), rng)
         assert plus.entangled.sign == 1
         assert minus.entangled.sign == -1
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
+    def test_scalar_taps_match_channel(self, strategy, p):
+        # the per-qubit taps and the array kernel are one mechanism: the
+        # same per-decoy error rate p/4 and Eve's accuracy 1 - p/4, each
+        # within five binomial standard deviations
+        rng = np.random.default_rng(61)
+        m, q = 20_000, p / 4
+        eve = EveStrategy(strategy, p)
+        kinds = rng.integers(4, size=m)
+        readings, eve_bits = oracle.scalar_tap(eve, kinds, rng)
+        slow_error = np.mean(np.array(readings) != kinds % 2)
+        slow_eve = np.mean(np.array(eve_bits) == kinds % 2)
+        kinds = rng.integers(4, size=m)
+        readings = AdversarialChannel(eve).transmit(kinds, rng)
+        fast_error = np.mean(readings != kinds % 2)
+        fast_eve = np.mean(tap_decoys(eve, kinds, rng)[1] == kinds % 2)
+        sd = np.sqrt(q * (1 - q) / m)
+        pairs = ((slow_error, fast_error, q), (slow_eve, fast_eve, 1 - q))
+        for slow, fast, want in pairs:
+            assert abs(slow - fast) < 5 * np.sqrt(2) * sd
+            assert abs(slow - want) < 5 * sd
+            assert abs(fast - want) < 5 * sd
 
 
 class TestDetectionExperiment:

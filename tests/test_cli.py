@@ -297,6 +297,12 @@ class TestExitCodes:
              "--user", "nobody"],
             ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
              "--n", "0"],
+            ["simulate", "--initial", "8", "--degree", "1", "--steps", "2",
+             "--mode", "analytic"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
+             "--xi", "7", "--mode", "analytic"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
+             "--n", "0", "--mode", "analytic"],
             ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "0"],
             ["attack", "--strategy", "cnot", "--decoys", "0", "--trials", "10"],
         ],

@@ -133,13 +133,21 @@ class TestCounterFormulaAgreement:
         assert trace.counters.qubits_prepared == expected == (d + 1) * (power - 1) + d
 
 
+class _MisreadingChannel:
+    """A channel on which every decoy reads back flipped, so the first
+    checked sequence of a session always aborts it."""
+
+    def transmit(self, kinds, rng):
+        return 1 - kinds % 2
+
+
 class TestRollback:
     def _aborting_protocol(self, d=3, N=9, xi=1.0):
         rng = np.random.default_rng(13)
         tree = KeyTree.build_balanced(d, [f"u{i + 1}" for i in range(N)], 1, rng)
         proto = GroupProtocol(
             tree, ProtocolConfig(key_len=1, xi=xi), rng,
-            channel=AdversarialChannel(EveStrategy("intercept_resend")),
+            channel=_MisreadingChannel(),
         )
         return proto
 

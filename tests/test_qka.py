@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from oracle import encode_operation, extract_keys, leader_schedule
+from oracle import TamperError, encode_operation, extract_keys, leader_schedule
 from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.qka import (
     Participant,
     QkaConfig,
-    TamperError,
     decoys_for_payload,
     make_config,
     measure_positions,
@@ -368,3 +367,56 @@ class TestArrayEngine:
         assert json.dumps(t.to_dict()) == json.dumps(ref.to_dict())
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert (t.aborted, t.abort_cause, t.extracted_key) == (True, "tamper", "")
+
+
+class _OneMisread:
+    """A channel that reads every decoy right but one: decoy ``index`` of
+    its ``batch``-th call (0 carries the distribution hops, 1 the return
+    hops)."""
+
+    def __init__(self, batch: int, index: int):
+        self.batch, self.index, self.calls = batch, index, 0
+
+    def transmit(self, kinds, rng):
+        readings = kinds % 2
+        if self.calls == self.batch:
+            readings[self.index] ^= 1
+        self.calls += 1
+        return readings
+
+
+class TestAbortCounters:
+    """An abort's counters cover the sequences up to and including the one
+    with the misread decoy, and none after it."""
+
+    P, n, xi = 5, 13, 0.7
+
+    @pytest.mark.parametrize("decoy", ["first", "last"])
+    @pytest.mark.parametrize("hop", ["first", "middle", "last"])
+    @pytest.mark.parametrize("phase", ["distribution", "return"])
+    def test_counters_stop_at_the_misread_sequence(self, phase, hop, decoy):
+        P, n, xi = self.P, self.n, self.xi
+        out = [n] * (P - 1)
+        back = [len(range(j, n, P)) for j in range(P) for _ in range(P - 1)]
+        payloads = out if phase == "distribution" else back
+        counts = [decoys_for_payload(p, xi) for p in payloads]
+        h = {"first": 0, "middle": len(payloads) // 2, "last": len(payloads) - 1}[hop]
+        index = sum(counts[:h]) + (0 if decoy == "first" else counts[h] - 1)
+        batch = 0 if phase == "distribution" else 1
+
+        cfg = make_config([f"p{i}" for i in range(P)], n=n, xi=xi)
+        t = run_session(cfg, np.random.default_rng(3), _OneMisread(batch, index))
+        ref = oracle.run_session(
+            cfg, np.random.default_rng(3), _OneMisread(batch, index)
+        )
+
+        sent = (out if batch else []) + payloads[: h + 1]
+        decoys = sum(decoys_for_payload(p, xi) for p in sent)
+        c = t.counters
+        assert (t.aborted, t.abort_cause) == (True, "eavesdropper")
+        assert c.qubits_prepared == P * n + decoys
+        assert c.qubits_transmitted == sum(sent) + decoys
+        assert c.classical_messages == len(sent)  # every sequence has decoys
+        assert c.decoy_measurements == decoys
+        assert c == ref.counters
+        assert (ref.aborted, ref.abort_cause) == (True, "eavesdropper")
