@@ -79,7 +79,7 @@ def tap_decoys(
     """
     total = len(kinds)
     is_x_basis = kinds >= 2
-    encoded_bit = kinds % 2
+    encoded_bit = kinds & 1  # on 10^6-scale arrays far cheaper than % 2
     attacked = (
         np.ones(total, dtype=bool)
         if strategy.attack_probability >= 1.0
@@ -161,7 +161,7 @@ def detection_experiment(
         )
     kinds = rng.integers(4, size=trials * decoys_per_run)
     receiver, eve_bit = tap_decoys(strategy, kinds, rng)
-    encoded_bit = kinds % 2
+    encoded_bit = kinds & 1
     errors = receiver != encoded_bit
     per_run = errors.reshape(trials, decoys_per_run).any(axis=1)
     detections = int(per_run.sum())

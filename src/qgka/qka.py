@@ -234,7 +234,7 @@ def _checked_hops(
     sent, ok = len(decoys), True
     if total:
         kinds = rng.integers(4, size=total)
-        bits = kinds % 2
+        bits = kinds & 1
         readings = bits if channel is None else channel.transmit(kinds, rng)
         wrong = np.flatnonzero(readings != bits)
         if wrong.size:
