@@ -225,22 +225,22 @@ def _checked_hops(
     basis.  The bases/positions announcement plus the verification reply
     count as one classical exchange per sequence that has decoys.  All the
     decoy kinds of the sequences are drawn at once and the channel carries
-    them in one call.  Returns False when a sequence reads wrong; the
-    sequences after the first such one are never sent, so the counters stop
-    with it.
+    them in one call; without a channel every decoy reads back right.
+    Returns False when a sequence reads wrong; the sequences after the first
+    such one are never sent, so the counters stop with it.
     """
     decoys = [decoys_for_payload(p, xi) for p in payloads]
     total = sum(decoys)
     sent, ok = len(decoys), True
     if total:
         kinds = rng.integers(4, size=total)
-        bits = kinds & 1
-        readings = bits if channel is None else channel.transmit(kinds, rng)
-        wrong = np.flatnonzero(readings != bits)
-        if wrong.size:
-            # the first sequence whose decoys run past the first wrong one
-            sent = int(np.searchsorted(np.cumsum(decoys), wrong[0], "right")) + 1
-            total, ok = sum(decoys[:sent]), False
+        # an honest channel reads every decoy back as prepared
+        if channel is not None:
+            wrong = np.flatnonzero(channel.transmit(kinds, rng) != kinds & 1)
+            if wrong.size:
+                # the first sequence whose decoys run past the first wrong one
+                sent = int(np.searchsorted(np.cumsum(decoys), wrong[0], "right")) + 1
+                total, ok = sum(decoys[:sent]), False
     counters.qubits_prepared += total
     counters.qubits_transmitted += sum(payloads[:sent]) + total
     counters.classical_messages += sent - decoys[:sent].count(0)
