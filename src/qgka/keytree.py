@@ -9,14 +9,17 @@ its subtree (its userset).  The root key is the group key.
 Membership changes touch only the path between the affected user and the
 root:
 
-* join: the new user's individual k-node attaches at the join point (the
-  non-full parent of individual keys with the smallest subgroup; when every
-  such parent is full, the shallowest smallest individual key is split under
-  a fresh intermediate node, which may grow the height by one), and the path
-  from the join point to the root needs fresh key material;
-* leave: the user's u-node and individual k-node are pruned, any k-node left
+* join: ``join_point`` names, without changing the tree, where the new
+  user goes: the non-full parent of individual keys with the smallest
+  subgroup, or, when every such parent is full, the shallowest smallest
+  individual key, which ``insert_user`` splits under a fresh intermediate
+  node (this may grow the height by one).  The new user's individual k-node
+  attaches there, and the path from the join point to the root needs fresh
+  key material;
+* leave: the user's u-node and individual k-node are pruned, a parent left
   with a single child is merged into that child to keep the height tight,
-  and the surviving path nodes need fresh key material.
+  and the surviving path nodes need fresh key material.  So no k-node ever
+  has a single child k-node.
 
 Every k-node caches, for its own subtree, the sorted userset, the height and
 the best join point and split target.  Each cache depends on the node's
@@ -406,58 +409,54 @@ class KeyTree:
     # ------------------------------------------------------------------ #
     # membership changes
 
-    def join_point(self) -> str:
-        """Choose (and if necessary create) the k-node a new user attaches to.
+    def join_point(self) -> tuple[str, str]:
+        """Where the next user joins, without changing the tree.
 
-        Preference goes to the non-full parent of individual keys with the
-        smallest subgroup, ties broken by creation order.  When every such
-        parent is full the tree is split: the shallowest individual key with
-        the smallest surrounding subgroup is displaced under a fresh
-        intermediate k-node, which becomes the join point (the height of that
-        branch grows by one).  The fresh node carries no key material; the
-        membership event that triggered the split is expected to generate it.
+        Returns ``("attach", k-node)``: the non-full parent of individual
+        keys with the smallest subgroup, ties broken by creation order.  When
+        every such parent is full, returns ``("split", individual key)``: the
+        shallowest individual key with the smallest surrounding subgroup,
+        which ``insert_user`` displaces under a fresh intermediate k-node
+        (the height of that branch grows by one).
         """
         if self.root is None:
             raise KeyTreeError("empty tree")
         root = self.nodes[self.root]
         if root.attach is not None:
-            return root.attach[-1]
+            return "attach", root.attach[-1]
         # a lone individual root is the only split target there is
-        target = root if root.split is None else self.nodes[root.split[-1]]
-        fresh = self._new_node("k")
-        fresh.users = target.users
-        parent = target.parent
-        if parent is None:
-            self.root = fresh.id
-        else:
-            grand = self.nodes[parent]
-            self._save(grand)
-            grand.children[grand.children.index(target.id)] = fresh.id
-            fresh.parent = parent
-        self._save(target)
-        target.parent = fresh.id
-        fresh.children.append(target.id)
-        node_id: Optional[str] = fresh.id
-        while node_id is not None:
-            node = self.nodes[node_id]
-            self._save(node)
-            node.height, node.attach, node.split = self._summary(node)
-            node_id = node.parent
-        return fresh.id
+        return "split", root.id if root.split is None else root.split[-1]
 
     def insert_user(
         self, user_id: str, rng: np.random.Generator
     ) -> list[str]:
         """Attach a new user and return the path k-nodes needing fresh keys.
 
-        The update list runs from the join point up to the root (deepest
-        first).  The user's individual key gets fresh random material here,
-        standing in for a key pre-shared with the server at registration; it
-        is not part of the update list.
+        The user joins at ``join_point``; on a split the fresh k-node takes
+        the target's place, holds the target and the new user's individual
+        key, and gets no key material here.  The update list runs from the
+        join point up to the root (deepest first).  The user's individual
+        key gets fresh random material here, standing in for a key
+        pre-shared with the server at registration; it is not part of the
+        update list.
         """
         if user_id in self.nodes:
             raise KeyTreeError(f"user {user_id!r} already present")
-        point = self.nodes[self.join_point()]
+        kind, point_id = self.join_point()
+        point = self.nodes[point_id]
+        if kind == "split":
+            target, point = point, self._new_node("k")
+            point.users = target.users
+            if target.parent is None:
+                self.root = point.id
+            else:
+                grand = self.nodes[target.parent]
+                self._save(grand)
+                grand.children[grand.children.index(target.id)] = point.id
+                point.parent = grand.id
+            self._save(target)
+            target.parent = point.id
+            point.children.append(target.id)
         leaf = self._leaf_for(user_id)
         self.set_key(leaf, random_bits(self.key_len, rng))
         self._save(point)
@@ -468,31 +467,22 @@ class KeyTree:
     def remove_user(self, user_id: str) -> list[str]:
         """Prune a user and return the surviving path k-nodes needing fresh keys.
 
-        The user's u-node and individual key vanish, and so does any k-node
-        left with no children (a split by a bare ``join_point`` leaves its
-        fresh node with the displaced user's key alone).  If the remaining
-        parent k-node is left with a single child it is merged into that
-        child (the child takes its place; the absorbing child then stands in
-        for it on the update list).  The update list runs deepest first up
-        to the root.
+        The user's u-node and individual key vanish.  If the parent k-node is
+        left with a single child it is merged into that child (the child
+        takes its place; the absorbing child then stands in for it on the
+        update list).  The update list runs deepest first up to the root.
         """
         u = self._u_node(user_id)
         if self.nodes[self.root].users == [user_id]:  # type: ignore[index]
             raise KeyTreeError("cannot remove the only user")
 
-        # prune the u-node, its individual key and every k-node left empty
-        node = self.nodes[u.parent]  # type: ignore[index]
+        leaf = self.nodes[u.parent]  # type: ignore[index]
+        parent = self.nodes[leaf.parent]  # type: ignore[index]
         self._save(u)
-        del self.nodes[u.id]
-        while True:
-            parent = self.nodes[node.parent]  # type: ignore[index]
-            self._save(node)
-            self._save(parent)
-            parent.children.remove(node.id)
-            del self.nodes[node.id]
-            if parent.children:
-                break
-            node = parent
+        self._save(leaf)
+        self._save(parent)
+        parent.children.remove(leaf.id)
+        del self.nodes[u.id], self.nodes[leaf.id]
         if len(parent.children) != 1:
             return self._update_path(parent.id, user_id, add=False)
 
@@ -542,6 +532,8 @@ class KeyTree:
                     raise KeyTreeError(f"k-node {nid} mixes u- and k-children")
                 if not k_children and len(node.children) != 1:
                     raise KeyTreeError(f"individual key {nid} has several users")
+                if len(k_children) == 1:
+                    raise KeyTreeError(f"k-node {nid} has a single child")
                 for c in node.children:
                     if self.nodes[c].parent != nid:
                         raise KeyTreeError(f"broken edge {nid} -> {c}")

@@ -127,33 +127,46 @@ class TestKeysetUserset:
 class TestJoinPoint:
     def test_smallest_subgroup_wins(self):
         tree, _ = build(3, 8)
-        point = tree.join_point()
+        kind, point = tree.join_point()
+        assert kind == "attach"
         assert sorted(tree.userset(point)) == ["u7", "u8"]
 
     def test_unique_open_slot(self):
         tree, rng = build(3, 9)
         tree.remove_user("u5")
-        point = tree.join_point()
+        kind, point = tree.join_point()
+        assert kind == "attach"
         assert len(tree.userset(point)) == 2  # the hole left by u5
 
     def test_full_tree_splits(self):
         tree, rng = build(2, 4)
         before = set(tree.key_nodes())
-        point = tree.join_point()
-        assert point not in before  # a fresh intermediate node
-        # the displaced child is one existing individual key
-        kids = tree.child_keys(point)
-        assert len(kids) == 1 and kids[0] in before
+        kind, target = tree.join_point()
+        assert kind == "split" and tree.child_keys(target) == []
+        path = tree.insert_user("u5", rng)
+        # a fresh intermediate node holds the displaced individual key and
+        # the new user's
+        point = path[0]
+        assert point not in before
+        assert tree.child_keys(point) == [target, tree.individual_key("u5")]
         tree.check_invariants()
 
     def test_split_prefers_shallow_individuals(self):
         # 3 users at degree 2: u3's individual key hangs right under the
         # root, so pairing there keeps the tree balanced
         tree, rng = build(2, 3)
-        point = tree.join_point()
-        assert tree.userset(point) == ["u3"]
+        assert tree.join_point() == ("split", tree.individual_key("u3"))
         tree.insert_user("u4", rng)
         assert tree.height() == 3
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("d, N", [(3, 8), (2, 4), (2, 1)])
+    def test_query_changes_nothing(self, d, N):
+        # an attach tree, a split tree and a lone individual root
+        tree, _ = build(d, N)
+        before = tree.to_dict(include_keys=True), tree._counter
+        tree.join_point()
+        assert (tree.to_dict(include_keys=True), tree._counter) == before
         tree.check_invariants()
 
 
@@ -197,34 +210,6 @@ class TestInsertRemove:
         tree, _ = build(2, 1)
         with pytest.raises(KeyTreeError):
             tree.remove_user("u1")
-
-    def test_remove_displaced_user_after_bare_split(self):
-        # a bare join_point splits the full tree: u1's individual key moves
-        # under a fresh k-node, which its removal leaves with no children
-        tree, _ = build(2, 4)
-        point = tree.join_point()
-        assert tree.userset(point) == ["u1"]
-        grand = tree.nodes[point].parent
-        sibling = tree.individual_key("u2")
-        tree.checkpoint()
-        path = tree.remove_user("u1")
-        assert point not in tree.nodes and grand not in tree.nodes
-        # u2's key absorbs the parent the split and the leave left with one
-        # child
-        assert path == [sibling, tree.root]
-        assert tree.users() == ["u2", "u3", "u4"]
-        assert tree.height() == 3
-        tree.check_invariants()
-        tree.rollback()
-        assert tree.userset(point) == ["u1"]
-        tree.check_invariants()
-
-    def test_remove_lone_user_refused_after_bare_split(self):
-        tree, _ = build(2, 1)
-        tree.join_point()
-        with pytest.raises(KeyTreeError):
-            tree.remove_user("u1")
-        tree.check_invariants()
 
     def test_versions_bump_on_set_key(self):
         tree, _ = build(2, 4)
@@ -279,6 +264,18 @@ class TestInsertRemove:
         assert copy.group_size() == 4
         assert tree.group_size() == 5
         copy.check_invariants()
+
+    def test_single_child_k_node_rejected(self):
+        # a k-node over one individual key, as a split that attached no one
+        # would leave behind
+        tree, _ = build(2, 1)
+        lone = tree.nodes[tree.root]
+        fresh = tree._new_node("k")
+        fresh.users, fresh.children = lone.users, [lone.id]
+        lone.parent, tree.root = fresh.id, fresh.id
+        fresh.height, fresh.attach, fresh.split = tree._summary(fresh)
+        with pytest.raises(KeyTreeError, match="single child"):
+            tree.check_invariants()
 
 
 class TestSerialization:
