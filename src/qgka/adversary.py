@@ -72,22 +72,23 @@ def tap_decoys(
     for 2 and 3, bit = index mod 2.  Returns the receiver's reading of each
     decoy in its announced basis, and Eve's bit for each (None when her
     strategy is "none"); a decoy she leaves alone counts as read exactly.
-    Each draw is one array over the batch: whether she touches each decoy
-    (skipped when her attack probability is 1), then her basis, her result
-    and the receiver's result under intercept-resend, or the receiver's
-    result and her ancilla's under a CNOT tap.
+    A "none" strategy draws nothing.  Otherwise each draw is one array over
+    the batch: whether she touches each decoy (skipped when her attack
+    probability is 1), then her basis, her result and the receiver's result
+    under intercept-resend, or the receiver's result and her ancilla's under
+    a CNOT tap.
     """
+    encoded_bit = kinds & 1  # on 10^6-scale arrays far cheaper than % 2
+    if strategy.kind == "none":
+        return encoded_bit, None
     total = len(kinds)
     is_x_basis = kinds >= 2
-    encoded_bit = kinds & 1  # on 10^6-scale arrays far cheaper than % 2
     attacked = (
         np.ones(total, dtype=bool)
         if strategy.attack_probability >= 1.0
         else rng.random(total) < strategy.attack_probability
     )
 
-    if strategy.kind == "none":
-        return encoded_bit, None
     if strategy.kind == "intercept_resend":
         # Mismatched interception collapses uniformly; the resent state is in
         # the wrong basis, so the receiver's matched measurement is uniform.

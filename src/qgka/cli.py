@@ -83,13 +83,17 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         setattr(args, dest, value)
 
 
-def _header_lines(args: argparse.Namespace, skip: tuple[str, ...] = ()) -> list[str]:
-    items = []
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "config", "out") + skip or value is None:
-            continue
-        items.append(f"# {key} = {value}")
-    return items
+def _config(args: argparse.Namespace, *skip: str) -> dict:
+    """The resolved flags by name, sorted, without unset ones and ``skip``."""
+    return {
+        key: value
+        for key, value in sorted(vars(args).items())
+        if key not in ("func", "config", "out", *skip) and value is not None
+    }
+
+
+def _header_lines(args: argparse.Namespace) -> list[str]:
+    return [f"# {key} = {value}" for key, value in _config(args).items()]
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -121,11 +125,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         user = args.user or users[-1]
         trace = protocol.leave(user)
     doc = {
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "config", "out") and v is not None
-        },
+        "config": _config(args),
         **trace.to_dict(reveal_keys=args.reveal_keys),
     }
     if args.reveal_keys:
@@ -213,11 +213,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     report = detection_experiment(strategy, args.decoys, args.trials, rng)
     doc = {
-        "config": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "config", "out", "csv") and v is not None
-        },
+        "config": _config(args, "csv"),
         "report": report.to_dict(),
     }
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)

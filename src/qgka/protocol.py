@@ -664,10 +664,6 @@ class GroupProtocol:
             self._deliver(msg)
         self._opened.clear()
 
-        # only the remaining child's users held the merged parent's key
-        # besides the leaver
-        if updated[0] not in old_path:
-            self._entries.put(updated[0], gone[-1], None)
         for key_id in updated:
             self._entries.merge(key_id)
         self.departed[user_id] = self.step

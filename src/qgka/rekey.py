@@ -87,22 +87,14 @@ class SimCipherText:
     payload: bytes
     tag: bytes
 
-    def to_dict(self, reveal_with: Optional[GroupKey] = None) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "enc_key_id": self.enc_key_id,
             "enc_version": self.enc_version,
             "nonce": self.nonce.hex(),
             "payload": self.payload.hex(),
             "tag": self.tag.hex(),
         }
-        if reveal_with is not None:
-            plain = decrypt_key(reveal_with, self)
-            d["plaintext"] = {
-                "key_id": plain.key_id,
-                "version": plain.version,
-                "bits": plain.bits,
-            }
-        return d
 
 
 def encrypt_key(
@@ -181,12 +173,11 @@ class RekeyMessage:
         skip = set(self._skip)
         return tuple(filterfalse(skip.__contains__, self._users))
 
-    def to_dict(self, reveal_keys: Mapping[str, GroupKey] | None = None) -> dict:
-        items = []
-        for item in self.items:
-            key = reveal_keys.get(item.enc_key_id) if reveal_keys else None
-            items.append(item.to_dict(reveal_with=key))
-        return {"recipients": list(self.recipients), "items": items}
+    def to_dict(self) -> dict:
+        return {
+            "recipients": list(self.recipients),
+            "items": [item.to_dict() for item in self.items],
+        }
 
 
 def _nonce(rng: np.random.Generator) -> bytes:
