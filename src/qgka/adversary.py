@@ -24,9 +24,12 @@ which is what the rotation is for.
 
 Both external attacks are modelled once, by ``tap_decoys`` over an array of
 decoy kinds: ``AdversarialChannel`` applies it to a session's decoys and
-``detection_experiment`` to independent trials.  The taps one qubit at a
-time, on the scalar decoy states of ``qgka.quantum``, are the physics
-reference in ``tests/oracle.py``.
+``detection_experiment`` to independent trials, one chunk of at most
+``DETECTION_CHUNK`` decoys at a time, so an experiment's memory does not
+grow with its trials or decoys per run.  The taps one qubit at a time, on
+the scalar decoy states of ``qgka.quantum``, are the physics reference in
+``tests/oracle.py``, and the experiment over a single array of every decoy
+is the reference for the chunked one.
 
 ``malicious_leader_experiment`` runs each trial's positions on the session
 engine's own arrays: ``qka.encode_gates``, ``qka.measure_positions`` and
@@ -43,6 +46,10 @@ from typing import Optional
 import numpy as np
 
 from .qka import encode_gates, extract_shared, make_config, measure_positions
+
+#: Decoys ``detection_experiment`` draws and taps at once.  Its memory is a
+#: few arrays of this length; 2^17 keeps numpy's per-call overhead small.
+DETECTION_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -65,22 +72,23 @@ class EveStrategy:
 
 def tap_decoys(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Eve's strategy applied to a batch of decoys in transit.
 
     ``kinds`` indexes each decoy's state in (|0>, |1>, |+>, |->): X basis
     for 2 and 3, bit = index mod 2.  Returns the receiver's reading of each
-    decoy in its announced basis, and Eve's bit for each (None when her
-    strategy is "none"); a decoy she leaves alone counts as read exactly.
-    A "none" strategy draws nothing.  Otherwise each draw is one array over
-    the batch: whether she touches each decoy (skipped when her attack
-    probability is 1), then her basis, her result and the receiver's result
-    under intercept-resend, or the receiver's result and her ancilla's under
-    a CNOT tap.
+    decoy in its announced basis, Eve's bit for each and the mask of the
+    decoys she touched (both None when her strategy is "none").  Only the
+    touched decoys' bits are her readings; a decoy she leaves alone reaches
+    the receiver intact.  A "none" strategy draws nothing.  Otherwise each
+    draw is one array over the batch: whether she touches each decoy
+    (skipped when her attack probability is 1), then her basis, her result
+    and the receiver's result under intercept-resend, or the receiver's
+    result and her ancilla's under a CNOT tap.
     """
-    encoded_bit = kinds & 1  # on 10^6-scale arrays far cheaper than % 2
+    encoded_bit = kinds & 1  # on 10^5-scale arrays far cheaper than % 2
     if strategy.kind == "none":
-        return encoded_bit, None
+        return encoded_bit, None, None
     total = len(kinds)
     is_x_basis = kinds >= 2
     attacked = (
@@ -96,13 +104,13 @@ def tap_decoys(
         mismatch = attacked & (eve_x_basis != is_x_basis)
         eve_bit = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
         receiver = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
-        return receiver, eve_bit
+        return receiver, eve_bit, attacked
     if strategy.kind == "cnot":
         # Either half of the entangled pair is maximally mixed.
         entangled = attacked & is_x_basis
         receiver = np.where(entangled, rng.integers(2, size=total), encoded_bit)
         eve_bit = np.where(entangled, rng.integers(2, size=total), encoded_bit)
-        return receiver, eve_bit
+        return receiver, eve_bit, attacked
     raise ValueError(strategy.kind)  # pragma: no cover - guarded by EveStrategy
 
 
@@ -127,7 +135,7 @@ class AttackReport:
     detections: int
     per_decoy_error_rate: float
     detection_rate: float
-    eve_bit_accuracy: Optional[float] = None  # Eve's guess vs encoded decoy bit
+    eve_bit_accuracy: Optional[float] = None  # over the decoys Eve touched
     decoys_per_run: Optional[int] = None
     forced_fraction: Optional[float] = None  # malicious leader only
     positions_led_fraction: Optional[float] = None
@@ -152,29 +160,45 @@ def detection_experiment(
 
     Each trial transmits ``decoys_per_run`` fresh decoys through the attacked
     channel and checks them in their announced bases; a run is detected when
-    any decoy errs.  Every decoy kind is drawn in one array and tapped by
-    ``tap_decoys``, the kernel a session's ``AdversarialChannel`` applies.
+    any decoy errs.  Eve's bit accuracy is taken over the decoys she touched
+    (None when she touched none).  The trials' decoys form one stream, cut
+    into chunks of ``DETECTION_CHUNK``: each chunk draws its kinds and is
+    tapped by ``tap_decoys``, the kernel a session's ``AdversarialChannel``
+    applies, so a run of at most one chunk draws the kinds of every decoy in
+    one array and longer runs draw chunk after chunk in the kernel's order.
+    A trial cut by chunk boundaries is still detected once, and the rates
+    are integer counts over the run, so the report equals a reduction of the
+    same draws held in one array.
     """
     if trials < 1 or decoys_per_run < 1:
         raise ValueError(
             f"need at least one trial and one decoy per run, got {trials} and "
             f"{decoys_per_run}"
         )
-    kinds = rng.integers(4, size=trials * decoys_per_run)
-    receiver, eve_bit = tap_decoys(strategy, kinds, rng)
-    encoded_bit = kinds & 1
-    errors = receiver != encoded_bit
-    per_run = errors.reshape(trials, decoys_per_run).any(axis=1)
-    detections = int(per_run.sum())
+    total = trials * decoys_per_run
+    errors = detections = eve_right = touched = 0
+    last_hit = -1  # the last detected trial, which the next chunk may continue
+    for start in range(0, total, DETECTION_CHUNK):
+        kinds = rng.integers(4, size=min(DETECTION_CHUNK, total - start))
+        receiver, eve_bit, attacked = tap_decoys(strategy, kinds, rng)
+        encoded_bit = kinds & 1
+        wrong = np.flatnonzero(receiver != encoded_bit)
+        if len(wrong):
+            errors += len(wrong)
+            hit = (wrong + start) // decoys_per_run
+            detections += int(np.count_nonzero(hit[1:] != hit[:-1]))
+            detections += int(hit[0] != last_hit)
+            last_hit = int(hit[-1])
+        if attacked is not None:
+            eve_right += int(np.count_nonzero((eve_bit == encoded_bit) & attacked))
+            touched += int(np.count_nonzero(attacked))
     return AttackReport(
         strategy=strategy.kind,
         trials=trials,
         detections=detections,
-        per_decoy_error_rate=float(errors.mean()),
+        per_decoy_error_rate=errors / total,
         detection_rate=detections / trials,
-        eve_bit_accuracy=(
-            None if eve_bit is None else float((eve_bit == encoded_bit).mean())
-        ),
+        eve_bit_accuracy=eve_right / touched if touched else None,
         decoys_per_run=decoys_per_run,
     )
 

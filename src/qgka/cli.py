@@ -219,14 +219,12 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     if args.csv:
         path = Path(args.csv)
-        line = report.csv_row() + "\n"
-        if path.exists():
-            path.write_text(path.read_text() + line)
-        else:
-            path.write_text(
-                "strategy,decoys,trials,detections,per_decoy_error_rate,detection_rate\n"
-                + line
-            )
+        header = (
+            "" if path.exists()
+            else "strategy,decoys,trials,detections,per_decoy_error_rate,detection_rate\n"
+        )
+        with path.open("a") as out:
+            out.write(header + report.csv_row() + "\n")
     return 0
 
 

@@ -33,7 +33,10 @@ one scalar decoy state, the physics reference for
 ``qgka.adversary.tap_decoys``; ``scalar_tap`` runs them over a batch of
 decoys.  They match the kernel's statistics, not its draws: the session
 reference hands its channel the same batch of decoy kinds as the engine
-does and treats the channel as a black box.
+does and treats the channel as a black box.  ``detection_experiment`` draws
+every decoy of a run in one array and reduces (trials, decoys) arrays, the
+reference for ``qgka.adversary.detection_experiment``'s chunks, report for
+report and, for a run of at most one chunk, draw for draw.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from qgka.adversary import AttackReport, EveStrategy
+from qgka.adversary import AttackReport, EveStrategy, tap_decoys
 from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka.qka import (
@@ -249,28 +252,63 @@ def tap_cnot(decoy: DecoyQubit, rng: np.random.Generator) -> tuple[DecoyQubit, i
 
 def scalar_tap(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[bool]]:
     """``qgka.adversary.tap_decoys`` one decoy at a time.
 
     Each decoy of ``kinds`` (indices into |0>, |1>, |+>, |->) is touched
     with the attack probability, tapped, and measured by the receiver in
-    its announced basis.  Returns the receiver's readings and Eve's bits;
-    Eve's bit of a decoy she leaves alone is its encoded bit, as in the
-    kernel.  The statistics match the kernel's, the draws do not.
+    its announced basis.  Returns the receiver's readings, Eve's bits and
+    whether she touched each decoy; Eve's bit of a decoy she leaves alone
+    is its encoded bit, as in the kernel.  The statistics match the
+    kernel's, the draws do not.
     """
     tap = tap_intercept_resend if strategy.kind == "intercept_resend" else tap_cnot
-    readings, eve = [], []
+    readings, eve, touched = [], [], []
     for k in kinds.tolist():
         decoy = DecoyQubit(_KINDS[k])
         forwarded, eve_bit = decoy, decoy.bit
-        if strategy.kind != "none" and (
+        attacked = strategy.kind != "none" and (
             strategy.attack_probability >= 1.0
             or rng.random() < strategy.attack_probability
-        ):
+        )
+        if attacked:
             forwarded, eve_bit = tap(decoy, rng)
         readings.append(decoy_measure(forwarded, decoy.basis, rng))
         eve.append(eve_bit)
-    return readings, eve
+        touched.append(attacked)
+    return readings, eve, touched
+
+
+def detection_experiment(
+    strategy: EveStrategy,
+    decoys_per_run: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> AttackReport:
+    """``qgka.adversary.detection_experiment`` over one array of every decoy.
+
+    All ``trials * decoys_per_run`` decoy kinds are drawn in one call and
+    tapped in one ``tap_decoys`` call; a trial is detected when any decoy of
+    its row of the (trials, decoys) error array errs, and Eve's accuracy is
+    the mean over the decoys she touched.
+    """
+    kinds = rng.integers(4, size=trials * decoys_per_run)
+    receiver, eve_bit, attacked = tap_decoys(strategy, kinds, rng)
+    encoded_bit = kinds & 1
+    errors = receiver != encoded_bit
+    detections = int(errors.reshape(trials, decoys_per_run).any(axis=1).sum())
+    touched = attacked is not None and attacked.any()
+    return AttackReport(
+        strategy=strategy.kind,
+        trials=trials,
+        detections=detections,
+        per_decoy_error_rate=float(errors.mean()),
+        detection_rate=detections / trials,
+        eve_bit_accuracy=(
+            float((eve_bit == encoded_bit)[attacked].mean()) if touched else None
+        ),
+        decoys_per_run=decoys_per_run,
+    )
 
 
 class TamperError(Exception):

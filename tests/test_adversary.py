@@ -1,10 +1,12 @@
 """Attack taps, detection statistics, session aborts, malicious leaders."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qgka import adversary
 from qgka.adversary import (
     AdversarialChannel,
     EveStrategy,
@@ -75,22 +77,28 @@ class TestTaps:
     @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
     def test_scalar_taps_match_channel(self, strategy, p):
         # the per-qubit taps and the array kernel are one mechanism: the
-        # same per-decoy error rate p/4 and Eve's accuracy 1 - p/4, each
-        # within five binomial standard deviations
+        # same per-decoy error rate p/4, and Eve's accuracy 3/4 over the
+        # decoys she touched, each within five binomial standard deviations
         rng = np.random.default_rng(61)
         m, q = 20_000, p / 4
         eve = EveStrategy(strategy, p)
         kinds = rng.integers(4, size=m)
-        readings, eve_bits = oracle.scalar_tap(eve, kinds, rng)
+        readings, eve_bits, touched = oracle.scalar_tap(eve, kinds, rng)
+        touched = np.array(touched)
         slow_error = np.mean(np.array(readings) != kinds % 2)
-        slow_eve = np.mean(np.array(eve_bits) == kinds % 2)
+        slow_eve = np.mean((np.array(eve_bits) == kinds % 2)[touched])
         kinds = rng.integers(4, size=m)
         readings = AdversarialChannel(eve).transmit(kinds, rng)
         fast_error = np.mean(readings != kinds % 2)
-        fast_eve = np.mean(tap_decoys(eve, kinds, rng)[1] == kinds % 2)
-        sd = np.sqrt(q * (1 - q) / m)
-        pairs = ((slow_error, fast_error, q), (slow_eve, fast_eve, 1 - q))
-        for slow, fast, want in pairs:
+        _, eve_bits, attacked = tap_decoys(eve, kinds, rng)
+        fast_eve = np.mean((eve_bits == kinds % 2)[attacked])
+        sd_error = np.sqrt(q * (1 - q) / m)
+        sd_eve = np.sqrt(0.25 * 0.75 / min(touched.sum(), attacked.sum()))
+        pairs = (
+            (slow_error, fast_error, q, sd_error),
+            (slow_eve, fast_eve, 0.75, sd_eve),
+        )
+        for slow, fast, want, sd in pairs:
             assert abs(slow - fast) < 5 * np.sqrt(2) * sd
             assert abs(slow - want) < 5 * sd
             assert abs(fast - want) < 5 * sd
@@ -144,6 +152,101 @@ class TestDetectionExperiment:
             EveStrategy("cnot", attack_probability=0.5), 1, 80_000, rng
         )
         assert abs(report.per_decoy_error_rate - 0.125) < 0.01
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_eve_accuracy_counts_only_touched_decoys(self, p):
+        eve = EveStrategy("intercept_resend", p)
+        report = detection_experiment(eve, 1, 80_000, np.random.default_rng(9))
+        if p == 0.0:
+            assert report.eve_bit_accuracy is None
+        else:
+            assert abs(report.eve_bit_accuracy - 0.75) < 0.01
+
+
+STRATEGIES = [
+    EveStrategy(kind, p)
+    for kind in ("none", "intercept_resend", "cnot")
+    for p in (1.0, 0.3)
+]
+
+TAPPING = [eve for eve in STRATEGIES if eve.kind != "none"]
+
+
+def _strategy_id(eve):
+    return f"{eve.kind}-{eve.attack_probability}"
+
+
+class TestChunkedExperiment:
+    """``detection_experiment`` over decoy chunks against the one-shot oracle."""
+
+    @pytest.mark.parametrize("eve", STRATEGIES, ids=_strategy_id)
+    @pytest.mark.parametrize(
+        "m, trials",
+        [(1, 100_000), (10, 5_000), (7, 3), (16, adversary.DETECTION_CHUNK // 16)],
+    )
+    def test_one_chunk_matches_oracle_draw_for_draw(self, eve, m, trials):
+        fast, slow = np.random.default_rng(m), np.random.default_rng(m)
+        got = detection_experiment(eve, m, trials, fast)
+        want = oracle.detection_experiment(eve, m, trials, slow)
+        assert got.to_dict() == want.to_dict()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 64, adversary.DETECTION_CHUNK])
+    def test_inactive_eve_report_independent_of_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(adversary, "DETECTION_CHUNK", chunk)
+        eve = EveStrategy("none")
+        for m, trials in ((7, 300), (1, 1000), (250, 2)):
+            got = detection_experiment(eve, m, trials, np.random.default_rng(1))
+            want = oracle.detection_experiment(eve, m, trials, np.random.default_rng(1))
+            assert got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("eve", TAPPING, ids=_strategy_id)
+    @pytest.mark.parametrize(
+        "chunk, m, trials",
+        [(100, 7, 300), (70, 7, 300), (100, 250, 4), (1, 3, 40)],
+    )
+    def test_chunks_rebuilt_by_hand(self, monkeypatch, eve, chunk, m, trials):
+        # the chunks' draws, concatenated, reduced as one (trials, m) array:
+        # a trial cut by a chunk boundary is detected once
+        monkeypatch.setattr(adversary, "DETECTION_CHUNK", chunk)
+        rng = np.random.default_rng(chunk + m)
+        twin = np.random.default_rng(chunk + m)
+        report = detection_experiment(eve, m, trials, rng)
+        parts = []
+        for start in range(0, m * trials, chunk):
+            kinds = twin.integers(4, size=min(chunk, m * trials - start))
+            parts.append((kinds & 1, *tap_decoys(eve, kinds, twin)))
+        encoded, receiver, eve_bit, attacked = map(np.concatenate, zip(*parts))
+        errors = receiver != encoded
+        assert report.detections == int(errors.reshape(trials, m).any(axis=1).sum())
+        assert report.per_decoy_error_rate == errors.mean()
+        assert report.eve_bit_accuracy == (eve_bit == encoded)[attacked].mean()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_memory_constant_in_trials_and_decoys(self, monkeypatch):
+        chunk = 1 << 12
+        monkeypatch.setattr(adversary, "DETECTION_CHUNK", chunk)
+        eve = EveStrategy("intercept_resend", 0.3)
+        # numpy allocates lazily on its first calls; keep that out of the peaks
+        detection_experiment(eve, 1, 1, np.random.default_rng(0))
+
+        def peak(m, trials):
+            rng = np.random.default_rng(2)
+            tracemalloc.start()
+            try:
+                detection_experiment(eve, m, trials, rng)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(20, 50 * chunk // 20)  # 50 chunks
+        peaks = (
+            small,
+            peak(20, 500 * chunk // 20),  # 500 chunks
+            peak(100 * chunk, 5),  # 500 chunks, each trial across 100
+        )
+        assert all(q < 16 * chunk * 8 for q in peaks), peaks
+        assert all(q <= small + chunk for q in peaks), peaks
 
 
 class TestSessionAborts:
