@@ -24,14 +24,18 @@ class ResourceCounters:
 
     def merge(self, other: "ResourceCounters") -> None:
         """Add another counter set into this one."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def copy(self) -> "ResourceCounters":
         return ResourceCounters(**self.as_dict())
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELDS}
+
+
+#: The counter names in field order, read once rather than per call.
+_FIELDS = tuple(f.name for f in fields(ResourceCounters))
 
 
 #: Column order used by the CSV time-series schema.  ``gates_applied`` is

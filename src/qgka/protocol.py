@@ -10,12 +10,16 @@ regenerated keys then travel to everyone else encrypted under keys the
 leaver never held.
 
 Events are strictly serialized; one membership change mutates the tree at a
-time.  The sessions inside one event touch disjoint keys and could run
-concurrently with separate RNG streams; here they run in order for
-reproducibility.  An aborted session rolls the tree and its key versions
-back to the pre-event checkpoint.  Views, history and counters are written
-only after an event's last abort point, so an abort leaves them untouched;
-the resources an aborted event spent go to ``aborted_counters``.
+time.  The sessions inside one event touch disjoint keys.  Their random
+draws and channel checks are made in order, root key first, with a leave's
+agents each chosen just before their session; then all of them are
+measured and extracted in one stacked pass (``qka.finish_sessions``), and
+the new keys go into the tree in order.  An aborted session, the first in
+order, rolls the tree and its key versions back to the pre-event
+checkpoint.  Views, history and counters are written only after an event's
+last abort point, so an abort leaves them untouched; the resources an
+aborted event spent, every drawn session's included, go to
+``aborted_counters``.
 
 Members' keys are recorded per node, not per user: an entry for a key at a
 node says that every user under the node holds that version, unless an
@@ -35,13 +39,20 @@ import heapq
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .counters import ResourceCounters
 from .keytree import GroupKey, KeyTree, KeyTreeError, _user_sort_key, random_bits
-from .qka import ChannelModel, QkaTranscript, make_config, run_session
+from .qka import (
+    ChannelModel,
+    QkaTranscript,
+    draw_session,
+    finish_sessions,
+    make_config,
+)
+from .qka import run_session  # noqa: F401  (perfbench/workloads.py traces it)
 from .rekey import (
     MissingKeyError,
     RekeyMessage,
@@ -415,6 +426,8 @@ class GroupProtocol:
     ):
         if tree.key_len != config.key_len:
             raise ValueError("tree and protocol key lengths disagree")
+        if tree.has_user(SERVER_ID):
+            raise ValueError(f"user id {SERVER_ID!r} is the server's")
         self.tree = tree
         self.config = config
         self.rng = rng
@@ -514,13 +527,46 @@ class GroupProtocol:
                     (key.key_id, key.version, key.bits) for key in opened
                 )
 
-    def _run_key_session(
-        self, participant_ids: list[str], counters: ResourceCounters
-    ) -> QkaTranscript:
-        cfg = make_config(participant_ids, n=self.config.key_len, xi=self.config.xi)
-        t = run_session(cfg, channel=self.channel, rng=self.rng)
-        counters.merge(t.counters)
-        return t
+    def _session_agents(self, key_id: str) -> list[str]:
+        """A leave session's users for a key: one agent per child subgroup."""
+        children = self.tree.child_keys(key_id)
+        if children:
+            return [self._choose_agent(self.tree.userset(c)) for c in children]
+        # a pruned subgroup merged into an individual key
+        return list(self.tree.userset(key_id))
+
+    def _regenerate(
+        self,
+        key_ids: list[str],
+        users_of: Callable[[str], list[str]],
+        counters: ResourceCounters,
+    ) -> list[tuple[str, QkaTranscript]]:
+        """Agree on a new value for each key, then commit the event's tree.
+
+        Each key's session, the server plus ``users_of(key_id)`` taken just
+        before it, is drawn in order, and the drawn sessions are finished in
+        one stacked pass.  Every drawn session's counters go into
+        ``counters``; the first aborted one, in order, rolls the event back.
+        """
+        n, xi = self.config.key_len, self.config.xi
+        draws = []
+        for key_id in key_ids:
+            cfg = make_config([SERVER_ID, *users_of(key_id)], n=n, xi=xi)
+            draws.append(draw_session(cfg, self.rng, self.channel))
+            if draws[-1].transcript.aborted:
+                break
+        transcripts = finish_sessions(draws)
+        for t in transcripts:
+            counters.merge(t.counters)
+        for t in transcripts:
+            if t.aborted:
+                self._abort(counters)
+                raise ProtocolAbort(t.abort_cause or "unknown")
+        sessions = list(zip(key_ids, transcripts))
+        for key_id, t in sessions:
+            self.tree.set_key(key_id, t.extracted_key)
+        self.tree.commit()
+        return sessions
 
     def _record_probe(self) -> None:
         if not self.config.track_history:
@@ -537,6 +583,8 @@ class GroupProtocol:
         """Run the full join protocol for one new user."""
         if self.tree.has_user(user_id):
             raise KeyTreeError(f"user {user_id!r} already in the group")
+        if user_id == SERVER_ID:
+            raise ValueError(f"user id {SERVER_ID!r} is the server's")
         self.step += 1
         self._checkpoint()
         tree_before = (
@@ -553,18 +601,7 @@ class GroupProtocol:
                 if key is not None:
                     old_material[kid] = key
 
-        sessions: list[tuple[str, QkaTranscript]] = []
-        try:
-            for key_id in path_root_first:
-                t = self._run_key_session([SERVER_ID, user_id], counters)
-                if t.aborted:
-                    raise ProtocolAbort(t.abort_cause or "unknown")
-                self.tree.set_key(key_id, t.extracted_key)
-                sessions.append((key_id, t))
-        except ProtocolAbort:
-            self._abort(counters)
-            raise
-        self.tree.commit()
+        sessions = self._regenerate(path_root_first, lambda _: [user_id], counters)
 
         messages = build_join_messages(
             self.tree, path_root_first, old_material, user_id, self.rng, counters
@@ -618,28 +655,8 @@ class GroupProtocol:
         updated = self.tree.remove_user(user_id)  # deepest first
         path_root_first = list(reversed(updated))
 
-        sessions: list[tuple[str, QkaTranscript]] = []
-        session_users: dict[str, list[str]] = {}
-        try:
-            for key_id in path_root_first:
-                children = self.tree.child_keys(key_id)
-                if children:
-                    agents = [
-                        self._choose_agent(self.tree.userset(c)) for c in children
-                    ]
-                else:
-                    # a pruned subgroup merged into an individual key
-                    agents = list(self.tree.userset(key_id))
-                t = self._run_key_session([SERVER_ID, *agents], counters)
-                if t.aborted:
-                    raise ProtocolAbort(t.abort_cause or "unknown")
-                self.tree.set_key(key_id, t.extracted_key)
-                sessions.append((key_id, t))
-                session_users[key_id] = agents
-        except ProtocolAbort:
-            self._abort(counters)
-            raise
-        self.tree.commit()
+        sessions = self._regenerate(path_root_first, self._session_agents, counters)
+        session_users = {kid: t.participants[1:] for kid, t in sessions}
 
         messages = build_leave_messages(
             self.tree,

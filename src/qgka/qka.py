@@ -43,25 +43,42 @@ against her own z; a follower's recovered bit equals her own key by the
 choice of her flip bit, so a corrupted follower slot shows as seats that
 disagree.  Either failure aborts the session with cause "tamper".
 
-Random draws, in order: the operation keys as one (P, n) draw of bits;
-the decoy kinds of all the distribution hops as one draw of values in
-[0, 4), then whatever the channel draws for that whole batch; the leaders'
-choice bits as one draw of n bits; and the return hops like the
-distribution hops.  A phase without decoys draws nothing for them.  On
-PCG64 a draw of k bounded integers returns the same values and leaves the
-same generator state as k scalar draws, so the engine consumes the
-generator exactly as the one-qubit-at-a-time reference in
-``tests/oracle.py`` does, which draws its decoys one by one and hands the
-channel the same batch.
+A session runs in two stages.  ``draw_session`` makes all of its random
+draws and channel checks, and stops at the first failed check.  Its draws,
+in order: the operation keys as one (P, n) draw of bits; the decoy kinds of
+all the distribution hops as one draw of values in [0, 4), then whatever
+the channel draws for that whole batch; the leaders' choice bits as one
+draw of n bits; and the return hops like the distribution hops.  A phase
+without decoys draws nothing for them.  Each sequence's decoy count comes
+from a plan made once per (P, n, xi).  On PCG64 a draw of k bounded
+integers returns the same values and leaves the same generator state as k
+scalar draws, so the engine consumes the generator exactly as the
+one-qubit-at-a-time reference in ``tests/oracle.py`` does, which draws its
+decoys one by one and hands the channel the same batch.
 
-Sessions are single logical threads; distinct sessions are independent and
-may run concurrently with separate RNGs and counters, merged afterwards.
+``finish_sessions`` then encodes, measures, checks and extracts any number
+of drawn sessions of one key length at once; it draws nothing.  The
+sessions' rows are stacked one session after another into (sum of P, n)
+arrays, and ``lead`` becomes an (S, n) array of each session's leader rows
+in the stack.  A session's first position is led by its first row, so
+``lead[:, 0]`` holds each session's first row, and ``np.bitwise_xor.reduceat``
+over those rows gives each session's sign bits and published parity.  Both
+tamper checks are made per session.  ``run_session`` is a batch of one, and
+a lone session passes the helpers their single-session form, a 1-D
+``lead``.  Because the finish draws nothing, the sessions of one event are
+drawn in order, up to the first that aborts in its draw, and finished
+together, with the same generator stream and transcripts as running them
+one by one.  Only a tampered session is found after all of the event's
+sessions were drawn.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -202,7 +219,7 @@ def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
 
     ``ceil(xi * payload)`` with ``xi`` read as the exact decimal it was
     written as: in binary floating point 0.07 * 100 exceeds 7 and would
-    round up to 8.  A session converts its ``xi`` once and passes the
+    round up to 8.  A session's plan converts its ``xi`` once and passes the
     ``Fraction``.
     """
     if not isinstance(xi, Fraction):
@@ -210,28 +227,69 @@ def decoys_for_payload(payload_qubits: int, xi: float | Fraction) -> int:
     return -(-xi.numerator * payload_qubits // xi.denominator)
 
 
+@dataclass(frozen=True)
+class _Hops:
+    """One phase's checked sequences, in sending order: each one's payload
+    qubits and its ``ceil(xi * payload)`` decoys, with the phase totals."""
+
+    payloads: tuple[int, ...]
+    decoys: tuple[int, ...]
+    ends: tuple[int, ...]  # running total of decoys, sequence by sequence
+    payload: int
+    total: int
+    messages: int  # sequences that carry decoys
+
+    @classmethod
+    def of(cls, payloads: list[int], xi: Fraction) -> "_Hops":
+        decoys = tuple(decoys_for_payload(p, xi) for p in payloads)
+        return cls(
+            tuple(payloads),
+            decoys,
+            tuple(accumulate(decoys)),
+            sum(payloads),
+            sum(decoys),
+            len(decoys) - decoys.count(0),
+        )
+
+
+@lru_cache(maxsize=1024)
+def _plan(P: int, n: int, xi: float) -> tuple[_Hops, _Hops]:
+    """A session's distribution and return sequences, per (P, n, xi).
+
+    Distribution sends one sequence to every participant but the server;
+    on return every non-leader sends her particles for each leader's
+    positions back to that leader, one sequence per (sender, leader) pair,
+    where participant j leads positions j, j + P, ...
+    """
+    exact = Fraction(str(xi))
+    returns = [
+        len(range(j, n, P))
+        for j in range(min(P, n))
+        for sender in range(P)
+        if sender != j
+    ]
+    return _Hops.of([n] * (P - 1), exact), _Hops.of(returns, exact)
+
+
 def _checked_hops(
-    payloads: Sequence[int],
-    xi: Fraction,
+    hops: _Hops,
     channel: Optional[ChannelModel],
     rng: np.random.Generator,
     counters: ResourceCounters,
 ) -> bool:
-    """Send one sequence per payload through the channel, in order, and
-    verify each one's decoys.
+    """Send a phase's sequences through the channel, in order, and verify
+    each one's decoys.
 
-    The sender prepares ceil(xi * payload) decoys per sequence, the channel
-    may tamper with them, and the receiver measures each in its announced
-    basis.  The bases/positions announcement plus the verification reply
-    count as one classical exchange per sequence that has decoys.  All the
-    decoy kinds of the sequences are drawn at once and the channel carries
-    them in one call; without a channel every decoy reads back right.
-    Returns False when a sequence reads wrong; the sequences after the first
-    such one are never sent, so the counters stop with it.
+    The sender prepares each sequence's decoys, the channel may tamper with
+    them, and the receiver measures each in its announced basis.  The
+    bases/positions announcement plus the verification reply count as one
+    classical exchange per sequence that has decoys.  All the decoy kinds
+    of the phase are drawn at once and the channel carries them in one
+    call; without a channel every decoy reads back right.  Returns False
+    when a sequence reads wrong; the sequences after the first such one are
+    never sent, so the counters stop with it.
     """
-    decoys = [decoys_for_payload(p, xi) for p in payloads]
-    total = sum(decoys)
-    sent, ok = len(decoys), True
+    total, payload, messages, ok = hops.total, hops.payload, hops.messages, True
     if total:
         kinds = rng.integers(4, size=total)
         # an honest channel reads every decoy back as prepared
@@ -239,13 +297,43 @@ def _checked_hops(
             wrong = np.flatnonzero(channel.transmit(kinds, rng) != kinds & 1)
             if wrong.size:
                 # the first sequence whose decoys run past the first wrong one
-                sent = int(np.searchsorted(np.cumsum(decoys), wrong[0], "right")) + 1
-                total, ok = sum(decoys[:sent]), False
+                sent = bisect_right(hops.ends, wrong[0]) + 1
+                decoys = hops.decoys[:sent]
+                total, payload = sum(decoys), sum(hops.payloads[:sent])
+                messages, ok = sent - decoys.count(0), False
     counters.qubits_prepared += total
-    counters.qubits_transmitted += sum(payloads[:sent]) + total
-    counters.classical_messages += sent - decoys[:sent].count(0)
+    counters.qubits_transmitted += payload + total
+    counters.classical_messages += messages
     counters.decoy_measurements += total
     return ok
+
+
+#: The first row of a lone session.
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+
+
+def _starts(lead: np.ndarray) -> np.ndarray:
+    """Each session's first row, given the leader rows ``lead``.
+
+    A 1-D ``lead`` is one session whose rows start at row 0.  In an (S, n)
+    stack, each session's first position is led by its first row.
+    """
+    return lead[:, 0] if lead.ndim == 2 else _FIRST_ROW
+
+
+def _sizes(starts: np.ndarray, rows: int) -> np.ndarray:
+    """Each session's row count, from the first rows of a stack of ``rows``."""
+    sizes = np.empty_like(starts)  # cheaper than np.diff(starts, append=rows)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = rows - starts[-1]
+    return sizes
+
+
+def _per_row(values: np.ndarray, starts: np.ndarray, rows: int) -> np.ndarray:
+    """One row of ``values`` per session, repeated over that session's rows."""
+    if len(starts) == 1:
+        return values  # broadcasts
+    return np.repeat(values, _sizes(starts, rows), axis=0)
 
 
 def encode_gates(
@@ -256,14 +344,19 @@ def encode_gates(
     ``keys`` is (P, n) in participant order, ``choice`` holds each
     position's leader choice bit and ``lead`` its leader row.  Followers
     apply x = key, z = 0; a leader applies x = choice xor key and z = key
-    when P is even, z = choice when P is odd.
+    when P is even, z = choice when P is odd.  Stacked sessions pass their
+    rows one after another with (S, n) ``choice`` and ``lead``.
     """
     pos = np.arange(keys.shape[1])
     lead_key = keys[lead, pos]
     x = keys.copy()
     z = np.zeros_like(keys)
     x[lead, pos] = choice ^ lead_key
-    z[lead, pos] = lead_key if keys.shape[0] % 2 == 0 else choice
+    if lead.ndim == 1:
+        z[lead, pos] = lead_key if len(keys) % 2 == 0 else choice
+    else:
+        even = _sizes(lead[:, 0], len(keys)) % 2 == 0
+        z[lead, pos] = np.where(even[:, None], lead_key, choice)
     return x, z
 
 
@@ -273,11 +366,13 @@ def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndar
     ``x`` and ``z`` are (P, n) in participant order and ``lead`` holds each
     position's leader row.  Returns a (P, n) array of outcome slots: the
     leader's slot is the sign bit, the XOR of the position's z bits; a
-    follower's is her x bit xor the leader's.
+    follower's is her x bit xor the leader's.  Stacked sessions pass their
+    rows one after another with (S, n) ``lead``.
     """
+    starts = _starts(lead)
     pos = np.arange(x.shape[1])
-    out = x ^ x[lead, pos]
-    out[lead, pos] = np.bitwise_xor.reduce(z, axis=0)
+    out = x ^ _per_row(x[lead, pos], starts, len(x))
+    out[lead, pos] = np.bitwise_xor.reduceat(z, starts, axis=0)
     return out
 
 
@@ -290,12 +385,15 @@ def extract_shared(
     outcome slots and each participant's own x bits.  A leader's flip bit is
     her own x bit, a follower's her published slot xor her own x bit; her
     shared bit is the XOR of the position's published slots xor her flip
-    bit.  Returns both as (P, n) arrays.
+    bit.  Returns both as (P, n) arrays.  Stacked sessions pass their rows
+    one after another with (S, n) ``lead``.
     """
+    starts = _starts(lead)
     pos = np.arange(x.shape[1])
     flip = published ^ x
     flip[lead, pos] = x[lead, pos]
-    return flip, np.bitwise_xor.reduce(published, axis=0) ^ flip
+    parity = np.bitwise_xor.reduceat(published, starts, axis=0)
+    return flip, _per_row(parity, starts, len(x)) ^ flip
 
 
 def _bit_rows(bits: np.ndarray) -> list[str]:
@@ -303,6 +401,107 @@ def _bit_rows(bits: np.ndarray) -> list[str]:
     text = (bits + 48).astype(np.uint8).tobytes().decode("ascii")
     width = bits.shape[-1]
     return [text[i : i + width] for i in range(0, len(text), width)]
+
+
+@dataclass
+class SessionDraw:
+    """One session's random draws, ready for ``finish_sessions``.
+
+    ``keys`` holds the (P, n) operation keys and ``choice`` the leaders' n
+    choice bits, None when the session aborted before encoding.
+    """
+
+    transcript: QkaTranscript
+    keys: np.ndarray
+    choice: Optional[np.ndarray] = None
+
+
+def draw_session(
+    config: QkaConfig,
+    rng: np.random.Generator,
+    channel: Optional[ChannelModel] = None,
+) -> SessionDraw:
+    """Draw one session's randomness and run its channel checks.
+
+    Stops at the first failed check, with cause "eavesdropper" in the
+    transcript; otherwise the session is ready to measure.
+    """
+    ids = [p.id for p in config.participants]
+    P, n = len(ids), config.n
+    out, back = _plan(P, n, config.xi)
+    t = QkaTranscript(participants=ids)
+    counters = t.counters
+
+    # Private operation keys, one bit per position per participant, and one
+    # P-qubit GHZ state per position prepared by the server.
+    draw = SessionDraw(t, rng.integers(0, 2, size=(P, n)))
+    counters.qubits_prepared += P * n
+
+    # Distribution: one sequence per other participant (her particle of every
+    # state plus decoys), each channel-checked on receipt.
+    if not _checked_hops(out, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+        return draw
+
+    # Encoding: everyone applies the gate for her key bit on her own
+    # particle; the leaders' free choices are drawn here, the gates are
+    # worked out at the finish.
+    draw.choice = rng.integers(2, size=n)
+    counters.gates_applied += P * n
+
+    # Return: the followers' particles go back to each position's leader.
+    if not _checked_hops(back, channel, rng, counters):
+        t.aborted, t.abort_cause = True, "eavesdropper"
+    return draw
+
+
+def finish_sessions(draws: Sequence[SessionDraw]) -> list[QkaTranscript]:
+    """Measure and extract every drawn session in one pass; the transcripts.
+
+    The sessions that did not abort, all of one key length, are stacked as
+    rows; each is measured and checked on its own rows, and aborts with
+    cause "tamper" when its extraction is inconsistent.
+    """
+    live = [d for d in draws if not d.transcript.aborted]
+    if not live:
+        return [d.transcript for d in draws]
+    n = live[0].keys.shape[1]
+    pos = np.arange(n)
+    sizes = [d.keys.shape[0] for d in live]
+    if len(live) == 1:  # the helpers' single-session form
+        keys, choice, lead = live[0].keys, live[0].choice, pos % sizes[0]
+    else:
+        keys = np.concatenate([d.keys for d in live])
+        choice = np.stack([d.choice for d in live])
+        firsts = np.cumsum(sizes) - sizes
+        lead = pos % np.array(sizes)[:, None] + firsts[:, None]
+    starts = _starts(lead)
+    x, z = encode_gates(keys, choice, lead)
+
+    # Measurement and publication: one entangled measurement per position,
+    # one classical broadcast per leader that led at least one position.
+    published = measure_positions(x, z, lead)
+    gates = x + 2 * z
+
+    # Extraction from every participant's point of view; all must agree,
+    # and each leader's published sign bit must match her own z.
+    flip, shared = extract_shared(published, x, lead)
+    signed = (published[lead, pos] == z[lead, pos]).all(axis=-1)
+    agreed = (flip == _per_row(flip[starts], starts, len(flip))).all(axis=1)
+    ok = (signed & np.logical_and.reduceat(agreed, starts)).tolist()
+    key_rows = _bit_rows(keys)
+    extracted = _bit_rows(shared[starts])
+    for i, (d, a, P) in enumerate(zip(live, starts.tolist(), sizes)):
+        t = d.transcript
+        t.counters.entangled_measurements += n
+        t.counters.classical_messages += min(P, n)
+        t.gates, t.published = gates[a : a + P], published[a : a + P]
+        t.operation_keys = dict(zip(t.participants, key_rows[a : a + P]))
+        if ok[i]:
+            t.extracted_key = extracted[i]
+        else:
+            t.aborted, t.abort_cause = True, "tamper"
+    return [d.transcript for d in draws]
 
 
 def run_session(
@@ -317,59 +516,7 @@ def run_session(
     failed channel check aborts with cause "eavesdropper"; an inconsistent
     extraction aborts with cause "tamper".  Counters tally every prepared
     and transmitted qubit, gate, measurement, and classical exchange of the
-    run up to the abort.
+    run up to the abort.  A batch of one: ``draw_session`` then
+    ``finish_sessions``.
     """
-    xi = Fraction(str(config.xi))
-    ids = [p.id for p in config.participants]
-    P, n = len(ids), config.n
-    t = QkaTranscript(participants=ids)
-    counters = t.counters
-
-    # Private operation keys, one bit per position per participant, and one
-    # P-qubit GHZ state per position prepared by the server.
-    keys = rng.integers(0, 2, size=(P, n))
-    counters.qubits_prepared += P * n
-
-    # Distribution: one sequence per other participant (her particle of every
-    # state plus decoys), each channel-checked on receipt.
-    if not _checked_hops([n] * (P - 1), xi, channel, rng, counters):
-        t.aborted, t.abort_cause = True, "eavesdropper"
-        return t
-
-    # Encoding: everyone applies the gate for her key bit on her own particle.
-    choice = rng.integers(2, size=n)
-    counters.gates_applied += P * n
-    pos = np.arange(n)
-    lead = pos % P
-    x, z = encode_gates(keys, choice, lead)
-
-    # Return: every non-leader sends her particles for each leader's
-    # positions back to that leader, one checked sequence per (sender,
-    # leader) pair; participant j leads positions j, j + P, ...
-    returns = [
-        len(range(j, n, P))
-        for j in range(min(P, n))
-        for sender in range(P)
-        if sender != j
-    ]
-    if not _checked_hops(returns, xi, channel, rng, counters):
-        t.aborted, t.abort_cause = True, "eavesdropper"
-        return t
-
-    # Measurement and publication: one entangled measurement per position,
-    # one classical broadcast per leader that led at least one position.
-    published = measure_positions(x, z, lead)
-    counters.entangled_measurements += n
-    counters.classical_messages += min(P, n)
-    t.gates, t.published = x + 2 * z, published
-    t.operation_keys = dict(zip(ids, _bit_rows(keys)))
-
-    # Extraction from every participant's point of view; all must agree.
-    flip, shared = extract_shared(published, x, lead)
-    if not (published[lead, pos] == z[lead, pos]).all() or not (
-        flip == flip[0]
-    ).all():
-        t.aborted, t.abort_cause = True, "tamper"
-        return t
-    t.extracted_key = _bit_rows(shared[0])[0]
-    return t
+    return finish_sessions([draw_session(config, rng, channel)])[0]

@@ -55,6 +55,17 @@ class TestTrace:
         assert code == 0
         assert "1 keys updated" in err
 
+    def test_server_id_join_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        code, _, err = run(
+            capsys,
+            "trace", "join", "--group-size", "9", "--degree", "4",
+            "--user", "s", "--out", str(out),
+        )
+        assert code == 2
+        assert "server" in err
+        assert not out.exists()
+
     def test_reveal_keys_flag(self, capsys, tmp_path):
         out = tmp_path / "t.json"
         run(

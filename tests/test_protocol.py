@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from qgka import protocol as protocol_module
+from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import KeyTree, KeyTreeError
+from qgka.counters import ResourceCounters
 from qgka.protocol import (
+    SERVER_ID,
     ConsistencyError,
     GroupProtocol,
     ProtocolAbort,
@@ -27,6 +30,20 @@ def fresh_protocol(d, N, seed=1, n=1, xi=0.0, **kwargs):
     kwargs.setdefault("verify_after", True)
     config = ProtocolConfig(key_len=n, xi=xi, **kwargs)
     return GroupProtocol(tree, config, rng)
+
+
+def snapshot(proto):
+    """Everything an event may change, for exact before/after comparison."""
+    return (
+        proto.tree.to_dict(include_keys=True),
+        {u: dict(v.keys) for u, v in proto.views.items()},
+        proto.counters.as_dict(),
+        proto.step,
+        {u: set(a) for u, a in proto.archives.items()},
+        dict(proto.joined_at),
+        dict(proto.departed),
+        len(proto.probes),
+    )
 
 
 class TestJoin:
@@ -63,6 +80,22 @@ class TestJoin:
         proto = fresh_protocol(2, 2)
         with pytest.raises(KeyTreeError):
             proto.join("u1")
+
+    def test_server_id_refused_before_any_change(self):
+        # the server takes part in every session, so a user named like it
+        # would appear twice in one
+        proto = fresh_protocol(4, 9, track_history=True)
+        before = snapshot(proto), proto.aborted_counters.as_dict()
+        with pytest.raises(ValueError, match="server"):
+            proto.join(SERVER_ID)
+        assert (snapshot(proto), proto.aborted_counters.as_dict()) == before
+        assert proto.verify_consistency(check_secrecy=True)["consistent"]
+
+    def test_tree_holding_server_id_refused(self):
+        rng = np.random.default_rng(1)
+        tree = KeyTree.build_balanced(2, ["u1", SERVER_ID], 1, rng)
+        with pytest.raises(ValueError, match="server"):
+            GroupProtocol(tree, ProtocolConfig(), rng)
 
     def test_joiner_view_complete(self):
         proto = fresh_protocol(3, 8)
@@ -141,6 +174,21 @@ class _MisreadingChannel:
         return 1 - kinds % 2
 
 
+class _MisreadOnCall:
+    """A channel that misreads every decoy of its ``call``-th transmit call
+    and reads every other decoy right."""
+
+    def __init__(self, call: int):
+        self.call, self.calls = call, 0
+
+    def transmit(self, kinds, rng):
+        readings = kinds % 2
+        if self.calls == self.call:
+            readings = 1 - readings
+        self.calls += 1
+        return readings
+
+
 class TestRollback:
     def _aborting_protocol(self, d=3, N=9, xi=1.0):
         rng = np.random.default_rng(13)
@@ -177,16 +225,17 @@ class TestRollback:
         # the qubits it spent must land in the aborted counters.
         sessions: list[bool] = []  # aborted flag per session of this event
         prepared = 0  # qubits prepared by every session of the run
-        real_session = protocol_module.run_session
+        real_draw = protocol_module.draw_session
 
-        def recording_session(*args, **kwargs):
+        def recording_draw(*args, **kwargs):
             nonlocal prepared
-            t = real_session(*args, **kwargs)
+            draw = real_draw(*args, **kwargs)
+            t = draw.transcript  # every qubit is prepared by the draw
             sessions.append(t.aborted)
             prepared += t.counters.qubits_prepared
-            return t
+            return draw
 
-        monkeypatch.setattr(protocol_module, "run_session", recording_session)
+        monkeypatch.setattr(protocol_module, "draw_session", recording_draw)
         rng = np.random.default_rng(29)
         tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(40)], 4, rng)
         proto = GroupProtocol(
@@ -197,16 +246,7 @@ class TestRollback:
         )
 
         def state():
-            return (
-                proto.tree.to_dict(include_keys=True),
-                {u: dict(v.keys) for u, v in proto.views.items()},
-                proto.counters.as_dict(),
-                proto.step,
-                {u: set(a) for u, a in proto.archives.items()},
-                dict(proto.joined_at),
-                dict(proto.departed),
-                len(proto.probes),
-            )
+            return snapshot(proto)
 
         events = np.random.default_rng(30)
         next_uid, aborts, partial_aborts, commits = 41, 0, 0, 0
@@ -237,6 +277,79 @@ class TestRollback:
         )
         report = proto.verify_consistency(check_secrecy=True)
         assert report["consistent"], report
+
+
+class TestTamperAbort:
+    """A session whose publication is corrupted in the stacked finish aborts
+    its event with cause "tamper", after every session was drawn."""
+
+    @pytest.mark.parametrize("row", [0, 1])  # the first leader's, a follower's
+    @pytest.mark.parametrize("k", [0, 1, -1])
+    @pytest.mark.parametrize("kind", ["join", "leave"])
+    def test_tampered_session_rolls_back_exactly(self, monkeypatch, kind, k, row):
+        rng = np.random.default_rng(41)
+        tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(27)], 4, rng)
+        proto = GroupProtocol(
+            tree,
+            ProtocolConfig(key_len=4, xi=0.5, track_history=True),
+            rng,
+            # taps nothing, but makes the event checkpoint
+            channel=AdversarialChannel(EveStrategy("intercept_resend", 0.0)),
+        )
+        proto.join("u28")
+        proto.leave("u5")
+        drawn = []
+        real_draw, real_measure = protocol_module.draw_session, qka.measure_positions
+
+        def corrupt_slots(x, z, lead):
+            out = real_measure(x, z, lead)
+            out[np.atleast_2d(lead)[k, 0] + row, 2] ^= 1  # the k-th session's
+            return out
+
+        def recording_draw_session(*args, **kwargs):
+            draw = real_draw(*args, **kwargs)
+            drawn.append(draw.transcript)
+            return draw
+
+        monkeypatch.setattr(protocol_module, "draw_session", recording_draw_session)
+        monkeypatch.setattr(qka, "measure_positions", corrupt_slots)
+        before = snapshot(proto)
+        aborted_before = proto.aborted_counters.copy()
+        with pytest.raises(ProtocolAbort) as exc:
+            proto.join("u29") if kind == "join" else proto.leave("u13")
+        assert exc.value.cause == "tamper"
+        assert snapshot(proto) == before
+        assert len(drawn) >= 2
+        assert [t.abort_cause for t in drawn].count("tamper") == 1
+        assert drawn[k].abort_cause == "tamper"
+        spent = ResourceCounters()
+        for t in drawn:
+            spent.merge(t.counters)
+        aborted_before.merge(spent)
+        assert proto.aborted_counters == aborted_before
+        assert spent.entangled_measurements == 4 * len(drawn)
+        proto.tree.check_invariants()
+        assert proto.verify_consistency(check_secrecy=True)["consistent"]
+
+    def test_first_aborted_session_names_the_cause(self, monkeypatch):
+        # the first session is tampered with and the second meets an
+        # eavesdropper in its draw, so only the first reaches the finish
+        proto = fresh_protocol(3, 27, n=4, xi=0.5, verify_after=False)
+        proto.channel = _MisreadOnCall(2)  # the second session's distribution
+        real_measure = qka.measure_positions
+
+        def corrupt_slots(x, z, lead):
+            out = real_measure(x, z, lead)
+            out[0, 0] ^= 1
+            return out
+
+        monkeypatch.setattr(qka, "measure_positions", corrupt_slots)
+        before = snapshot(proto)
+        with pytest.raises(ProtocolAbort) as exc:
+            proto.join("u28")
+        assert exc.value.cause == "tamper"
+        assert snapshot(proto) == before
+        assert proto.aborted_counters.entangled_measurements == 4
 
 
 class TestConsistency:

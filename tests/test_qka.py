@@ -369,6 +369,65 @@ class TestArrayEngine:
         assert (t.aborted, t.abort_cause, t.extracted_key) == (True, "tamper", "")
 
 
+class TestStackedFinish:
+    """Sessions drawn in order and finished in one stacked pass, against
+    ``run_session`` called one by one and stopped at the first abort."""
+
+    @given(
+        sizes=st.lists(st.integers(2, 9), min_size=1, max_size=9),
+        n=st.integers(1, 300),
+        xi=st.sampled_from([0, 0.07, 0.25, 1]),
+        kind=st.sampled_from(["honest", "intercept_resend", "cnot"]),
+        p=st.sampled_from([0.002, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150)
+    def test_batch_matches_sessions_one_by_one(self, sizes, n, xi, kind, p, seed):
+        configs = [make_config([f"p{i}" for i in range(P)], n=n, xi=xi) for P in sizes]
+        channel = _channel(kind, p)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = []
+        for cfg in configs:
+            draws.append(qka.draw_session(cfg, rng, channel))
+            if draws[-1].transcript.aborted:
+                break
+        batch = qka.finish_sessions(draws)
+        one_by_one = []
+        for cfg in configs:
+            one_by_one.append(run_session(cfg, ref_rng, channel))
+            if one_by_one[-1].aborted:
+                break
+        assert len(batch) == len(one_by_one)
+        for i, (t, ref) in enumerate(zip(batch, one_by_one)):
+            # one flag: printing a diff of two long transcripts is slow
+            same = json.dumps(t.to_dict()) == json.dumps(ref.to_dict())
+            assert same, f"session {i} of {len(batch)} differs"
+            assert t.operation_keys == ref.operation_keys
+            assert t.counters == ref.counters
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_tamper_aborts_only_its_own_session(self):
+        # flip one follower slot of the middle session of three
+        configs = [make_config([f"p{i}" for i in range(P)], n=7) for P in (2, 5, 3)]
+        rng = np.random.default_rng(5)
+        draws = [qka.draw_session(cfg, rng) for cfg in configs]
+
+        def corrupt_slots(x, z, lead):
+            out = measure_positions(x, z, lead)
+            out[lead[1, 0] + 2, 4] ^= 1
+            return out
+
+        with mock.patch.object(qka, "measure_positions", corrupt_slots):
+            batch = qka.finish_sessions(draws)
+        assert [(t.aborted, t.abort_cause) for t in batch] == [
+            (False, None),
+            (True, "tamper"),
+            (False, None),
+        ]
+        assert batch[1].extracted_key == ""
+        assert all(len(t.extracted_key) == 7 for t in (batch[0], batch[2]))
+
+
 class _OneMisread:
     """A channel that reads every decoy right but one: decoy ``index`` of
     its ``batch``-th call (0 carries the distribution hops, 1 the return
