@@ -235,8 +235,8 @@ class _Hops:
     payloads: tuple[int, ...]
     decoys: tuple[int, ...]
     ends: tuple[int, ...]  # running total of decoys, sequence by sequence
-    payload: int
-    total: int
+    payload_qubits: int
+    decoy_qubits: int
     messages: int  # sequences that carry decoys
 
     @classmethod
@@ -289,7 +289,8 @@ def _checked_hops(
     when a sequence reads wrong; the sequences after the first such one are
     never sent, so the counters stop with it.
     """
-    total, payload, messages, ok = hops.total, hops.payload, hops.messages, True
+    total, payload, messages = hops.decoy_qubits, hops.payload_qubits, hops.messages
+    ok = True
     if total:
         kinds = rng.integers(4, size=total)
         # an honest channel reads every decoy back as prepared
