@@ -457,11 +457,13 @@ def draw_session(
 
 
 def finish_sessions(draws: Sequence[SessionDraw]) -> list[QkaTranscript]:
-    """Measure and extract every drawn session in one pass; the transcripts.
+    """Measure and extract the drawn sessions in one pass, and return every
+    draw's transcript, in order.
 
     The sessions that did not abort, all of one key length, are stacked as
     rows; each is measured and checked on its own rows, and aborts with
-    cause "tamper" when its extraction is inconsistent.
+    cause "tamper" when its extraction is inconsistent.  Their transcripts
+    are completed in place, so each draw is finished once.
     """
     live = [d for d in draws if not d.transcript.aborted]
     if not live:
