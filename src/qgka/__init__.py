@@ -24,7 +24,6 @@ from .protocol import (
     ProtocolConfig,
 )
 from .qka import (
-    Participant,
     QkaConfig,
     QkaTranscript,
     make_config,
@@ -62,7 +61,6 @@ __all__ = [
     "KeyTree",
     "KeyTreeError",
     "MissingKeyError",
-    "Participant",
     "Pauli",
     "ProtocolAbort",
     "ProtocolConfig",

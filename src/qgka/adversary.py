@@ -223,7 +223,7 @@ def malicious_leader_experiment(
     counts as forced only when every other participant's extraction lands on
     the target.
     """
-    ids = [p.id for p in make_config(participant_ids, n).participants]
+    ids = make_config(participant_ids, n).participants
     if dishonest not in ids:
         raise ValueError(f"dishonest participant {dishonest!r} not in session")
     if trials < 1:
@@ -233,22 +233,25 @@ def malicious_leader_experiment(
     P = len(ids)
     bad = ids.index(dishonest)
     honest = np.arange(P) != bad
-    lead = np.arange(n) % P if rotate_leaders else np.full(n, bad)
-    led = lead == bad
+    # the engine's stacked form, with one session
+    sizes = np.array([P])
+    lead = np.arange(n)[None] % P if rotate_leaders else np.full((1, n), bad)
+    led = lead[0] == bad
     forced = 0
     for _ in range(trials):
         keys = rng.integers(0, 2, size=(P, n))
-        choice = rng.integers(2, size=n)
+        choice = rng.integers(2, size=(1, n))
         if not forge:
             continue
-        x, z = encode_gates(keys, choice, lead)
+        x, z = encode_gates(keys, choice, lead, sizes)
         # She measures honestly, then publishes what her own gate would
         # have produced had it encoded the bit that puts the XOR on target.
         keys[bad] = target_bit ^ np.bitwise_xor.reduce(keys[honest], axis=0)
-        fake_x, fake_z = encode_gates(keys, np.zeros_like(choice), lead)
+        fake_x, fake_z = encode_gates(keys, np.zeros_like(choice), lead, sizes)
         x[bad, led], z[bad, led] = fake_x[bad, led], fake_z[bad, led]
         # the honest seats' own gates are untouched, so they extract as usual
-        _, shared = extract_shared(measure_positions(x, z, lead), x, lead)
+        published = measure_positions(x, z, lead, sizes)
+        _, shared = extract_shared(published, x, lead, sizes)
         forced += int((led & (shared[honest] == target_bit).all(axis=0)).sum())
     return AttackReport(
         strategy="malicious_leader",

@@ -37,6 +37,7 @@ from .protocol import (
 )
 from .workload import (
     ALL_BACKENDS,
+    MAX_GROUP_SIZE,
     WorkloadConfig,
     compare_backends,
     series_csv,
@@ -107,6 +108,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    if args.group_size > MAX_GROUP_SIZE:
+        raise ValueError(f"group size must be at most {MAX_GROUP_SIZE}")
     rng = np.random.default_rng(args.seed)
     users = [f"u{i + 1}" for i in range(args.group_size)]
     tree = KeyTree.build_balanced(args.degree, users, args.n, rng)

@@ -137,11 +137,15 @@ def sweep_degree(
     cost lies within 1% of that minimum (near-ties).  Raises ValueError for
     a group size, key length or xi that ``CostParams`` rejects.
     """
-    degrees = sorted(set(d_range))
-    if not degrees:
+    # checked one by one: a huge range fails at its first bad degree
+    seen = set()
+    for d in d_range:
+        if d < 2 or d > 64:
+            raise ValueError("degrees must lie in [2, 64]")
+        seen.add(d)
+    if not seen:
         raise ValueError("empty degree range")
-    if any(d < 2 or d > 64 for d in degrees):
-        raise ValueError("degrees must lie in [2, 64]")
+    degrees = sorted(seen)
     for xi in xi_values:
         CostParams(N=N, n=n, xi=xi)
     entries: list[SweepEntry] = []

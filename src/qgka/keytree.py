@@ -210,24 +210,6 @@ class KeyTree:
         """
         return self._k_node(key_id).users
 
-    def child_toward(self, key_id: str, user_id: str) -> Optional[str]:
-        """The child of ``key_id`` whose subtree holds the user, or None
-        when the user is not under ``key_id``.
-
-        Heights grow strictly upward, so the climb from the user stops at
-        the first node as high as ``key_id``.
-        """
-        height = self._k_node(key_id).height
-        node = self._u_node(user_id)
-        while node.parent is not None:
-            parent = self.nodes[node.parent]
-            if parent.id == key_id:
-                return node.id if node.kind == "k" else None
-            if parent.height >= height:
-                return None
-            node = parent
-        return None
-
     def depth(self, node_id: str) -> int:
         d, node = 0, self.nodes[node_id]
         while node.parent is not None:

@@ -528,7 +528,8 @@ class GroupProtocol:
                 )
 
     def _session_agents(self, key_id: str) -> list[str]:
-        """A leave session's users for a key: one agent per child subgroup."""
+        """A leave session's users for a key: one agent per child subgroup,
+        in child order, as ``build_leave_messages`` takes them."""
         children = self.tree.child_keys(key_id)
         if children:
             return [self._choose_agent(self.tree.userset(c)) for c in children]

@@ -59,17 +59,18 @@ decoys one by one and hands the channel the same batch.
 ``finish_sessions`` then encodes, measures, checks and extracts any number
 of drawn sessions of one key length at once; it draws nothing.  The
 sessions' rows are stacked one session after another into (sum of P, n)
-arrays, and ``lead`` becomes an (S, n) array of each session's leader rows
-in the stack.  A session's first position is led by its first row, so
-``lead[:, 0]`` holds each session's first row, and ``np.bitwise_xor.reduceat``
-over those rows gives each session's sign bits and published parity.  Both
-tamper checks are made per session.  ``run_session`` is a batch of one, and
-a lone session passes the helpers their single-session form, a 1-D
-``lead``.  Because the finish draws nothing, the sessions of one event are
-drawn in order, up to the first that aborts in its draw, and finished
-together, with the same generator stream and transcripts as running them
-one by one.  Only a tampered session is found after all of the event's
-sessions were drawn.
+arrays.  The three engine helpers take those rows, an (S, n) array ``lead``
+of each position's leader row in the stack, and ``sizes``, each session's
+party count P, from which they find each session's first row; so a session
+need not be led round-robin, which the dishonest leader of
+``adversary.malicious_leader_experiment`` uses.  ``np.bitwise_xor.reduceat``
+over the first rows gives each session's sign bits and published parity.
+Both tamper checks are made per session.  ``run_session`` is a batch of
+one.  Because the finish draws nothing, the sessions of one event are drawn
+in order, up to the first that aborts in its draw, and finished together,
+with the same generator stream and transcripts as running them one by one.
+Only a tampered session is found after all of the event's sessions were
+drawn.
 """
 
 from __future__ import annotations
@@ -98,23 +99,18 @@ from .quantum import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class Participant:
-    id: str
-
-
 @dataclass
 class QkaConfig:
     """One session's parameters.  Participants are ordered, server first."""
 
-    participants: list[Participant]
+    participants: list[str]
     n: int
     xi: float = 0.0
 
     def __post_init__(self) -> None:
         if len(self.participants) < 2:
             raise ValueError("a session needs at least two participants")
-        ids = [p.id for p in self.participants]
+        ids = self.participants
         if len(set(ids)) != len(ids):
             raise ValueError(f"participant ids must be unique: {ids}")
         if self.n < 1:
@@ -125,7 +121,7 @@ class QkaConfig:
 
 def make_config(participant_ids: Sequence[str], n: int, xi: float = 0.0) -> QkaConfig:
     """Build a config from plain ids; the first id is the server."""
-    return QkaConfig([Participant(pid) for pid in participant_ids], n=n, xi=xi)
+    return QkaConfig(list(participant_ids), n=n, xi=xi)
 
 
 class ChannelModel(Protocol):
@@ -309,92 +305,59 @@ def _checked_hops(
     return ok
 
 
-#: The first row of a lone session.
-_FIRST_ROW = np.zeros(1, dtype=np.intp)
-
-
-def _starts(lead: np.ndarray) -> np.ndarray:
-    """Each session's first row, given the leader rows ``lead``.
-
-    A 1-D ``lead`` is one session whose rows start at row 0.  In an (S, n)
-    stack, each session's first position is led by its first row.
-    """
-    return lead[:, 0] if lead.ndim == 2 else _FIRST_ROW
-
-
-def _sizes(starts: np.ndarray, rows: int) -> np.ndarray:
-    """Each session's row count, from the first rows of a stack of ``rows``."""
-    sizes = np.empty_like(starts)  # cheaper than np.diff(starts, append=rows)
-    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-    sizes[-1] = rows - starts[-1]
-    return sizes
-
-
-def _per_row(values: np.ndarray, starts: np.ndarray, rows: int) -> np.ndarray:
-    """One row of ``values`` per session, repeated over that session's rows."""
-    if len(starts) == 1:
-        return values  # broadcasts
-    return np.repeat(values, _sizes(starts, rows), axis=0)
-
-
 def encode_gates(
-    keys: np.ndarray, choice: np.ndarray, lead: np.ndarray
+    keys: np.ndarray, choice: np.ndarray, lead: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every participant's gate for her operation-key bits, as (x, z) bits.
 
-    ``keys`` is (P, n) in participant order, ``choice`` holds each
-    position's leader choice bit and ``lead`` its leader row.  Followers
-    apply x = key, z = 0; a leader applies x = choice xor key and z = key
-    when P is even, z = choice when P is odd.  Stacked sessions pass their
-    rows one after another with (S, n) ``choice`` and ``lead``.
+    ``keys`` holds the sessions' (P, n) rows in participant order, one
+    session after another; ``choice`` and ``lead`` are (S, n), each
+    position's leader choice bit and leader row, and ``sizes`` each
+    session's P.  Followers apply x = key, z = 0; a leader applies
+    x = choice xor key and z = key when P is even, z = choice when P is odd.
     """
     pos = np.arange(keys.shape[1])
     lead_key = keys[lead, pos]
     x = keys.copy()
     z = np.zeros_like(keys)
     x[lead, pos] = choice ^ lead_key
-    if lead.ndim == 1:
-        z[lead, pos] = lead_key if len(keys) % 2 == 0 else choice
-    else:
-        even = _sizes(lead[:, 0], len(keys)) % 2 == 0
-        z[lead, pos] = np.where(even[:, None], lead_key, choice)
+    z[lead, pos] = np.where((sizes % 2 == 0)[:, None], lead_key, choice)
     return x, z
 
 
-def measure_positions(x: np.ndarray, z: np.ndarray, lead: np.ndarray) -> np.ndarray:
+def measure_positions(
+    x: np.ndarray, z: np.ndarray, lead: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
     """Every position's published outcome from the gates' (x, z) bits.
 
-    ``x`` and ``z`` are (P, n) in participant order and ``lead`` holds each
-    position's leader row.  Returns a (P, n) array of outcome slots: the
-    leader's slot is the sign bit, the XOR of the position's z bits; a
-    follower's is her x bit xor the leader's.  Stacked sessions pass their
-    rows one after another with (S, n) ``lead``.
+    ``x`` and ``z`` hold the sessions' rows as ``encode_gates`` returns
+    them, with its ``lead`` and ``sizes``.  Returns the outcome slots in the
+    same rows: the leader's slot is the sign bit, the XOR of her session's z
+    bits at the position; a follower's is her x bit xor the leader's.
     """
-    starts = _starts(lead)
     pos = np.arange(x.shape[1])
-    out = x ^ _per_row(x[lead, pos], starts, len(x))
-    out[lead, pos] = np.bitwise_xor.reduceat(z, starts, axis=0)
+    out = x ^ np.repeat(x[lead, pos], sizes, axis=0)
+    out[lead, pos] = np.bitwise_xor.reduceat(z, np.cumsum(sizes) - sizes, axis=0)
     return out
 
 
 def extract_shared(
-    published: np.ndarray, x: np.ndarray, lead: np.ndarray
+    published: np.ndarray, x: np.ndarray, lead: np.ndarray, sizes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every seat's flip bits and shared key bits from a publication.
 
-    ``published`` and ``x`` are (P, n) in participant order: the published
-    outcome slots and each participant's own x bits.  A leader's flip bit is
-    her own x bit, a follower's her published slot xor her own x bit; her
-    shared bit is the XOR of the position's published slots xor her flip
-    bit.  Returns both as (P, n) arrays.  Stacked sessions pass their rows
-    one after another with (S, n) ``lead``.
+    ``published`` and ``x`` hold the sessions' rows, the published outcome
+    slots and each participant's own x bits, with ``lead`` and ``sizes`` as
+    for ``encode_gates``.  A leader's flip bit is her own x bit, a
+    follower's her published slot xor her own x bit; her shared bit is the
+    XOR of her session's published slots at the position xor her flip bit.
+    Returns both in the same rows.
     """
-    starts = _starts(lead)
     pos = np.arange(x.shape[1])
     flip = published ^ x
     flip[lead, pos] = x[lead, pos]
-    parity = np.bitwise_xor.reduceat(published, starts, axis=0)
-    return flip, _per_row(parity, starts, len(x)) ^ flip
+    parity = np.bitwise_xor.reduceat(published, np.cumsum(sizes) - sizes, axis=0)
+    return flip, np.repeat(parity, sizes, axis=0) ^ flip
 
 
 def _bit_rows(bits: np.ndarray) -> list[str]:
@@ -427,7 +390,7 @@ def draw_session(
     Stops at the first failed check, with cause "eavesdropper" in the
     transcript; otherwise the session is ready to measure.
     """
-    ids = [p.id for p in config.participants]
+    ids = list(config.participants)
     P, n = len(ids), config.n
     out, back = _plan(P, n, config.xi)
     t = QkaTranscript(participants=ids)
@@ -470,31 +433,27 @@ def finish_sessions(draws: Sequence[SessionDraw]) -> list[QkaTranscript]:
         return [d.transcript for d in draws]
     n = live[0].keys.shape[1]
     pos = np.arange(n)
-    sizes = [d.keys.shape[0] for d in live]
-    if len(live) == 1:  # the helpers' single-session form
-        keys, choice, lead = live[0].keys, live[0].choice, pos % sizes[0]
-    else:
-        keys = np.concatenate([d.keys for d in live])
-        choice = np.stack([d.choice for d in live])
-        firsts = np.cumsum(sizes) - sizes
-        lead = pos % np.array(sizes)[:, None] + firsts[:, None]
-    starts = _starts(lead)
-    x, z = encode_gates(keys, choice, lead)
+    sizes = np.array([d.keys.shape[0] for d in live])
+    firsts = np.cumsum(sizes) - sizes
+    # a session's position i is led by its participant i mod P
+    lead = pos % sizes[:, None] + firsts[:, None]
+    keys = np.concatenate([d.keys for d in live])
+    x, z = encode_gates(keys, np.stack([d.choice for d in live]), lead, sizes)
 
     # Measurement and publication: one entangled measurement per position,
     # one classical broadcast per leader that led at least one position.
-    published = measure_positions(x, z, lead)
+    published = measure_positions(x, z, lead, sizes)
     gates = x + 2 * z
 
     # Extraction from every participant's point of view; all must agree,
     # and each leader's published sign bit must match her own z.
-    flip, shared = extract_shared(published, x, lead)
-    signed = (published[lead, pos] == z[lead, pos]).all(axis=-1)
-    agreed = (flip == _per_row(flip[starts], starts, len(flip))).all(axis=1)
-    ok = (signed & np.logical_and.reduceat(agreed, starts)).tolist()
+    flip, shared = extract_shared(published, x, lead, sizes)
+    signed = (published[lead, pos] == z[lead, pos]).all(axis=1)
+    agreed = (flip == np.repeat(flip[firsts], sizes, axis=0)).all(axis=1)
+    ok = (signed & np.logical_and.reduceat(agreed, firsts)).tolist()
     key_rows = _bit_rows(keys)
-    extracted = _bit_rows(shared[starts])
-    for i, (d, a, P) in enumerate(zip(live, starts.tolist(), sizes)):
+    extracted = _bit_rows(shared[firsts])
+    for i, (d, a, P) in enumerate(zip(live, firsts.tolist(), sizes.tolist())):
         t = d.transcript
         t.counters.entangled_measurements += n
         t.counters.classical_messages += min(P, n)

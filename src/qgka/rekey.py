@@ -246,31 +246,26 @@ def build_leave_messages(
 ) -> list[RekeyMessage]:
     """Messages distributing the freshly generated leave-path keys.
 
-    ``updated_deepest_first`` pairs each regenerated key with the user ids
-    that took part in its agreement session.  For every child key of an
-    updated node, the child's users that were not in the session receive the
-    new key wrapped under the child's current key; one message per (updated
-    key, child) pair.  Children whose whole userset sat in the session (the
-    deepest key's individual children) produce nothing.  Deeper keys come
-    first so that a recipient always holds the wrapping key by the time she
-    needs it.
+    ``updated_deepest_first`` pairs each regenerated key with the agents of
+    its agreement session: one agent per child key, in child order, each a
+    user under that child.  (A key without child keys, a pruned subgroup's,
+    sends nothing.)  Every child's users but its agent receive the new key
+    wrapped under the child's current key, one message per (updated key,
+    child) pair; a child whose agent is its only user produces nothing.
+    Deeper keys come first so that a recipient always holds the wrapping key
+    by the time she needs it.
     """
     messages: list[RekeyMessage] = []
-    for key_id, session_users in updated_deepest_first:
+    for key_id, agents in updated_deepest_first:
         new_key = tree.key(key_id)
-        children = tree.child_keys(key_id)
-        # the session users under each child
-        agents: dict[Optional[str], list[str]] = {}
-        for uid in session_users if children else ():
-            agents.setdefault(tree.child_toward(key_id, uid), []).append(uid)
-        for child in children:
-            users, skip = tree.userset(child), tuple(agents.get(child, ()))
-            if len(users) == len(skip):
+        for child, agent in zip(tree.child_keys(key_id), agents):
+            users = tree.userset(child)
+            if len(users) == 1:
                 continue
             ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
+            skip = (agent,)
             messages.append(
                 RekeyMessage(users, (ct,), include=child, exclude=skip, skip=skip)
             )
             counters.rekey_messages += 1
     return messages
-

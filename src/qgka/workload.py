@@ -37,6 +37,13 @@ TREE_BACKENDS = ("tree-bell", "tree-cluster", "tree-single", "tree-ghz")
 STAR_BACKENDS = ("star-bell", "star-cluster", "star-single", "star-ghz")
 ALL_BACKENDS = TREE_BACKENDS + STAR_BACKENDS
 
+#: Size limits, checked before anything is built so that a run's memory is
+#: bounded: the initial group (also ``qgka trace``'s group), the time steps
+#: and the expected events lambda * steps (twice that with independent rates).
+MAX_GROUP_SIZE = 1 << 18
+MAX_STEPS = 100_000
+MAX_EVENTS = 100_000
+
 
 @dataclass
 class WorkloadConfig:
@@ -54,10 +61,16 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         # both modes cost the same tree, so both take only its domain
         CostParams(self.initial_group_size, self.key_len, self.xi, self.degree)
+        if self.initial_group_size > MAX_GROUP_SIZE:
+            raise ValueError(f"initial group size must be at most {MAX_GROUP_SIZE}")
         if self.lam < 0:
             raise ValueError("event rate must be nonnegative")
         if self.steps < 1:
             raise ValueError("need at least one step")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}")
+        if not self.lam * self.steps <= MAX_EVENTS:  # also rejects nan
+            raise ValueError(f"lambda * steps must be at most {MAX_EVENTS}")
         if not 0.0 <= self.p_join <= 1.0:
             raise ValueError("join probability must lie in [0, 1]")
         if self.mode not in ("sim", "analytic"):

@@ -52,7 +52,6 @@ from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka.qka import (
     ChannelModel,
-    Participant,
     PositionRecord,
     QkaConfig,
     QkaTranscript,
@@ -384,7 +383,7 @@ class ScalarTranscript(QkaTranscript):
         return self.records
 
 
-def leader_schedule(participants: Sequence[Participant], position: int) -> Participant:
+def leader_schedule(participants: Sequence[str], position: int) -> str:
     """Round-robin leader for one key position.
 
     Over n positions every participant leads floor(n/P) or ceil(n/P) of them,
@@ -443,9 +442,8 @@ def run_session(
 ) -> ScalarTranscript:
     """One session, qubit by qubit; ``channel=None`` is the honest channel."""
     xi = Fraction(str(config.xi))
-    parts = config.participants
-    ids = [p.id for p in parts]
-    P, n = len(parts), config.n
+    ids = config.participants
+    P, n = len(ids), config.n
     parity = "even" if P % 2 == 0 else "odd"
     t = ScalarTranscript(participants=list(ids))
     counters = t.counters
@@ -460,9 +458,9 @@ def run_session(
 
     # qubit 0 of each state goes to the position's leader, the rest follow
     # participant order
-    leaders = [leader_schedule(parts, i) for i in range(n)]
+    leaders = [leader_schedule(ids, i) for i in range(n)]
     orders = [
-        [leaders[i].id] + [pid for pid in ids if pid != leaders[i].id]
+        [leaders[i]] + [pid for pid in ids if pid != leaders[i]]
         for i in range(n)
     ]
     ops_by_pos: list[dict[str, Pauli]] = []
@@ -477,7 +475,7 @@ def run_session(
             ops[pid] = op
         ops_by_pos.append(ops)
 
-    positions_led = {pid: [i for i in range(n) if leaders[i].id == pid] for pid in ids}
+    positions_led = {pid: [i for i in range(n) if leaders[i] == pid] for pid in ids}
     returns = [
         len(led)
         for leader_id, led in positions_led.items()
@@ -495,7 +493,7 @@ def run_session(
 
     for i in range(n):
         t.records.append(
-            PositionRecord(leader=leaders[i].id, ops=ops_by_pos[i], outcome=outcomes[i])
+            PositionRecord(leader=leaders[i], ops=ops_by_pos[i], outcome=outcomes[i])
         )
     t.operation_keys = {
         pid: "".join(str(int(b)) for b in op_keys[pid]) for pid in ids

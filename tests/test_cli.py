@@ -290,6 +290,8 @@ class TestExitCodes:
             ["cost", "--protocol", "ghz", "--N", "8", "--xi", "1.5"],
             ["sweep-degree", "--N", "1", "--xi-list", "0.25"],
             ["sweep-degree", "--N", "64", "--n", "0", "--xi-list", "0.25"],
+            ["sweep-degree", "--N", "1024", "--xi-list", "0.25",
+             "--d-max", "1000000000"],
         ],
     )
     def test_values_outside_cost_domain_are_usage_errors(self, capsys, argv):
@@ -314,6 +316,15 @@ class TestExitCodes:
              "--xi", "7", "--mode", "analytic"],
             ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
              "--n", "0", "--mode", "analytic"],
+            ["trace", "join", "--group-size", "1000000000", "--degree", "4"],
+            ["simulate", "--initial", "1000000000", "--degree", "4", "--steps", "1"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1000000000"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1",
+             "--lambda", "1e12"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1",
+             "--lambda", "nan"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1000",
+             "--lambda", "1000", "--mode", "analytic"],
             ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "0"],
             ["attack", "--strategy", "cnot", "--decoys", "0", "--trials", "10"],
         ],

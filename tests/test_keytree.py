@@ -105,15 +105,6 @@ class TestKeysetUserset:
         with pytest.raises(KeyTreeError):
             tree.userset("k999")
 
-    def test_child_toward(self):
-        tree, _ = build(3, 9)
-        for uid in tree.users():
-            path = tree.keyset(uid)
-            for below, key_id in zip(path, path[1:]):
-                assert tree.child_toward(key_id, uid) == below
-            assert tree.child_toward(path[0], uid) is None
-        assert tree.child_toward(tree.keyset("u9")[1], "u1") is None
-
     def test_duality(self):
         tree, _ = build(3, 9)
         for uid in tree.users():

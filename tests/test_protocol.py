@@ -132,6 +132,26 @@ class TestLeave:
         assert sorted(trace.session_sizes) == [3, 4, 4, 4]
         assert trace.counters.qubits_prepared == 15
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_each_leave_message_skips_its_childs_agent(self, d):
+        # a leave session has one agent per child of its key, so the message
+        # to a child excludes exactly the session agent whose keyset holds it
+        proto = fresh_protocol(d, 40, seed=3, agent_selection="random")
+        pick = np.random.default_rng(9)
+        messages = not_first = 0
+        for _ in range(30):
+            users = proto.tree.users()
+            trace = proto.leave(users[int(pick.integers(len(users)))])
+            agents = {kid: t.participants[1:] for kid, t in trace.sessions}
+            for m in trace.messages:
+                parent = proto.tree.nodes[m.include].parent
+                under = [a for a in agents[parent] if m.include in proto.tree.keyset(a)]
+                assert len(under) == 1
+                assert m.exclude == tuple(under)
+                messages += 1
+                not_first += under[0] != proto.tree.userset(m.include)[0]
+        assert messages > 30 and not_first > 0
+
     def test_leave_unknown_or_last(self):
         proto = fresh_protocol(2, 2)
         with pytest.raises(KeyTreeError):
@@ -301,9 +321,9 @@ class TestTamperAbort:
         drawn = []
         real_draw, real_measure = protocol_module.draw_session, qka.measure_positions
 
-        def corrupt_slots(x, z, lead):
-            out = real_measure(x, z, lead)
-            out[np.atleast_2d(lead)[k, 0] + row, 2] ^= 1  # the k-th session's
+        def corrupt_slots(x, z, lead, sizes):
+            out = real_measure(x, z, lead, sizes)
+            out[lead[k, 0] + row, 2] ^= 1  # the k-th session's
             return out
 
         def recording_draw_session(*args, **kwargs):
@@ -338,8 +358,8 @@ class TestTamperAbort:
         proto.channel = _MisreadOnCall(2)  # the second session's distribution
         real_measure = qka.measure_positions
 
-        def corrupt_slots(x, z, lead):
-            out = real_measure(x, z, lead)
+        def corrupt_slots(x, z, lead, sizes):
+            out = real_measure(x, z, lead, sizes)
             out[0, 0] ^= 1
             return out
 

@@ -12,7 +12,6 @@ from oracle import TamperError, encode_operation, extract_keys, leader_schedule
 from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.qka import (
-    Participant,
     QkaConfig,
     decoys_for_payload,
     make_config,
@@ -88,27 +87,27 @@ class TestEncoding:
 
 class TestLeaderSchedule:
     def test_two_party_alternation(self):
-        parts = [Participant("s"), Participant("u")]
-        assert [leader_schedule(parts, i).id for i in range(4)] == ["s", "u", "s", "u"]
+        parts = ["s", "u"]
+        assert [leader_schedule(parts, i) for i in range(4)] == ["s", "u", "s", "u"]
 
     def test_single_position(self):
-        parts = [Participant("a"), Participant("b"), Participant("c")]
-        assert leader_schedule(parts, 0).id == "a"
+        parts = ["a", "b", "c"]
+        assert leader_schedule(parts, 0) == "a"
 
     def test_three_party_six_positions_balanced(self):
         # enumeration oracle: count each participant's led positions
-        parts = [Participant(x) for x in "abc"]
-        counts = {p.id: 0 for p in parts}
+        parts = list("abc")
+        counts = {p: 0 for p in parts}
         for i in range(6):
-            counts[leader_schedule(parts, i).id] += 1
+            counts[leader_schedule(parts, i)] += 1
         assert counts == {"a": 2, "b": 2, "c": 2}
 
     @given(P=st.integers(1, 8), n=st.integers(1, 64))
     def test_lead_counts_differ_by_at_most_one(self, P, n):
-        parts = [Participant(f"p{i}") for i in range(P)]
-        counts = {p.id: 0 for p in parts}
+        parts = [f"p{i}" for i in range(P)]
+        counts = {p: 0 for p in parts}
         for i in range(n):
-            counts[leader_schedule(parts, i).id] += 1
+            counts[leader_schedule(parts, i)] += 1
         assert max(counts.values()) - min(counts.values()) <= 1
         assert set(counts.values()) <= {n // P, n // P + (1 if n % P else 0)}
 
@@ -145,19 +144,21 @@ class TestTableConformance:
     )
     def test_cells_through_array_engine(self, table, P):
         # every leader (key, choice) and follower keys, one position led by
-        # participant 0: the engine's gates must name each cell exactly once
+        # participant 0 in a stack of one session: the engine's gates must
+        # name each cell exactly once
         seen = set()
+        sizes = np.array([P])
         for bits in range(2 ** (P + 1)):
             keys = np.array([[(bits >> q) & 1] for q in range(P)])
-            choice = np.array([bits >> P])
-            lead = np.zeros(1, dtype=np.int64)
-            x, z = qka.encode_gates(keys, choice, lead)
+            choice = np.array([[bits >> P]])
+            lead = np.zeros((1, 1), dtype=np.int64)
+            x, z = qka.encode_gates(keys, choice, lead, sizes)
             gates = [qka._PAULI_OF[code] for code in (x + 2 * z)[:, 0]]
             followers = gates[1] if P == 2 else tuple(gates[1:])
             outcome, key = table[followers][gates[0]]
-            published = qka.measure_positions(x, z, lead)
+            published = qka.measure_positions(x, z, lead, sizes)
             assert "".join(map(str, published[:, 0])) == outcome
-            _, shared = qka.extract_shared(published, x, lead)
+            _, shared = qka.extract_shared(published, x, lead, sizes)
             assert shared[:, 0].tolist() == [key] * P
             assert key == np.bitwise_xor.reduce(keys[:, 0])
             seen.add((followers, gates[0]))
@@ -284,7 +285,7 @@ class TestRunSession:
         with pytest.raises(ValueError):
             make_config(["s", "u"], n=1, xi=1.5)
         with pytest.raises(ValueError):
-            QkaConfig([Participant("a"), Participant("a")], n=1)
+            QkaConfig(["a", "a"], n=1)
 
     def test_transcript_serializes(self, rng):
         t = run_session(make_config(["s", "u"], n=2), rng=rng)
@@ -347,8 +348,8 @@ class TestArrayEngine:
         lead = i % P
         row = [lead, *range(lead), *range(lead + 1, P)][q]
 
-        def corrupt_slots(x, z, lead_rows):
-            out = measure_positions(x, z, lead_rows)
+        def corrupt_slots(x, z, lead_rows, sizes):
+            out = measure_positions(x, z, lead_rows, sizes)
             out[row, i] ^= 1
             return out
 
@@ -412,8 +413,8 @@ class TestStackedFinish:
         rng = np.random.default_rng(5)
         draws = [qka.draw_session(cfg, rng) for cfg in configs]
 
-        def corrupt_slots(x, z, lead):
-            out = measure_positions(x, z, lead)
+        def corrupt_slots(x, z, lead, sizes):
+            out = measure_positions(x, z, lead, sizes)
             out[lead[1, 0] + 2, 4] ^= 1
             return out
 
