@@ -35,7 +35,7 @@ starts as the GHZ state, so after the gates its flip pattern is its x
 column and its sign the XOR of its z column; the measurement publishes the
 sign bit in the leader's slot and x_q xor x_leader in every follower's slot
 (``quantum.measure_entangled`` on the canonical state, whose pattern is
-complemented when the leader's bit is 1).  Participant q then corrects by
+complemented when the leader's bit is 1).  Each party q then corrects by
 her flip bit: her own x bit when she leads, her published slot xor her own
 x bit when she follows.  Her shared bit is the XOR of the published
 outcome xor her flip bit.  The leader checks the published sign bit
@@ -101,7 +101,7 @@ from .quantum import (  # noqa: F401
 
 @dataclass
 class QkaConfig:
-    """One session's parameters.  Participants are ordered, server first."""
+    """One session's parameters: the participant ids in order, server first."""
 
     participants: list[str]
     n: int
