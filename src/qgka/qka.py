@@ -337,7 +337,7 @@ def measure_positions(
     """
     pos = np.arange(x.shape[1])
     out = x ^ np.repeat(x[lead, pos], sizes, axis=0)
-    out[lead, pos] = np.bitwise_xor.reduceat(z, np.cumsum(sizes) - sizes, axis=0)
+    out[lead, pos] = np.bitwise_xor.reduceat(z, sizes.cumsum() - sizes, axis=0)
     return out
 
 
@@ -356,7 +356,7 @@ def extract_shared(
     pos = np.arange(x.shape[1])
     flip = published ^ x
     flip[lead, pos] = x[lead, pos]
-    parity = np.bitwise_xor.reduceat(published, np.cumsum(sizes) - sizes, axis=0)
+    parity = np.bitwise_xor.reduceat(published, sizes.cumsum() - sizes, axis=0)
     return flip, np.repeat(parity, sizes, axis=0) ^ flip
 
 
@@ -434,11 +434,11 @@ def finish_sessions(draws: Sequence[SessionDraw]) -> list[QkaTranscript]:
     n = live[0].keys.shape[1]
     pos = np.arange(n)
     sizes = np.array([d.keys.shape[0] for d in live])
-    firsts = np.cumsum(sizes) - sizes
+    firsts = sizes.cumsum() - sizes
     # a session's position i is led by its participant i mod P
     lead = pos % sizes[:, None] + firsts[:, None]
     keys = np.concatenate([d.keys for d in live])
-    x, z = encode_gates(keys, np.stack([d.choice for d in live]), lead, sizes)
+    x, z = encode_gates(keys, np.array([d.choice for d in live]), lead, sizes)
 
     # Measurement and publication: one entangled measurement per position,
     # one classical broadcast per leader that led at least one position.
