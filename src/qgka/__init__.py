@@ -26,7 +26,6 @@ from .protocol import (
 from .qka import (
     QkaConfig,
     QkaTranscript,
-    make_config,
     run_session,
 )
 from .quantum import (
@@ -74,7 +73,6 @@ __all__ = [
     "decrypt_key",
     "encrypt_key",
     "ghz_state",
-    "make_config",
     "measure_entangled",
     "run_session",
 ]

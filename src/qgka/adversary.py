@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qka import encode_gates, extract_shared, make_config, measure_positions
+from .qka import QkaConfig, encode_gates, extract_shared, measure_positions
 
 #: Decoys ``detection_experiment`` draws and taps at once.  Its memory is a
 #: few arrays of this length; 2^17 keeps numpy's per-call overhead small.
@@ -223,7 +223,7 @@ def malicious_leader_experiment(
     counts as forced only when every other participant's extraction lands on
     the target.
     """
-    ids = make_config(participant_ids, n).participants
+    ids = QkaConfig(participant_ids, n).participants
     if dishonest not in ids:
         raise ValueError(f"dishonest participant {dishonest!r} not in session")
     if trials < 1:

@@ -38,7 +38,6 @@ server); read-only queries are safe concurrently between mutations.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -209,13 +208,6 @@ class KeyTree:
         listing the subtree's users as they were when it was read.
         """
         return self._k_node(key_id).users
-
-    def depth(self, node_id: str) -> int:
-        d, node = 0, self.nodes[node_id]
-        while node.parent is not None:
-            d += 1
-            node = self.nodes[node.parent]
-        return d
 
     def height(self) -> int:
         """Edges along the longest u-node to root path."""
@@ -567,6 +559,3 @@ class KeyTree:
             "root": self.root,
             "nodes": nodes,
         }
-
-    def to_json(self, include_keys: bool = False) -> str:
-        return json.dumps(self.to_dict(include_keys=include_keys), sort_keys=True)

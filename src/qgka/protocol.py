@@ -47,10 +47,10 @@ from .counters import ResourceCounters
 from .keytree import GroupKey, KeyTree, KeyTreeError, _user_sort_key, random_bits
 from .qka import (
     ChannelModel,
+    QkaConfig,
     QkaTranscript,
     draw_session,
     finish_sessions,
-    make_config,
 )
 from .qka import run_session  # noqa: F401  (perfbench/workloads.py traces it)
 from .rekey import (
@@ -552,7 +552,7 @@ class GroupProtocol:
         n, xi = self.config.key_len, self.config.xi
         draws = []
         for key_id in key_ids:
-            cfg = make_config([SERVER_ID, *users_of(key_id)], n=n, xi=xi)
+            cfg = QkaConfig([SERVER_ID, *users_of(key_id)], n=n, xi=xi)
             draws.append(draw_session(cfg, self.rng, self.channel))
             if draws[-1].transcript.aborted:
                 break

@@ -119,11 +119,6 @@ class QkaConfig:
             raise ValueError("decoy proportion must lie in [0, 1]")
 
 
-def make_config(participant_ids: Sequence[str], n: int, xi: float = 0.0) -> QkaConfig:
-    """Build a config from plain ids; the first id is the server."""
-    return QkaConfig(list(participant_ids), n=n, xi=xi)
-
-
 class ChannelModel(Protocol):
     """Transport for a batch of decoys; adversaries tamper with them.
 

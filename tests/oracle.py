@@ -11,7 +11,8 @@ the keys in that user's ``UserView``, her own key store, the reference for
 the protocol's shared delivery.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
-references for the tree's cached height and join summaries, and
+references for the tree's cached height and join summaries, ``depth``
+counts a node's edges up to the root, and
 ``per_node_keys`` draws a balanced tree's keys one k-node at a time, the
 reference for ``KeyTree.build_balanced``'s single draw.
 
@@ -176,6 +177,15 @@ def dfs_height(tree: KeyTree) -> int:
     return best
 
 
+def depth(tree: KeyTree, node_id: str) -> int:
+    """Edges from ``node_id`` up to the root."""
+    d, node = 0, tree.nodes[node_id]
+    while node.parent is not None:
+        d += 1
+        node = tree.nodes[node.parent]
+    return d
+
+
 def per_node_keys(tree: KeyTree, rng: np.random.Generator) -> dict[str, GroupKey]:
     """First-version keys for every k-node of ``tree``, drawn with one
     ``random_bits`` call per node in creation order."""
@@ -206,7 +216,7 @@ def scan_join_point(tree: KeyTree) -> tuple[str, str]:
     target = min(
         individuals,
         key=lambda n: (
-            tree.depth(n.id),
+            depth(tree, n.id),
             len(tree.userset(n.parent)) if n.parent else 1,
             n.created,
         ),

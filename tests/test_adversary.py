@@ -14,7 +14,7 @@ from qgka.adversary import (
     malicious_leader_experiment,
     tap_decoys,
 )
-from qgka.qka import make_config, run_session
+from qgka.qka import QkaConfig, run_session
 from qgka.quantum import DecoyKind, DecoyQubit, Pauli, decoy_measure
 
 import oracle
@@ -254,7 +254,7 @@ class TestSessionAborts:
         # completion probability is (3/4)^m for m decoys per session
         rng = np.random.default_rng(11)
         channel = AdversarialChannel(EveStrategy("intercept_resend"))
-        cfg = make_config(["s", "u"], n=4, xi=1.0)
+        cfg = QkaConfig(["s", "u"], n=4, xi=1.0)
         # hops: out 4+4 decoys, returns 2+2 and 2+2 -> m = 8
         completions = 0
         trials = 3_000
@@ -268,7 +268,7 @@ class TestSessionAborts:
 
     def test_honest_channel_never_aborts(self):
         rng = np.random.default_rng(2)
-        cfg = make_config(["s", "u1", "u2"], n=8, xi=0.5)
+        cfg = QkaConfig(["s", "u1", "u2"], n=8, xi=0.5)
         for _ in range(200):
             assert not run_session(cfg, rng=rng).aborted
 
@@ -367,7 +367,7 @@ class TestMaliciousLeader:
         for _ in range(400):
             from qgka.qka import run_session as rs
 
-            t = rs(make_config(["s", "u1", "u2"], n=9), rng=rng)
+            t = rs(QkaConfig(["s", "u1", "u2"], n=9), rng=rng)
             for i, rec in enumerate(t.positions):
                 if rec.leader != "u1":
                     ones += int(t.extracted_key[i])

@@ -32,7 +32,7 @@ from qgka.adversary import (
 from qgka.cli import main
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolConfig
-from qgka.qka import make_config, run_session
+from qgka.qka import QkaConfig, run_session
 
 ALL_EIGHT = (
     "tree-bell,tree-cluster,tree-single,tree-ghz,"
@@ -121,7 +121,7 @@ def session_batch() -> tuple[dict, int]:
         for n in (1, 16, 256):
             for xi in (0, 0.07, 0.25, 1):
                 for channel in channels:
-                    t = run_session(make_config(ids, n=n, xi=xi), rng, channel)
+                    t = run_session(QkaConfig(ids, n=n, xi=xi), rng, channel)
                     aborted += t.aborted
                     sessions.append(
                         {**t.to_dict(), "operation_keys": t.operation_keys}

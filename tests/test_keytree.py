@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgka.keytree import KeyTree, KeyTreeError
 
-from oracle import per_node_keys
+from oracle import depth, per_node_keys
 
 
 def build(d, N, seed=1, n=1):
@@ -94,8 +94,8 @@ class TestKeysetUserset:
     def test_keyset_length_equals_depth(self):
         tree, _ = build(3, 8)
         for uid in tree.users():
-            assert len(tree.keyset(uid)) == tree.depth(uid) == tree.depth(
-                tree.individual_key(uid)
+            assert len(tree.keyset(uid)) == depth(tree, uid) == depth(
+                tree, tree.individual_key(uid)
             ) + 1
 
     def test_unknown_ids(self):
@@ -281,6 +281,6 @@ class TestSerialization:
         import json
 
         tree, _ = build(3, 9)
-        doc = json.loads(tree.to_json())
+        doc = json.loads(json.dumps(tree.to_dict()))
         assert doc["root"] == tree.root
         assert len([n for n in doc["nodes"] if n["kind"] == "k"]) == 13

@@ -14,7 +14,6 @@ from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.qka import (
     QkaConfig,
     decoys_for_payload,
-    make_config,
     measure_positions,
     run_session,
 )
@@ -190,7 +189,7 @@ class TestTableConformance:
 
 class TestRunSession:
     def test_two_party_one_bit_counters(self, rng):
-        t = run_session(make_config(["s", "u"], n=1), rng=rng)
+        t = run_session(QkaConfig(["s", "u"], n=1), rng=rng)
         assert not t.aborted
         assert t.counters.qubits_prepared == 2
         assert t.counters.entangled_measurements == 1
@@ -202,7 +201,7 @@ class TestRunSession:
     def test_multi_party_one_bit_qubits(self, rng):
         for P in (2, 3, 5, 8):
             t = run_session(
-                make_config([f"p{i}" for i in range(P)], n=1), rng=rng
+                QkaConfig([f"p{i}" for i in range(P)], n=1), rng=rng
             )
             assert t.counters.qubits_prepared == P
 
@@ -211,7 +210,7 @@ class TestRunSession:
         # the engine cross-checks all seats and would abort on disagreement
         rng = np.random.default_rng(3)
         for trial in range(2000):
-            t = run_session(make_config(["s", "u1", "u2"], n=1), rng=rng)
+            t = run_session(QkaConfig(["s", "u1", "u2"], n=1), rng=rng)
             assert not t.aborted
             xor = 0
             for pid in t.participants:
@@ -222,7 +221,7 @@ class TestRunSession:
     @settings(max_examples=25)
     def test_agreement_and_xor_decomposition(self, P, n):
         rng = np.random.default_rng(P * 1000 + n)
-        t = run_session(make_config([f"p{i}" for i in range(P)], n=n), rng=rng)
+        t = run_session(QkaConfig([f"p{i}" for i in range(P)], n=n), rng=rng)
         assert not t.aborted
         assert len(t.extracted_key) == n
         for i in range(n):
@@ -235,7 +234,7 @@ class TestRunSession:
         rng = np.random.default_rng(17)
         ones = 0
         trials = 12_000
-        cfg = make_config(["s", "u1", "u2"], n=1)
+        cfg = QkaConfig(["s", "u1", "u2"], n=1)
         for _ in range(trials):
             ones += int(run_session(cfg, rng=rng).extracted_key)
         assert abs(ones / trials - 0.5) < 0.02
@@ -244,7 +243,7 @@ class TestRunSession:
         # fix one participant's operation key by reusing only runs where it
         # came out 0; the shared key must stay uniform
         rng = np.random.default_rng(23)
-        cfg = make_config(["s", "u1", "u2"], n=1)
+        cfg = QkaConfig(["s", "u1", "u2"], n=1)
         ones = total = 0
         while total < 6000:
             t = run_session(cfg, rng=rng)
@@ -258,7 +257,7 @@ class TestRunSession:
         # P=2, n=4, xi=0.5: outbound 1 hop of 4 payload + 2 decoys; each
         # participant leads 2 positions, so two return hops of 2 payload + 1
         # decoy each
-        t = run_session(make_config(["s", "u"], n=4, xi=0.5), rng=rng)
+        t = run_session(QkaConfig(["s", "u"], n=4, xi=0.5), rng=rng)
         assert decoys_for_payload(4, 0.5) == 2
         assert t.counters.qubits_prepared == 8 + 2 + 1 + 1
         assert t.counters.qubits_transmitted == (4 + 2) + (2 + 1) + (2 + 1)
@@ -279,16 +278,16 @@ class TestRunSession:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            make_config(["s"], n=1)
+            QkaConfig(["s"], n=1)
         with pytest.raises(ValueError):
-            make_config(["s", "u"], n=0)
+            QkaConfig(["s", "u"], n=0)
         with pytest.raises(ValueError):
-            make_config(["s", "u"], n=1, xi=1.5)
+            QkaConfig(["s", "u"], n=1, xi=1.5)
         with pytest.raises(ValueError):
             QkaConfig(["a", "a"], n=1)
 
     def test_transcript_serializes(self, rng):
-        t = run_session(make_config(["s", "u"], n=2), rng=rng)
+        t = run_session(QkaConfig(["s", "u"], n=2), rng=rng)
         d = t.to_dict()
         assert d["participants"] == ["s", "u"]
         assert len(d["positions"]) == 2
@@ -315,7 +314,7 @@ class TestArrayEngine:
 
     @staticmethod
     def _both(P, n, xi, kind, p, seed):
-        cfg = make_config([f"p{i}" for i in range(P)], n=n, xi=xi)
+        cfg = QkaConfig([f"p{i}" for i in range(P)], n=n, xi=xi)
         channel = _channel(kind, p)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         t = run_session(cfg, rng, channel)
@@ -384,7 +383,7 @@ class TestStackedFinish:
     )
     @settings(max_examples=150)
     def test_batch_matches_sessions_one_by_one(self, sizes, n, xi, kind, p, seed):
-        configs = [make_config([f"p{i}" for i in range(P)], n=n, xi=xi) for P in sizes]
+        configs = [QkaConfig([f"p{i}" for i in range(P)], n=n, xi=xi) for P in sizes]
         channel = _channel(kind, p)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         draws = []
@@ -409,7 +408,7 @@ class TestStackedFinish:
 
     def test_tamper_aborts_only_its_own_session(self):
         # flip one follower slot of the middle session of three
-        configs = [make_config([f"p{i}" for i in range(P)], n=7) for P in (2, 5, 3)]
+        configs = [QkaConfig([f"p{i}" for i in range(P)], n=7) for P in (2, 5, 3)]
         rng = np.random.default_rng(5)
         draws = [qka.draw_session(cfg, rng) for cfg in configs]
 
@@ -464,7 +463,7 @@ class TestAbortCounters:
         index = sum(counts[:h]) + (0 if decoy == "first" else counts[h] - 1)
         batch = 0 if phase == "distribution" else 1
 
-        cfg = make_config([f"p{i}" for i in range(P)], n=n, xi=xi)
+        cfg = QkaConfig([f"p{i}" for i in range(P)], n=n, xi=xi)
         t = run_session(cfg, np.random.default_rng(3), _OneMisread(batch, index))
         ref = oracle.run_session(
             cfg, np.random.default_rng(3), _OneMisread(batch, index)
