@@ -37,8 +37,9 @@ from .protocol import (
 )
 from .workload import (
     ALL_BACKENDS,
-    MAX_GROUP_SIZE,
+    MAX_DECOYS,
     WorkloadConfig,
+    check_tree_size,
     compare_backends,
     series_csv,
 )
@@ -108,8 +109,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.group_size > MAX_GROUP_SIZE:
-        raise ValueError(f"group size must be at most {MAX_GROUP_SIZE}")
+    check_tree_size(args.group_size, args.n)
     rng = np.random.default_rng(args.seed)
     users = [f"u{i + 1}" for i in range(args.group_size)]
     tree = KeyTree.build_balanced(args.degree, users, args.n, rng)
@@ -212,6 +212,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    if args.decoys * args.trials > MAX_DECOYS:
+        raise ValueError(f"decoys * trials must be at most {MAX_DECOYS}")
     strategy = EveStrategy(kind=args.strategy.replace("-", "_"))
     rng = np.random.default_rng(args.seed)
     report = detection_experiment(strategy, args.decoys, args.trials, rng)

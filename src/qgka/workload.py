@@ -37,12 +37,28 @@ TREE_BACKENDS = ("tree-bell", "tree-cluster", "tree-single", "tree-ghz")
 STAR_BACKENDS = ("star-bell", "star-cluster", "star-single", "star-ghz")
 ALL_BACKENDS = TREE_BACKENDS + STAR_BACKENDS
 
-#: Size limits, checked before anything is built so that a run's memory is
-#: bounded: the initial group (also ``qgka trace``'s group), the time steps
-#: and the expected events lambda * steps (twice that with independent rates).
+#: Size limits, checked before anything is built so that a run's time and
+#: memory are bounded: the initial group (also ``qgka trace``'s group), the
+#: key length, the key bits of a whole tree (group size times key length),
+#: the time steps, the expected events lambda * steps (twice that with
+#: independent rates), and the decoys of a
+#: ``qgka attack`` run (decoys times trials).
 MAX_GROUP_SIZE = 1 << 18
+MAX_KEY_LEN = 1 << 12
+MAX_KEY_BITS = 1 << 22
 MAX_STEPS = 100_000
 MAX_EVENTS = 100_000
+MAX_DECOYS = 1 << 27
+
+
+def check_tree_size(group_size: int, key_len: int) -> None:
+    """Reject a tree over the size limits with ``ValueError``."""
+    if group_size > MAX_GROUP_SIZE:
+        raise ValueError(f"group size must be at most {MAX_GROUP_SIZE}")
+    if key_len > MAX_KEY_LEN:
+        raise ValueError(f"key length must be at most {MAX_KEY_LEN}")
+    if group_size * key_len > MAX_KEY_BITS:
+        raise ValueError(f"group size * key length must be at most {MAX_KEY_BITS}")
 
 
 @dataclass
@@ -61,8 +77,7 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         # both modes cost the same tree, so both take only its domain
         CostParams(self.initial_group_size, self.key_len, self.xi, self.degree)
-        if self.initial_group_size > MAX_GROUP_SIZE:
-            raise ValueError(f"initial group size must be at most {MAX_GROUP_SIZE}")
+        check_tree_size(self.initial_group_size, self.key_len)
         if self.lam < 0:
             raise ValueError("event rate must be nonnegative")
         if self.steps < 1:

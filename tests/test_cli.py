@@ -327,6 +327,22 @@ class TestExitCodes:
              "--lambda", "1000", "--mode", "analytic"],
             ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "0"],
             ["attack", "--strategy", "cnot", "--decoys", "0", "--trials", "10"],
+            # over the size limits, rejected before anything is built
+            ["trace", "join", "--group-size", "2", "--degree", "2", "--n", "4097"],
+            ["trace", "join", "--group-size", "2", "--degree", "2",
+             "--n", "1000000"],
+            ["trace", "leave", "--group-size", "1025", "--degree", "2",
+             "--n", "4096"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1",
+             "--n", "2000000"],
+            ["simulate", "--initial", "262144", "--degree", "4", "--steps", "1",
+             "--n", "17"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "1",
+             "--n", "4097", "--mode", "analytic"],
+            ["attack", "--strategy", "cnot", "--decoys", "100000000000",
+             "--trials", "1"],
+            ["attack", "--strategy", "intercept-resend", "--decoys", "20",
+             "--trials", "6710887"],
         ],
     )
     def test_rejected_tree_and_attack_values_are_usage_errors(self, capsys, argv):

@@ -5,6 +5,9 @@ import pytest
 from qgka.cost import star_ghz_cost, tree_average_cost
 from qgka.workload import (
     ALL_BACKENDS,
+    MAX_GROUP_SIZE,
+    MAX_KEY_BITS,
+    MAX_KEY_LEN,
     WorkloadConfig,
     compare_backends,
     run_simulation,
@@ -102,6 +105,23 @@ class TestSimulation:
             small_config(mode="fast")
         with pytest.raises(ValueError):
             small_config(p_join=2.0)
+
+    def test_size_limits_are_inclusive(self):
+        # a config builds nothing, so the limits are checked at no cost
+        widest = MAX_KEY_BITS // MAX_KEY_LEN  # largest group at the longest key
+        longest = MAX_KEY_BITS // MAX_GROUP_SIZE  # longest key at the largest group
+        small_config(initial_group_size=widest, key_len=MAX_KEY_LEN)
+        small_config(initial_group_size=MAX_GROUP_SIZE, key_len=longest)
+        for too_big in (
+            dict(key_len=MAX_KEY_LEN + 1),
+            dict(initial_group_size=MAX_GROUP_SIZE + 1),
+            dict(initial_group_size=widest + 1, key_len=MAX_KEY_LEN),
+            dict(initial_group_size=MAX_GROUP_SIZE, key_len=longest + 1),
+        ):
+            for mode in ("sim", "analytic"):
+                with pytest.raises(ValueError, match="at most"):
+                    small_config(mode=mode, **too_big)
+
 
 
 class TestSimVsAnalytic:
