@@ -41,6 +41,7 @@ from .workload import (
     WorkloadConfig,
     check_tree_size,
     compare_backends,
+    run_simulation,
     series_csv,
 )
 
@@ -191,12 +192,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    header = [(k, v) for k, v in config.as_header_items()]
+    header = config.as_header_items()
     if backends == ["self"]:
-        from .workload import run_simulation
-
-        result = run_simulation(config)
-        _emit(series_csv(result.records, header), args.out and str(Path(args.out)))
+        _emit(series_csv(run_simulation(config).records, header), args.out)
         return 0
     series = compare_backends(config, backends)
     outdir = Path(args.out) if args.out else None

@@ -1,28 +1,31 @@
 """Poisson-driven membership churn and the cumulative resource time series.
 
-Each step draws an event count from Poisson(lambda); each event is a join
-with probability ``p_join`` and otherwise a leave (an independent-rates
-variant draws separate Poisson counts for joins and leaves).  Leaves that
-would shrink the group below two members are skipped and recorded, never
-silently dropped.  Two execution modes share the same event stream:
+A run spawns two random streams from its seed.  The first draws the event
+list alone: each step draws an event count from Poisson(lambda), each event
+is a join with probability ``p_join`` and otherwise a leave, and each leave
+draws its leaver as an index into the sorted group.  A leave that would
+shrink the group below two members is skipped and recorded, never silently
+dropped.  So one seed gives one event list for every decoy proportion, key
+length, mode and backend.  The second stream builds the tree and runs the
+sessions.  Every run replays the list into one cumulative record per step:
 
 * ``sim`` runs every event through the full protocol against a live tree,
   so the series reflects actual integer path lengths and decoy rounding;
 * ``analytic`` accrues the closed-form tree costs at the running group size,
-  the way the continuous comparison curves are constructed.
+  the way the continuous comparison curves are constructed;
+* backends replay the ``sim`` run's events: tree backends cost each
+  regenerated key at its session size, star backends one whole-group
+  agreement per event, each under its protocol family's closed form.
 
-Backends replay one identical seeded event sequence: the tree backends cost
-each regenerated key at its session size, star backends cost one whole-group
-agreement per event, each under its protocol family's closed form.  A run is
-deterministic: the same config and seed produce byte-identical CSV output.
-
-One simulation run is sequential (the tree is serial state); parameter
-sweeps can run many simulations in parallel.
+A run is deterministic: the same config produces byte-identical CSV output.
+One run is sequential (the tree is serial state); sweeps can run many
+simulations in parallel.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
@@ -40,8 +43,7 @@ ALL_BACKENDS = TREE_BACKENDS + STAR_BACKENDS
 #: Size limits, checked before anything is built so that a run's time and
 #: memory are bounded: the initial group (also ``qgka trace``'s group), the
 #: key length, the key bits of a whole tree (group size times key length),
-#: the time steps, the expected events lambda * steps (twice that with
-#: independent rates), and the decoys of a
+#: the time steps, the expected events lambda * steps, and the decoys of a
 #: ``qgka attack`` run (decoys times trials).
 MAX_GROUP_SIZE = 1 << 18
 MAX_KEY_LEN = 1 << 12
@@ -72,7 +74,6 @@ class WorkloadConfig:
     p_join: float = 0.5
     seed: int = 0
     mode: str = "sim"  # or "analytic"
-    independent_rates: bool = False  # separate Poisson draws for joins/leaves
 
     def __post_init__(self) -> None:
         # both modes cost the same tree, so both take only its domain
@@ -113,12 +114,17 @@ class TimeSeriesRecord:
 
 @dataclass
 class EventInfo:
-    """Per-event detail kept for backend replay."""
+    """One drawn membership event; a ``sim`` replay fills its session sizes.
+
+    ``kind`` is "join", "leave" or "skip", a leave drawn at two members.  A
+    leave's ``leaver`` indexes the sorted members before it.
+    """
 
     step: int
-    kind: str  # "join" or "leave"
+    kind: str
     size_after: int
-    session_sizes: tuple[int, ...]
+    leaver: Optional[int] = None
+    session_sizes: tuple[int, ...] = ()
 
 
 @dataclass
@@ -129,109 +135,107 @@ class SimulationResult:
 
     @property
     def total_events(self) -> int:
+        """Events drawn, skipped leaves included."""
         return len(self.events)
+
+
+#: One event's replay: it runs the event and returns what the event spent.
+_Cost = Callable[[EventInfo], ResourceCounters]
+
+
+def draw_events(config: WorkloadConfig) -> list[EventInfo]:
+    """The run's event list, from the first stream spawned from its seed.
+
+    Each step draws its event count, its events' kinds, then its leavers.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+    events: list[EventInfo] = []
+    size = config.initial_group_size
+    for step in range(1, config.steps + 1):
+        count = rng.poisson(config.lam)
+        for join in [rng.random() < config.p_join for _ in range(count)]:
+            if join:
+                size += 1
+                events.append(EventInfo(step, "join", size))
+            elif size <= 2:
+                events.append(EventInfo(step, "skip", size))
+            else:
+                leaver = int(rng.integers(size))
+                size -= 1
+                events.append(EventInfo(step, "leave", size, leaver))
+    return events
+
+
+def _records(
+    config: WorkloadConfig, events: list[EventInfo], cost: _Cost
+) -> list[TimeSeriesRecord]:
+    """Replay ``events`` through ``cost``, one cumulative record per step."""
+    by_step: dict[int, list[EventInfo]] = {}
+    for ev in events:
+        by_step.setdefault(ev.step, []).append(ev)
+    counts = dict.fromkeys(("join", "leave", "skip"), 0)
+    size = config.initial_group_size
+    total = ResourceCounters()
+    records: list[TimeSeriesRecord] = []
+    for step in range(1, config.steps + 1):
+        for ev in by_step.get(step, ()):
+            counts[ev.kind] += 1
+            size = ev.size_after
+            if ev.kind != "skip":  # a skipped leave spends nothing
+                total.merge(cost(ev))
+        joins, leaves, skipped = counts.values()
+        records.append(
+            TimeSeriesRecord(step, joins, leaves, skipped, size, total.copy())
+        )
+    return records
+
+
+def _protocol_cost(config: WorkloadConfig) -> _Cost:
+    """The protocol on a tree built from the second stream of the seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    users = [f"u{i + 1}" for i in range(config.initial_group_size)]
+    tree = KeyTree.build_balanced(config.degree, users, config.key_len, rng)
+    protocol = GroupProtocol(
+        tree, ProtocolConfig(key_len=config.key_len, xi=config.xi), rng
+    )
+    joiners = itertools.count(config.initial_group_size + 1)
+
+    def cost(ev: EventInfo) -> ResourceCounters:
+        if ev.kind == "join":
+            trace = protocol.join(f"u{next(joiners)}")
+        else:
+            members = protocol.tree.userset(protocol.tree.root)
+            trace = protocol.leave(members[ev.leaver])
+        ev.session_sizes = tuple(trace.session_sizes)
+        return trace.counters
+
+    return cost
+
+
+def _qubits(per_event: Callable[[EventInfo], float]) -> _Cost:
+    """A closed-form cost model, as counters of prepared qubits only."""
+    return lambda ev: ResourceCounters(qubits_prepared=per_event(ev))
 
 
 def run_simulation(config: WorkloadConfig) -> SimulationResult:
     """Run one churn simulation and return its per-step records and events."""
-    rng = np.random.default_rng(config.seed)
-    records: list[TimeSeriesRecord] = []
-    events: list[EventInfo] = []
-
-    users = [f"u{i + 1}" for i in range(config.initial_group_size)]
-    next_uid = config.initial_group_size + 1
-
-    protocol: Optional[GroupProtocol] = None
-    group_size = config.initial_group_size
-    analytic_qubits = 0.0
+    d, n, xi = config.degree, config.key_len, config.xi
+    events = draw_events(config)
     if config.mode == "sim":
-        tree = KeyTree.build_balanced(config.degree, users, config.key_len, rng)
-        protocol = GroupProtocol(
-            tree, ProtocolConfig(key_len=config.key_len, xi=config.xi), rng
+        cost = _protocol_cost(config)
+    else:  # a join at the size after it, a leave at the size before it
+        cost = _qubits(
+            lambda ev: tree_join_cost(ev.size_after, d, n, xi)
+            if ev.kind == "join"
+            else tree_leave_cost(ev.size_after + 1, d, n, xi)
         )
-
-    cum_joins = cum_leaves = cum_skipped = 0
-    for step in range(1, config.steps + 1):
-        if config.independent_rates:
-            kinds = ["join"] * int(rng.poisson(config.lam)) + ["leave"] * int(
-                rng.poisson(config.lam)
-            )
-        else:
-            count = int(rng.poisson(config.lam))
-            kinds = [
-                "join" if rng.random() < config.p_join else "leave"
-                for _ in range(count)
-            ]
-        for kind in kinds:
-            if kind == "leave" and group_size <= 2:
-                cum_skipped += 1
-                continue
-            if kind == "join":
-                uid = f"u{next_uid}"
-                next_uid += 1
-                if protocol is not None:
-                    trace = protocol.join(uid)
-                    sizes = tuple(trace.session_sizes)
-                else:
-                    analytic_qubits += tree_join_cost(
-                        group_size + 1, config.degree, config.key_len, config.xi
-                    )
-                    sizes = ()
-                group_size += 1
-                cum_joins += 1
-            else:
-                if protocol is not None:
-                    members = protocol.tree.userset(protocol.tree.root)
-                    uid = members[int(rng.integers(len(members)))]
-                    trace = protocol.leave(uid)
-                    sizes = tuple(trace.session_sizes)
-                else:
-                    uid = "analytic"
-                    analytic_qubits += tree_leave_cost(
-                        group_size, config.degree, config.key_len, config.xi
-                    )
-                    sizes = ()
-                group_size -= 1
-                cum_leaves += 1
-            events.append(
-                EventInfo(step=step, kind=kind, size_after=group_size, session_sizes=sizes)
-            )
-        records.append(
-            TimeSeriesRecord(
-                step=step,
-                joins=cum_joins,
-                leaves=cum_leaves,
-                skipped_leaves=cum_skipped,
-                group_size=group_size,
-                counters=(
-                    protocol.counters.copy()
-                    if protocol is not None
-                    else ResourceCounters(qubits_prepared=analytic_qubits)
-                ),
-            )
-        )
-    return SimulationResult(config=config, records=records, events=events)
-
-
-def _replay_series(
-    base: SimulationResult, cost_per_event: Callable[[EventInfo], float]
-) -> list[TimeSeriesRecord]:
-    """Accumulate a per-event cost model over the base run's event stream."""
-    out: list[TimeSeriesRecord] = []
-    total = 0.0
-    by_step: dict[int, float] = {}
-    for ev in base.events:
-        by_step[ev.step] = by_step.get(ev.step, 0.0) + cost_per_event(ev)
-    for rec in base.records:
-        total += by_step.get(rec.step, 0.0)
-        out.append(replace(rec, counters=ResourceCounters(qubits_prepared=total)))
-    return out
+    return SimulationResult(config, _records(config, events, cost), events)
 
 
 def compare_backends(
     config: WorkloadConfig, backends: list[str]
 ) -> dict[str, list[TimeSeriesRecord]]:
-    """One cumulative series per backend over an identical event sequence.
+    """One cumulative series per backend over the run's event list.
 
     The base run executes the tree protocol (``sim`` mode) so session sizes
     reflect the live tree.  ``tree-ghz`` reports the base run's own counters
@@ -244,25 +248,20 @@ def compare_backends(
     if unknown:
         raise ValueError(f"unknown backends: {sorted(unknown)}")
     base = run_simulation(replace(config, mode="sim"))
+    n, xi = config.key_len, config.xi
     out: dict[str, list[TimeSeriesRecord]] = {}
     for backend in backends:
-        family = backend.split("-", 1)[1]
+        fn = STAR_COSTS[backend.split("-", 1)[1]]
         if backend == "tree-ghz" and config.mode == "sim":
             out[backend] = base.records
-        elif backend.startswith("tree-"):
-            fn = STAR_COSTS[family]
-            out[backend] = _replay_series(
-                base,
-                lambda ev, fn=fn: sum(
-                    fn(P, config.key_len, config.xi) for P in ev.session_sizes
-                ),
+            continue
+        if backend.startswith("tree-"):
+            cost = _qubits(
+                lambda ev, fn=fn: sum(fn(P, n, xi) for P in ev.session_sizes)
             )
         else:
-            fn = STAR_COSTS[family]
-            out[backend] = _replay_series(
-                base,
-                lambda ev, fn=fn: fn(ev.size_after, config.key_len, config.xi),
-            )
+            cost = _qubits(lambda ev, fn=fn: fn(ev.size_after, n, xi))
+        out[backend] = _records(config, base.events, cost)
     return out
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
 from qgka.cli import main
+from qgka.workload import WorkloadConfig
 
 
 def run(capsys, *argv):
@@ -183,6 +185,25 @@ class TestSimulate:
         run(capsys, *args, "--out", str(a))
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_every_config_field_is_reachable(self, capsys):
+        # every flag at a value other than its default: a config field that
+        # no flag sets keeps its default in the header and fails here
+        code, out, _ = run(
+            capsys,
+            "simulate", "--initial", "9", "--degree", "3", "--lambda", "0.5",
+            "--steps", "3", "--xi", "0.25", "--n", "2", "--p-join", "0.75",
+            "--mode", "analytic", "--seed", "5", "--backends", "star-ghz",
+        )
+        assert code == 0
+        header = dict(
+            line[2:].split(" = ", 1)
+            for line in out.splitlines()
+            if line.startswith("# ")
+        )
+        for f in fields(WorkloadConfig):
+            assert f.name in header, f.name
+            assert header[f.name] != str(f.default), f.name
 
     def test_unknown_backend(self, capsys):
         code, _, err = run(

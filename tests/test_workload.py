@@ -1,5 +1,8 @@
 """Churn simulation: determinism, conservation, slopes, backend ordering."""
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from qgka.cost import star_ghz_cost, tree_average_cost
@@ -10,6 +13,7 @@ from qgka.workload import (
     MAX_KEY_LEN,
     WorkloadConfig,
     compare_backends,
+    draw_events,
     run_simulation,
     series_csv,
 )
@@ -81,10 +85,14 @@ class TestSimulation:
         assert last.skipped_leaves > 0
         assert last.leaves == 0
 
-    def test_independent_rates_flag(self):
-        result = run_simulation(small_config(independent_rates=True, steps=30))
+    def test_every_drawn_event_is_counted(self):
+        cfg = small_config(initial_group_size=3, p_join=0.4, steps=30)
+        result = run_simulation(cfg)
         last = result.records[-1]
-        assert last.joins + last.leaves + last.skipped_leaves == result.total_events
+        assert last.skipped_leaves > 0
+        drawn = len(draw_events(cfg))
+        assert last.joins + last.leaves + last.skipped_leaves == drawn
+        assert result.total_events == drawn
 
     def test_analytic_mode_accrues_closed_forms(self):
         cfg = small_config(mode="analytic", steps=60, xi=0.25, seed=5)
@@ -122,6 +130,32 @@ class TestSimulation:
                 with pytest.raises(ValueError, match="at most"):
                     small_config(mode=mode, **too_big)
 
+
+class TestEventStream:
+    def test_one_event_list_across_settings(self):
+        # a small group, so that some leaves are skipped at two members
+        base = small_config(initial_group_size=4, p_join=0.45, steps=50, seed=7)
+        events = draw_events(base)
+        assert {ev.kind for ev in events} == {"join", "leave", "skip"}
+
+        def counts(records):
+            return [
+                (r.joins, r.leaves, r.skipped_leaves, r.group_size) for r in records
+            ]
+
+        def drawn(evs):
+            return [(ev.step, ev.kind, ev.size_after, ev.leaver) for ev in evs]
+
+        expected = counts(run_simulation(base).records)
+        settings = product((0.0, 0.25, 1.0), (1, 16), ("sim", "analytic"))
+        for xi, key_len, mode in settings:
+            cfg = replace(base, xi=xi, key_len=key_len, mode=mode)
+            assert draw_events(cfg) == events
+            result = run_simulation(cfg)
+            assert drawn(result.events) == drawn(events)
+            assert counts(result.records) == expected, (xi, key_len, mode)
+            for backend, records in compare_backends(cfg, list(ALL_BACKENDS)).items():
+                assert counts(records) == expected, (xi, key_len, mode, backend)
 
 
 class TestSimVsAnalytic:
