@@ -87,8 +87,8 @@ DIGESTS = {
     "trace-leave-reveal": "73651cda3cbd15b95b19323422b71b2f6d2e1e51b63ffb3fd02451408864a959",
     "cost": "670739ba7ffcc49013dc0b25aad1e041d909e29c53d10b70ce1e4fce919c605f",
     "sweep-degree": "c2eb28b9720d18a4915af0bb3825f092a62f0fcd6c9c5bdcc3677aee6b6a2449",
-    "simulate-self": "3266fc8e3d71b190b305ef11e243a3d31a49d8fed37edc0b51d59b2c0ad426b8",
-    "simulate-eight": "058fdeaba7a961143213daf30a87104caacf3cd77dbc3dcd321c4833fa461864",
+    "simulate-self": "a3713a36768b8e0a6387a023d036e60ed096e63af2f9567746e76efec5bb999f",
+    "simulate-eight": "cb3645c00a1f7bd49c351ef8cae0226ffe5bef98b3ae9b65ffd9c4a651dbb7e3",
     "attack": "bf2938d776f580aa6c0dab81dcce861ae6e26c960daa6a22b1b1e2a6fcfe3828",
 }
 
