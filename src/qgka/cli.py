@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-trace         run one join or leave against a fresh balanced tree and write
-              the full JSON event trace
+trace         run one join or leave against a fresh balanced tree, check
+              every member's keys, and write the full JSON event trace
+              with the tree before and after the event
 cost          evaluate one closed-form cost at one parameter point (CSV)
 sweep-degree  tabulate the average tree cost over a degree grid per xi
 simulate      churn simulation, one time-series CSV per backend
@@ -115,25 +116,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     users = [f"u{i + 1}" for i in range(args.group_size)]
     tree = KeyTree.build_balanced(args.degree, users, args.n, rng)
     config = ProtocolConfig(
-        key_len=args.n,
-        xi=args.xi,
-        agent_selection=args.agent_selection,
-        record_tree_snapshots=True,
-        verify_after=True,
+        key_len=args.n, xi=args.xi, agent_selection=args.agent_selection
     )
     protocol = GroupProtocol(tree, config, rng)
+    tree_before = tree.to_dict()
     if args.event == "join":
         user = args.user or f"u{args.group_size + 1}"
         trace = protocol.join(user)
     else:
         user = args.user or users[-1]
         trace = protocol.leave(user)
+    protocol.verify_consistency(raise_on_mismatch=True)
     doc = {
         "config": _config(args),
         **trace.to_dict(reveal_keys=args.reveal_keys),
+        "tree_before": tree_before,
+        "tree_after": tree.to_dict(include_keys=args.reveal_keys),
     }
-    if args.reveal_keys:
-        doc["tree_after"] = protocol.tree.to_dict(include_keys=True)
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     c = trace.counters
     print(

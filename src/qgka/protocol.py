@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -89,8 +89,6 @@ class ProtocolConfig:
     xi: float = 0.0
     agent_selection: str = "random"  # or "first" (lowest user id)
     track_history: bool = False
-    record_tree_snapshots: bool = False
-    verify_after: bool = False
 
     def __post_init__(self) -> None:
         if self.agent_selection not in ("random", "first"):
@@ -119,10 +117,11 @@ class EventTrace:
     messages: list[RekeyMessage]
     counters: ResourceCounters
     tree_stats: dict
-    session_sizes: list[int] = field(default_factory=list)
-    tree_before: Optional[dict] = None
-    tree_after: Optional[dict] = None
-    new_material: dict[str, GroupKey] = field(default_factory=dict)
+    new_material: dict[str, GroupKey]  # updated key id -> its new key
+
+    @property
+    def session_sizes(self) -> list[int]:
+        return [len(t.participants) for _, t in self.sessions]
 
     def to_dict(self, reveal_keys: bool = False) -> dict:
         d = {
@@ -135,10 +134,6 @@ class EventTrace:
             "counters": self.counters.as_dict(),
             "tree_stats": self.tree_stats,
         }
-        if self.tree_before is not None:
-            d["tree_before"] = self.tree_before
-        if self.tree_after is not None:
-            d["tree_after"] = self.tree_after
         if reveal_keys:
             d["updated_key_material"] = {
                 kid: {"version": k.version, "bits": k.bits}
@@ -454,29 +449,20 @@ class GroupProtocol:
 
     # ------------------------------------------------------------------ #
 
-    def _install(self, uid: str, key: GroupKey) -> None:
-        self._entries.put(uid, key.key_id, key)
-        if self.config.track_history:
-            self.archives.setdefault(uid, set()).add(
-                (key.key_id, key.version, key.bits)
-            )
-
     def _choose_agent(self, members: Sequence[str]) -> str:
         if self.config.agent_selection == "first":
             return members[0]
         return members[int(self.rng.integers(len(members)))]
 
-    def _checkpoint(self) -> None:
+    def _begin(self) -> ResourceCounters:
+        """Open the next event step; returns the event's counters."""
+        self.step += 1
         # Sessions can only abort through an adversarial channel (an honest
         # channel's decoy checks are error-free by construction), so the
         # tree records an undo log only when one is installed.
         if self.channel is not None:
             self.tree.checkpoint()
-
-    def _abort(self, counters: ResourceCounters) -> None:
-        self.tree.rollback()
-        self.step -= 1
-        self.aborted_counters.merge(counters)
+        return ResourceCounters()
 
     def _deliver(self, message: RekeyMessage) -> None:
         """Enter one message's keys for its recipients.
@@ -521,11 +507,6 @@ class GroupProtocol:
             opened.append(seen[1])
         for key in opened:
             entries.put(include, key.key_id, key, exclude)
-        if self.config.track_history:
-            for uid in message.recipients:
-                self.archives[uid].update(
-                    (key.key_id, key.version, key.bits) for key in opened
-                )
 
     def _session_agents(self, key_id: str) -> list[str]:
         """A leave session's users for a key: one agent per child subgroup,
@@ -561,7 +542,9 @@ class GroupProtocol:
             counters.merge(t.counters)
         for t in transcripts:
             if t.aborted:
-                self._abort(counters)
+                self.tree.rollback()
+                self.step -= 1
+                self.aborted_counters.merge(counters)
                 raise ProtocolAbort(t.abort_cause or "unknown")
         sessions = list(zip(key_ids, transcripts))
         for key_id, t in sessions:
@@ -569,13 +552,50 @@ class GroupProtocol:
         self.tree.commit()
         return sessions
 
-    def _record_probe(self) -> None:
-        if not self.config.track_history:
-            return
-        root_key = self.tree.key(self.tree.root)  # type: ignore[arg-type]
-        probe = GroupKey("probe", self.step, random_bits(self.tree.key_len, self.rng))
-        self.probes.append(
-            (self.step, encrypt_key(root_key, probe, self.rng.bytes(8)))
+    def _commit(
+        self,
+        kind: str,
+        user_id: str,
+        updated: list[str],
+        sessions: list[tuple[str, QkaTranscript]],
+        messages: list[RekeyMessage],
+        counters: ResourceCounters,
+    ) -> EventTrace:
+        """Close a delivered event and trace it.
+
+        With history tracking, every user under an updated key archives its
+        new version (a joiner also her registration key), and a probe is
+        sent under the new group key.
+        """
+        self._opened.clear()
+        for key_id in updated:
+            self._entries.merge(key_id)
+        (self.joined_at if kind == "join" else self.departed)[user_id] = self.step
+        self.counters.merge(counters)
+        tree = self.tree
+        new_material = {kid: tree.key(kid) for kid in updated}
+        if self.config.track_history:
+            if kind == "join":
+                reg = tree.key(tree.individual_key(user_id))
+                self.archives.setdefault(user_id, set()).add(
+                    (reg.key_id, reg.version, reg.bits)
+                )
+            for key in new_material.values():
+                for uid in tree.userset(key.key_id):
+                    self.archives[uid].add((key.key_id, key.version, key.bits))
+            root_key = tree.key(tree.root)  # type: ignore[arg-type]
+            probe = GroupKey("probe", self.step, random_bits(tree.key_len, self.rng))
+            self.probes.append(
+                (self.step, encrypt_key(root_key, probe, self.rng.bytes(8)))
+            )
+        return EventTrace(
+            event=GroupEvent(kind, user_id, self.step),
+            updated_keys=updated,
+            sessions=sessions,
+            messages=messages,
+            counters=counters,
+            tree_stats=tree.stats(),
+            new_material=new_material,
         )
 
     # ------------------------------------------------------------------ #
@@ -586,21 +606,11 @@ class GroupProtocol:
             raise KeyTreeError(f"user {user_id!r} already in the group")
         if user_id == SERVER_ID:
             raise ValueError(f"user id {SERVER_ID!r} is the server's")
-        self.step += 1
-        self._checkpoint()
-        tree_before = (
-            self.tree.to_dict() if self.config.record_tree_snapshots else None
-        )
-        counters = ResourceCounters()
+        counters = self._begin()
         path = self.tree.insert_user(user_id, self.rng)  # deepest first
         path_root_first = list(reversed(path))
-        # every wrapping key a join message can use, before any session
-        old_material = {}
-        for key_id in path:
-            for kid in (key_id, *self.tree.child_keys(key_id)):
-                key = self.tree.nodes[kid].key
-                if key is not None:
-                    old_material[kid] = key
+        # the path's pre-event keys, None at a fresh split node
+        old_material = {key_id: self.tree.nodes[key_id].key for key_id in path}
 
         sessions = self._regenerate(path_root_first, lambda _: [user_id], counters)
 
@@ -609,36 +619,16 @@ class GroupProtocol:
         )
         for msg in messages:
             self._deliver(msg)
-        self._opened.clear()
 
         # the joiner holds her registration key plus everything she agreed
         # on; the entries on her path are for those keys only
-        self.joined_at[user_id] = self.step
-        if self.config.track_history:
-            self.archives.setdefault(user_id, set())
-        own_keys = [self.tree.individual_key(user_id), *path_root_first]
-        for key_id in own_keys:
-            self._install(user_id, self.tree.key(key_id))
-        for key_id in own_keys:
-            self._entries.merge(key_id)
-
-        self.counters.merge(counters)
-        trace = EventTrace(
-            event=GroupEvent("join", user_id, self.step),
-            updated_keys=path_root_first,
-            sessions=sessions,
-            messages=messages,
-            counters=counters,
-            tree_stats=self.tree.stats(),
-            session_sizes=[2] * len(path_root_first),
-            tree_before=tree_before,
-            tree_after=self.tree.to_dict() if self.config.record_tree_snapshots else None,
-            new_material={kid: self.tree.key(kid) for kid in path_root_first},
+        reg = self.tree.individual_key(user_id)
+        for key_id in (reg, *path_root_first):
+            self._entries.put(user_id, key_id, self.tree.key(key_id))
+        self._entries.merge(reg)
+        return self._commit(
+            "join", user_id, path_root_first, sessions, messages, counters
         )
-        self._record_probe()
-        if self.config.verify_after:
-            self.verify_consistency(raise_on_mismatch=True)
-        return trace
 
     def leave(self, user_id: str) -> EventTrace:
         """Run the full leave protocol for one departing member."""
@@ -646,13 +636,8 @@ class GroupProtocol:
             raise KeyTreeError(f"user {user_id!r} not in the group")
         if self.tree.group_size() < 2:
             raise KeyTreeError("cannot remove the last member of a group")
-        self.step += 1
-        self._checkpoint()
-        tree_before = (
-            self.tree.to_dict() if self.config.record_tree_snapshots else None
-        )
+        counters = self._begin()
         old_path = [user_id, *self.tree.keyset(user_id)]
-        counters = ResourceCounters()
         updated = self.tree.remove_user(user_id)  # deepest first
         path_root_first = list(reversed(updated))
 
@@ -676,33 +661,14 @@ class GroupProtocol:
 
         # session participants learn their keys from the agreement itself
         for key_id in path_root_first:
+            key = self.tree.key(key_id)
             for uid in session_users[key_id]:
-                self._install(uid, self.tree.key(key_id))
+                self._entries.put(uid, key_id, key)
         for msg in messages:
             self._deliver(msg)
-        self._opened.clear()
-
-        for key_id in updated:
-            self._entries.merge(key_id)
-        self.departed[user_id] = self.step
-
-        self.counters.merge(counters)
-        trace = EventTrace(
-            event=GroupEvent("leave", user_id, self.step),
-            updated_keys=path_root_first,
-            sessions=sessions,
-            messages=messages,
-            counters=counters,
-            tree_stats=self.tree.stats(),
-            session_sizes=[1 + len(session_users[k]) for k in path_root_first],
-            tree_before=tree_before,
-            tree_after=self.tree.to_dict() if self.config.record_tree_snapshots else None,
-            new_material={kid: self.tree.key(kid) for kid in path_root_first},
+        return self._commit(
+            "leave", user_id, path_root_first, sessions, messages, counters
         )
-        self._record_probe()
-        if self.config.verify_after:
-            self.verify_consistency(raise_on_mismatch=True)
-        return trace
 
     # ------------------------------------------------------------------ #
 
@@ -715,10 +681,11 @@ class GroupProtocol:
         no departed user's archive opens anything sent at or after the
         user's leave step, that leave's own rekey messages included.
         Backward secrecy: no member's archive opens anything sent before the
-        member's join step.  Opening needs the exact (id, version, bits) key, so each
-        archive is indexed by (id, version) and only the candidates it names
-        are decrypted.  The probe recorded after the latest committed event
-        is under the current root key.  Requires history tracking.
+        member's join step.  Opening needs the exact (id, version, bits) key,
+        so the ciphertexts are indexed once by (id, version) and each archive
+        entry decrypts only the ciphertexts under its own (id, version).  The
+        probe recorded after the latest committed event is under the current
+        root key.  Requires history tracking.
         """
         if not self.config.track_history:
             raise ValueError("secrecy checks need track_history=True")
@@ -732,17 +699,22 @@ class GroupProtocol:
             for uid, joined in self.joined_at.items()
             if uid in self.views
         ]
+        under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
+        for i, (_, ct) in enumerate(sent):
+            under.setdefault((ct.enc_key_id, ct.enc_version), []).append(i)
         failures: list[str] = []
         for who, uid, boundary, after in games:
-            index = {(k, v): bits for k, v, bits in self.archives.get(uid, ())}
-            for step, ct in sent:
-                if (step >= boundary) != after:
-                    continue
-                bits = index.get((ct.enc_key_id, ct.enc_version))
-                if bits is not None and try_unwrap(
-                    GroupKey(ct.enc_key_id, ct.enc_version, bits), ct
-                ):
-                    failures.append(f"{who} opened a ciphertext from step {step}")
+            opened = {
+                i
+                for k, v, bits in self.archives.get(uid, ())
+                for i in under.get((k, v), ())
+                if (sent[i][0] >= boundary) == after
+                and try_unwrap(GroupKey(k, v, bits), sent[i][1])
+            }
+            failures += [
+                f"{who} opened a ciphertext from step {sent[i][0]}"
+                for i in sorted(opened)
+            ]
         return failures
 
     def verify_consistency(

@@ -187,7 +187,7 @@ def _nonce(rng: np.random.Generator) -> bytes:
 def build_join_messages(
     tree: KeyTree,
     path_root_first: list[str],
-    old_material: Mapping[str, GroupKey],
+    old_material: Mapping[str, Optional[GroupKey]],
     joiner: str,
     rng: np.random.Generator,
     counters: ResourceCounters,
@@ -201,8 +201,8 @@ def build_join_messages(
     the message groups, so a path of length m+1 costs m+1 encryptions and
     m+1 message groups.  A path node without old material (a fresh split
     node) is instead wrapped under the displaced child subtree's key, the one
-    key its recipients are guaranteed to hold.  ``old_material`` needs the
-    pre-event keys of the path nodes and of their children.
+    key its recipients are guaranteed to hold; the join leaves that key as
+    it was.  ``old_material`` needs the pre-event keys of the path nodes.
     """
     ciphertexts: list[SimCipherText] = []
     messages: list[RekeyMessage] = []
@@ -218,11 +218,11 @@ def build_join_messages(
         else:
             # fresh split node: its only other subtree is the displaced child
             children = [c for c in tree.child_keys(key_id) if c != below]
-            if len(children) != 1 or old_material.get(children[0]) is None:
+            if len(children) != 1:
                 raise MissingKeyError(
                     f"no usable wrapping key for fresh path node {key_id}"
                 )
-            enc_key = old_material[children[0]]
+            enc_key = tree.key(children[0])
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
         if len(users) > len(skip):
             messages.append(

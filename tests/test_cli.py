@@ -79,6 +79,37 @@ class TestTrace:
         assert "updated_key_material" in doc
         assert any("bits" in n for n in doc["tree_after"]["nodes"])
 
+    def test_trace_verifies_before_writing(self, capsys, tmp_path, monkeypatch):
+        # a leave whose last rekey message is never delivered leaves some
+        # members with a stale key, and the trace command must say so
+        from qgka.protocol import GroupProtocol
+
+        argv = ["trace", "leave", "--group-size", "27", "--degree", "3"]
+        real_deliver = GroupProtocol._deliver
+        delivered = []
+
+        def counted(self, message):
+            delivered.append(message)
+            real_deliver(self, message)
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", counted)
+        assert run(capsys, *argv, "--out", str(tmp_path / "ok.json"))[0] == 0
+        last = len(delivered)
+        assert last >= 2
+        delivered.clear()
+
+        def skip_last(self, message):
+            delivered.append(message)
+            if len(delivered) < last:
+                real_deliver(self, message)
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", skip_last)
+        out = tmp_path / "t.json"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 4
+        assert "invariant violation" in err
+        assert not out.exists()
+
     def test_trace_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["trace", "leave", "--group-size", "27", "--degree", "3",

@@ -168,19 +168,19 @@ def churn_traces() -> tuple[list[dict], int, int]:
     Joiners run u91, u92, ..., so their ids cross from two digits to three.
     Every trace is kept and serialized only after the last event, so the
     digest also pins that a trace reads the same after later events as it
-    did when its event ran.  Returns the serialized traces and the numbers
+    did when its event ran.  The tree is snapshotted around each event, as
+    ``qgka trace`` does.  Returns the serialized traces and the numbers
     of splits (a join adding two k-nodes) and merges (a leave removing two).
     """
     rng = np.random.default_rng(41)
     tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(90)], 4, rng)
-    config = ProtocolConfig(
-        key_len=4, xi=0.25, agent_selection="random", record_tree_snapshots=True
-    )
+    config = ProtocolConfig(key_len=4, xi=0.25, agent_selection="random")
     proto = GroupProtocol(tree, config, rng)
     events = np.random.default_rng(42)
     next_uid, splits, merges, traces = 91, 0, 0, []
     for _ in range(80):
         before = len(proto.tree.key_nodes())
+        tree_before = proto.tree.to_dict()
         if events.random() < 0.6:
             trace = proto.join(f"u{next_uid}")
             next_uid += 1
@@ -189,9 +189,13 @@ def churn_traces() -> tuple[list[dict], int, int]:
             members = proto.tree.users()
             trace = proto.leave(members[int(events.integers(len(members)))])
             merges += before - len(proto.tree.key_nodes()) == 2
-        traces.append(trace)
+        traces.append((trace, tree_before, proto.tree.to_dict()))
     assert next_uid > 100
-    return [t.to_dict(reveal_keys=True) for t in traces], splits, merges
+    docs = [
+        {**t.to_dict(reveal_keys=True), "tree_before": b, "tree_after": a}
+        for t, b, a in traces
+    ]
+    return docs, splits, merges
 
 
 def _churn_digest(traces: list[dict]) -> str:

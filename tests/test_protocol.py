@@ -24,12 +24,23 @@ from qgka.rekey import MissingKeyError
 from oracle import UserView, apply_rekey
 
 
-def fresh_protocol(d, N, seed=1, n=1, xi=0.0, **kwargs):
+def fresh_protocol(d, N, seed=1, n=1, xi=0.0, verify_after=True, **kwargs):
+    """A protocol on a balanced tree of N users; with ``verify_after``, every
+    committed join and leave is followed by a full consistency check."""
     rng = np.random.default_rng(seed)
     tree = KeyTree.build_balanced(d, [f"u{i + 1}" for i in range(N)], n, rng)
-    kwargs.setdefault("verify_after", True)
-    config = ProtocolConfig(key_len=n, xi=xi, **kwargs)
-    return GroupProtocol(tree, config, rng)
+    proto = GroupProtocol(tree, ProtocolConfig(key_len=n, xi=xi, **kwargs), rng)
+    if verify_after:
+        for name in ("join", "leave"):
+            event = getattr(proto, name)
+
+            def checked(user_id, event=event):
+                trace = event(user_id)
+                proto.verify_consistency(raise_on_mismatch=True)
+                return trace
+
+            setattr(proto, name, checked)
+    return proto
 
 
 def snapshot(proto):
@@ -538,12 +549,11 @@ class TestDeliveryCheck:
 
 
 class TestTraceShape:
-    def test_trace_serializes_with_tree_snapshots(self):
-        proto = fresh_protocol(3, 8, record_tree_snapshots=True)
+    def test_trace_serializes(self):
+        proto = fresh_protocol(3, 8)
         trace = proto.join("u9")
         doc = trace.to_dict()
         assert doc["event"] == {"kind": "join", "user": "u9", "timestamp": 1}
-        assert doc["tree_before"]["root"] == doc["tree_after"]["root"]
         assert len(doc["sessions"]) == 2
         for session in doc["sessions"]:
             assert session["participants"] == ["s", "u9"]

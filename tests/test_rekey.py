@@ -130,6 +130,28 @@ class TestJoinMessages:
         # no old root existed: wrapped under the displaced individual key
         assert msgs[0].items[0].enc_key_id == tree.individual_key("u1")
 
+    def test_split_wraps_under_the_displaced_child_key(self):
+        # a full binary tree of four users splits at the join; the fresh
+        # node has no old key and the displaced child is not on the path
+        rng = np.random.default_rng(5)
+        tree = KeyTree.build_balanced(2, ["u1", "u2", "u3", "u4"], 4, rng)
+        path = list(reversed(tree.insert_user("u5", rng)))
+        old = {kid: tree.nodes[kid].key for kid in path}
+        fresh = path[-1]
+        assert old[fresh] is None
+        (displaced,) = [
+            c for c in tree.child_keys(fresh) if c != tree.individual_key("u5")
+        ]
+        assert displaced not in old
+        for kid in path:
+            tree.set_key(kid, random_bits(4, rng))
+        msgs = build_join_messages(tree, path, old, "u5", rng, ResourceCounters())
+        (msg,) = [m for m in msgs if m.include == fresh]
+        item = msg.items[-1]
+        wrap = tree.key(displaced)
+        assert (item.enc_key_id, item.enc_version) == (displaced, wrap.version)
+        assert decrypt_key(wrap, item) == tree.key(fresh)
+
     def test_recipients_partition_existing_members(self):
         tree, rng = _nine_user_setup()
         members = set(tree.users())

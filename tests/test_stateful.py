@@ -10,7 +10,9 @@ must match a recomputation and the whole-tree oracles, the delivered keys
 must have settled at their own nodes, every view must match its keyset,
 both secrecy games must hold and the committed counters must not shrink;
 an aborted event must leave the tree exactly as a pre-event clone, children
-order and node counter included, and the protocol's state untouched.
+order and node counter included, and the protocol's state untouched.  A
+committed event must add to each member's archive exactly the keys the
+member now holds and leave every departed user's archive as it was.
 """
 
 from dataclasses import astuple
@@ -96,8 +98,15 @@ class GroupChurn(RuleBasedStateMachine):
             assert attacked and exc.cause == "eavesdropper"
             assert tree_state(proto.tree) == tree_state(tree_before)
             assert protocol_state(proto) == before
+            return
         finally:
             proto.channel = None
+        archives = before[3]  # protocol_state's archives
+        for user, archive in proto.archives.items():
+            expected = archives.get(user, set())
+            if user in proto.views:
+                expected = expected | set(map(astuple, proto.views[user].keys.values()))
+            assert archive == expected, user
 
     @rule()
     def join(self):
