@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -103,8 +103,15 @@ class GroupEvent:
     user: str
     timestamp: int  # integer event step
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "user": self.user, "timestamp": self.timestamp}
+
+@dataclass
+class Stay:
+    """One membership of a user id: the steps ``[joined, left)`` (``left``
+    None while it lasts) and every (id, version, bits) key held in it."""
+
+    joined: int
+    left: Optional[int] = None
+    keys: set[tuple[str, int, str]] = field(default_factory=set)
 
 
 @dataclass
@@ -125,7 +132,7 @@ class EventTrace:
 
     def to_dict(self, reveal_keys: bool = False) -> dict:
         d = {
-            "event": self.event.to_dict(),
+            "event": asdict(self.event),
             "updated_keys": self.updated_keys,
             "sessions": [
                 {"key_id": kid, **t.to_dict()} for kid, t in self.sessions
@@ -434,18 +441,16 @@ class GroupProtocol:
         # every member starts with her keyset, one entry per key
         self._entries = _Entries(tree)
         self.views: Mapping[str, MemberView] = _Members(self._entries)
-        self.archives: dict[str, set[tuple[str, int, str]]] = {}
-        self.joined_at: dict[str, int] = dict.fromkeys(tree.users(), 0)
-        self.departed: dict[str, int] = {}
+        # written only with history tracking, like the probes
+        self.stays: dict[str, list[Stay]] = {}
         self.probes: list[tuple[int, SimCipherText]] = []
         # item -> (wrapping key, opened key) over one event's messages
         self._opened: dict[SimCipherText, tuple[GroupKey, GroupKey]] = {}
         if config.track_history:
             for uid in tree.users():
-                self.archives[uid] = {
-                    (k.key_id, k.version, k.bits)
-                    for k in map(tree.key, tree.keyset(uid))
-                }
+                keys = map(tree.key, tree.keyset(uid))
+                held = {(k.key_id, k.version, k.bits) for k in keys}
+                self.stays[uid] = [Stay(0, keys=held)]
 
     # ------------------------------------------------------------------ #
 
@@ -563,26 +568,28 @@ class GroupProtocol:
     ) -> EventTrace:
         """Close a delivered event and trace it.
 
-        With history tracking, every user under an updated key archives its
-        new version (a joiner also her registration key), and a probe is
-        sent under the new group key.
+        With history tracking, a joiner opens a stay holding her
+        registration key, a leaver's stay ends, every user under an updated
+        key adds its new version to her current stay, and a probe is sent
+        under the new group key.
         """
         self._opened.clear()
         for key_id in updated:
             self._entries.merge(key_id)
-        (self.joined_at if kind == "join" else self.departed)[user_id] = self.step
         self.counters.merge(counters)
         tree = self.tree
         new_material = {kid: tree.key(kid) for kid in updated}
         if self.config.track_history:
             if kind == "join":
                 reg = tree.key(tree.individual_key(user_id))
-                self.archives.setdefault(user_id, set()).add(
-                    (reg.key_id, reg.version, reg.bits)
-                )
+                stay = Stay(self.step, keys={(reg.key_id, reg.version, reg.bits)})
+                self.stays.setdefault(user_id, []).append(stay)
+            else:
+                self.stays[user_id][-1].left = self.step
             for key in new_material.values():
+                held = (key.key_id, key.version, key.bits)  # once per key
                 for uid in tree.userset(key.key_id):
-                    self.archives[uid].add((key.key_id, key.version, key.bits))
+                    self.stays[uid][-1].keys.add(held)
             root_key = tree.key(tree.root)  # type: ignore[arg-type]
             probe = GroupKey("probe", self.step, random_bits(tree.key_len, self.rng))
             self.probes.append(
@@ -675,76 +682,68 @@ class GroupProtocol:
     def secrecy_failures(
         self, ciphertexts: Iterable[tuple[int, SimCipherText]] = ()
     ) -> list[str]:
-        """Play both secrecy games over the recorded probes plus ``ciphertexts``.
+        """Play the secrecy game over the recorded probes plus ``ciphertexts``.
 
-        Every ciphertext comes with the step that sent it.  Forward secrecy:
-        no departed user's archive opens anything sent at or after the
-        user's leave step, that leave's own rekey messages included.
-        Backward secrecy: no member's archive opens anything sent before the
-        member's join step.  Opening needs the exact (id, version, bits) key,
-        so the ciphertexts are indexed once by (id, version) and each archive
-        entry decrypts only the ciphertexts under its own (id, version).  The
-        probe recorded after the latest committed event is under the current
-        root key.  Requires history tracking.
+        Every ciphertext comes with the step that sent it.  A key held during
+        a stay may open only what was sent in its ``[joined, left)``: nothing
+        from before the join (backward secrecy) or from the leave step on,
+        that leave's own rekey messages included (forward secrecy).  Opening
+        needs the exact (id, version, bits) key, so the ciphertexts are
+        indexed once by (id, version) and each held key decrypts only those
+        under its own.  The probe recorded after the latest committed event
+        is under the current root key.  Requires history tracking.
         """
         if not self.config.track_history:
             raise ValueError("secrecy checks need track_history=True")
         sent = [*self.probes, *ciphertexts]
-        # (who, whose archive, boundary step, game covers steps >= boundary)
-        games = [
-            (f"departed {uid}", uid, left_at, True)
-            for uid, left_at in self.departed.items()
-        ] + [
-            (uid, uid, joined, False)
-            for uid, joined in self.joined_at.items()
-            if uid in self.views
-        ]
         under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
         for i, (_, ct) in enumerate(sent):
             under.setdefault((ct.enc_key_id, ct.enc_version), []).append(i)
         failures: list[str] = []
-        for who, uid, boundary, after in games:
-            opened = {
-                i
-                for k, v, bits in self.archives.get(uid, ())
-                for i in under.get((k, v), ())
-                if (sent[i][0] >= boundary) == after
-                and try_unwrap(GroupKey(k, v, bits), sent[i][1])
-            }
-            failures += [
-                f"{who} opened a ciphertext from step {sent[i][0]}"
-                for i in sorted(opened)
-            ]
+        for uid, stays in self.stays.items():
+            for stay in stays:
+                left = float("inf") if stay.left is None else stay.left
+                opened = {
+                    i
+                    for k, v, bits in stay.keys
+                    for i in under.get((k, v), ())
+                    if not stay.joined <= sent[i][0] < left
+                    and try_unwrap(GroupKey(k, v, bits), sent[i][1])
+                }
+                for i in sorted(opened):
+                    step = sent[i][0]
+                    who = f"departed {uid}" if step >= left else uid
+                    failures.append(f"{who} opened a ciphertext from step {step}")
         return failures
 
-    def verify_consistency(
-        self, raise_on_mismatch: bool = False, check_secrecy: bool = False
-    ) -> dict:
+    def verify_consistency(self, raise_on_mismatch: bool = False) -> dict:
         """Compare every member's view with its keyset projection.
 
-        With ``check_secrecy`` (requires history tracking), also play both
-        secrecy games of ``secrecy_failures`` over the recorded probes.
+        Only users under a node with entries for other keys, or under a
+        k-node whose own entry is not its key, can differ, and between events
+        the entries have settled; only they are compared, in user order, for
+        the report a comparison of every member gives.
         """
+        tree, nodes, entries = self.tree, self.tree.nodes, self._entries
+        unsettled = [
+            n
+            for n, node in nodes.items()
+            if (key := entries.own.get(n)) is not node.key and key != node.key
+        ]
+        unsettled += [n for n in entries.extra if n in nodes]
+        users = {u for n in unsettled for u in (nodes[n].users or (n,))}
         mismatches: dict[str, dict] = {}
-        for uid in self.tree.users():
-            projection = {k: self.tree.key(k) for k in self.tree.keyset(uid)}
-            held = self._entries.keys_of(uid)
+        for uid in sorted(users, key=_user_sort_key):
+            projection = {k: tree.key(k) for k in tree.keyset(uid)}
+            held = entries.keys_of(uid)
             if held != projection:
+                stale = [k for k, v in held.items() if projection.get(k, v) != v]
                 mismatches[uid] = {
-                    "missing": sorted(set(projection) - set(held)),
-                    "stale": sorted(
-                        k
-                        for k in held
-                        if k in projection and held[k] != projection[k]
-                    ),
-                    "extra": sorted(set(held) - set(projection)),
+                    "missing": sorted(projection.keys() - held.keys()),
+                    "stale": sorted(stale),
+                    "extra": sorted(held.keys() - projection.keys()),
                 }
-        secrecy_failures = self.secrecy_failures() if check_secrecy else []
-        report = {
-            "consistent": not mismatches and not secrecy_failures,
-            "mismatches": mismatches,
-            "secrecy_failures": secrecy_failures,
-        }
-        if raise_on_mismatch and not report["consistent"]:
+        report = {"consistent": not mismatches, "mismatches": mismatches}
+        if raise_on_mismatch and mismatches:
             raise ConsistencyError(report)
         return report

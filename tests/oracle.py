@@ -8,7 +8,10 @@ the bit-string convention of the package.
 
 ``apply_rekey`` is per-user delivery: one user opens a rekey message with
 the keys in that user's ``UserView``, her own key store, the reference for
-the protocol's shared delivery.
+the protocol's shared delivery.  ``per_user_report`` compares every
+member's view with its keyset projection, one user at a time, the reference
+for ``GroupProtocol.verify_consistency``, which compares only the users
+whose keys have not settled.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
 references for the tree's cached height and join summaries, ``depth``
@@ -69,6 +72,7 @@ from qgka.quantum import (
     measure_entangled,
     random_decoy,
 )
+from qgka.protocol import GroupProtocol
 from qgka.rekey import MissingKeyError, RekeyMessage, decrypt_key
 
 _MATRICES = {
@@ -159,6 +163,24 @@ def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
         view.install(new_key)
         installed.append(new_key)
     return installed
+
+
+def per_user_report(proto: GroupProtocol) -> dict:
+    """``verify_consistency``'s report, by comparing every member."""
+    tree = proto.tree
+    mismatches: dict[str, dict] = {}
+    for uid in tree.users():
+        projection = {k: tree.key(k) for k in tree.keyset(uid)}
+        held = dict(proto.views[uid].keys)
+        if held != projection:
+            mismatches[uid] = {
+                "missing": sorted(set(projection) - set(held)),
+                "stale": sorted(
+                    k for k in held if k in projection and held[k] != projection[k]
+                ),
+                "extra": sorted(set(held) - set(projection)),
+            }
+    return {"consistent": not mismatches, "mismatches": mismatches}
 
 
 def dfs_height(tree: KeyTree) -> int:

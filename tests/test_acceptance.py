@@ -252,12 +252,11 @@ def test_c10_secrecy_games_over_churn():
                     ciphertexts.append((proto.step, item))
         assert proto.verify_consistency()["consistent"], proto.step
 
-    # Forward game: no departed member's archived key opens anything sent
-    # at or after the member's leave.  Backward game: no member's archive
-    # opens anything sent before the member first joined.  Both run over every rekey
-    # ciphertext and every probe; opening needs an exact (id, version,
-    # bits) match, and the checker decrypts exactly the pairs that match
-    # on (id, version).
+    # One game over every rekey ciphertext and every probe: no key held
+    # during a membership stay opens anything sent before the stay's join
+    # (backward secrecy) or at or after its leave (forward secrecy); opening
+    # needs an exact (id, version, bits) match, and the checker decrypts
+    # exactly the pairs that match on (id, version).
     failures = proto.secrecy_failures(ciphertexts)
     assert failures == []
 
@@ -265,15 +264,18 @@ def test_c10_secrecy_games_over_churn():
     # decrypted directly, as a cross-check on the cipher binding.
     post_items = sorted(ciphertexts, key=lambda p: p[0])
     sample_rng = np.random.default_rng(7)
-    departed_ids = sorted(proto.departed)
+    ended = [  # (leave step, sorted keys) per ended stay, by user id
+        (stay.left, sorted(stay.keys))
+        for _, stays in sorted(proto.stays.items())
+        for stay in stays
+        if stay.left is not None
+    ]
     direct_failures = 0
     for _ in range(20_000):
-        uid = departed_ids[int(sample_rng.integers(len(departed_ids)))]
-        left_at = proto.departed[uid]
+        left_at, archive = ended[int(sample_rng.integers(len(ended)))]
         step, item = post_items[int(sample_rng.integers(len(post_items)))]
         if step < left_at:
             continue
-        archive = sorted(proto.archives[uid])
         k, v, b = archive[int(sample_rng.integers(len(archive)))]
         if try_unwrap(GroupKey(k, v, b), item) is not None:
             direct_failures += 1
@@ -282,7 +284,7 @@ def test_c10_secrecy_games_over_churn():
     assert elapsed < 60.0
     _report(
         10,
-        f"1000 events, {len(proto.departed)} leavers, 0 violations over "
+        f"1000 events, {len(ended)} leavers, 0 violations over "
         f"{len(ciphertexts)} ciphertexts and {len(proto.probes)} probes "
         f"in {elapsed:.1f}s",
     )

@@ -9,7 +9,7 @@ import pytest
 from qgka import protocol as protocol_module
 from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
-from qgka.keytree import KeyTree, KeyTreeError
+from qgka.keytree import GroupKey, KeyTree, KeyTreeError
 from qgka.counters import ResourceCounters
 from qgka.protocol import (
     SERVER_ID,
@@ -21,7 +21,7 @@ from qgka.protocol import (
 from qgka.cost import tree_join_cost, tree_leave_cost
 from qgka.rekey import MissingKeyError
 
-from oracle import UserView, apply_rekey
+from oracle import UserView, apply_rekey, per_user_report
 
 
 def fresh_protocol(d, N, seed=1, n=1, xi=0.0, verify_after=True, **kwargs):
@@ -50,9 +50,10 @@ def snapshot(proto):
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {u: set(a) for u, a in proto.archives.items()},
-        dict(proto.joined_at),
-        dict(proto.departed),
+        {
+            u: [(s.joined, s.left, set(s.keys)) for s in stays]
+            for u, stays in proto.stays.items()
+        },
         len(proto.probes),
     )
 
@@ -100,7 +101,8 @@ class TestJoin:
         with pytest.raises(ValueError, match="server"):
             proto.join(SERVER_ID)
         assert (snapshot(proto), proto.aborted_counters.as_dict()) == before
-        assert proto.verify_consistency(check_secrecy=True)["consistent"]
+        assert proto.verify_consistency()["consistent"]
+        assert proto.secrecy_failures() == []
 
     def test_tree_holding_server_id_refused(self):
         rng = np.random.default_rng(1)
@@ -306,8 +308,9 @@ class TestRollback:
             proto.counters.qubits_prepared + proto.aborted_counters.qubits_prepared
             == prepared
         )
-        report = proto.verify_consistency(check_secrecy=True)
+        report = proto.verify_consistency()
         assert report["consistent"], report
+        assert proto.secrecy_failures() == []
 
 
 class TestTamperAbort:
@@ -360,7 +363,8 @@ class TestTamperAbort:
         assert proto.aborted_counters == aborted_before
         assert spent.entangled_measurements == 4 * len(drawn)
         proto.tree.check_invariants()
-        assert proto.verify_consistency(check_secrecy=True)["consistent"]
+        assert proto.verify_consistency()["consistent"]
+        assert proto.secrecy_failures() == []
 
     def test_first_aborted_session_names_the_cause(self, monkeypatch):
         # the first session is tampered with and the second meets an
@@ -421,8 +425,6 @@ class TestConsistency:
             assert len(trace.updated_keys) <= bound
 
     def test_corrupted_view_reported(self):
-        from qgka.keytree import GroupKey
-
         proto = fresh_protocol(3, 9)
         proto.views["u5"].install(GroupKey(proto.tree.root, 99, "1"))
         report = proto.verify_consistency()
@@ -435,9 +437,8 @@ class TestConsistency:
         proto = fresh_protocol(3, 9, track_history=True)
         proto.leave("u9")
         proto.join("u10")
-        report = proto.verify_consistency(check_secrecy=True)
-        assert report["consistent"]
-        assert report["secrecy_failures"] == []
+        assert proto.verify_consistency()["consistent"]
+        assert proto.secrecy_failures() == []
 
     def test_secrecy_checker_reports_leaked_keys(self):
         proto = fresh_protocol(3, 9, track_history=True)
@@ -446,15 +447,54 @@ class TestConsistency:
         proto.join("u10")  # step 2
         # the leaver holds the group key of the leave's own step, the joiner
         # one from before the join; the joiner's own step-2 keys stay legal
-        proto.archives["u9"].add(leaked)
-        proto.archives["u10"].add(leaked)
+        proto.stays["u9"][-1].keys.add(leaked)
+        proto.stays["u10"][-1].keys.add(leaked)
         assert proto.secrecy_failures() == [
             "departed u9 opened a ciphertext from step 1",
             "u10 opened a ciphertext from step 1",
         ]
-        assert not proto.verify_consistency(check_secrecy=True)["consistent"]
         with pytest.raises(ValueError):
             fresh_protocol(3, 9).secrecy_failures()
+
+    def test_rejoined_id_opens_only_its_own_stays(self):
+        # a user id that leaves and joins again has two stays; the probe of
+        # the rejoin step is under a key of the second
+        proto = fresh_protocol(3, 9, track_history=True)
+        proto.leave("u3")  # step 1
+        proto.join("u10")  # step 2
+        proto.join("u3")  # step 3
+        assert proto.secrecy_failures() == []
+        assert [(s.joined, s.left) for s in proto.stays["u3"]] == [(0, 1), (3, None)]
+
+    def test_ended_stay_key_opening_a_later_stay_is_reported(self):
+        proto = fresh_protocol(3, 9, track_history=True)
+        proto.leave("u3")
+        proto.join("u10")
+        proto.join("u3")  # step 3, whose probe is under this group key
+        proto.stays["u3"][0].keys.add(astuple(proto.tree.key(proto.tree.root)))
+        assert proto.secrecy_failures() == [
+            "departed u3 opened a ciphertext from step 3"
+        ]
+
+    @pytest.mark.parametrize("fault", ["stale", "missing", "extra", "own"])
+    def test_planted_fault_fails_both_checks_alike(self, fault):
+        proto = fresh_protocol(3, 9, verify_after=False)
+        stale_root = proto.tree.key(proto.tree.root)
+        proto.leave("u9")
+        proto.join("u10")
+        tree, view = proto.tree, proto.views["u5"]
+        if fault == "stale":
+            view.install(stale_root)
+        elif fault == "missing":
+            view.drop(tree.root)
+        elif fault == "extra":
+            view.install(tree.key(tree.individual_key("u1")))
+        else:
+            parent = tree.keyset("u5")[1]
+            proto._entries.own[parent] = GroupKey(parent, 99, "1")
+        report = proto.verify_consistency()
+        assert not report["consistent"] and "u5" in report["mismatches"]
+        assert report == per_user_report(proto)
 
     def test_shared_delivery_matches_per_user_oracle(self, monkeypatch):
         # every message of a seeded churn run goes through both the

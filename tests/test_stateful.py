@@ -8,11 +8,14 @@ test oracle, on a copy of each recipient's view, and after every message
 all views must equal the oracle's.  After every step the tree's caches
 must match a recomputation and the whole-tree oracles, the delivered keys
 must have settled at their own nodes, every view must match its keyset,
-both secrecy games must hold and the committed counters must not shrink;
-an aborted event must leave the tree exactly as a pre-event clone, children
-order and node counter included, and the protocol's state untouched.  A
-committed event must add to each member's archive exactly the keys the
-member now holds and leave every departed user's archive as it was.
+with the same report from ``verify_consistency`` and from the per-user
+oracle, the secrecy game must hold and the committed counters must not
+shrink; an aborted event must leave the tree exactly as a pre-event clone,
+children order and node counter included, and the protocol's state
+untouched.  Departed user ids join again.  A committed event must leave each
+member's current stay holding exactly the keys it held before plus the keys
+the member now holds, and may change an ended stay only by setting its leave
+step, once.
 """
 
 from dataclasses import astuple
@@ -31,7 +34,13 @@ from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
 
-from oracle import UserView, apply_rekey, dfs_height, scan_join_point
+from oracle import (
+    UserView,
+    apply_rekey,
+    dfs_height,
+    per_user_report,
+    scan_join_point,
+)
 
 
 class OracleDelivery(GroupProtocol):
@@ -60,9 +69,10 @@ def protocol_state(proto: GroupProtocol) -> tuple:
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {u: set(a) for u, a in proto.archives.items()},
-        dict(proto.joined_at),
-        dict(proto.departed),
+        {
+            u: [(s.joined, s.left, set(s.keys)) for s in stays]
+            for u, stays in proto.stays.items()
+        },
         len(proto.probes),
     )
 
@@ -81,14 +91,17 @@ class GroupChurn(RuleBasedStateMachine):
         self.next_uid = size + 1
         self.last_counters = self.proto.counters.as_dict()
 
-    def event(self, kind: str, pick: int, attacked: bool) -> None:
+    def departed(self) -> list[str]:
+        return [u for u in self.proto.stays if u not in self.proto.views]
+
+    def event(self, kind: str, pick: int, attacked: bool, uid: str = "") -> None:
         proto = self.proto
-        if kind == "join":
-            uid = f"u{self.next_uid}"
-            self.next_uid += 1
-        else:
+        if kind == "leave":
             members = proto.tree.users()
             uid = members[pick % len(members)]
+        elif not uid:
+            uid = f"u{self.next_uid}"
+            self.next_uid += 1
         tree_before = proto.tree.clone()
         before = protocol_state(proto)
         proto.channel = self.channel if attacked else None
@@ -101,12 +114,20 @@ class GroupChurn(RuleBasedStateMachine):
             return
         finally:
             proto.channel = None
-        archives = before[3]  # protocol_state's archives
-        for user, archive in proto.archives.items():
-            expected = archives.get(user, set())
-            if user in proto.views:
-                expected = expected | set(map(astuple, proto.views[user].keys.values()))
-            assert archive == expected, user
+        stays_before = before[3]  # protocol_state's stays
+        for user, stays in proto.stays.items():
+            old = stays_before.get(user, [])
+            assert len(stays) - len(old) == (user == uid and kind == "join")
+            assert (stays[-1].left is None) == (user in proto.views), user
+            old = old + [(proto.step, None, set())]  # a joiner's new stay
+            for (joined, left, keys), stay in zip(old, stays):
+                assert stay.joined == joined, user
+                if stay.left is None:  # the current stay
+                    now = set(map(astuple, proto.views[user].keys.values()))
+                    assert stay is stays[-1] and stay.keys == keys | now, user
+                else:
+                    assert stay.keys == keys, user
+                    assert stay.left == (proto.step if left is None else left), user
 
     @rule()
     def join(self):
@@ -116,6 +137,12 @@ class GroupChurn(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 10**6))
     def leave(self, pick):
         self.event("leave", pick, attacked=False)
+
+    @precondition(lambda self: self.departed())
+    @rule(pick=st.integers(0, 10**6), attacked=st.booleans())
+    def rejoin(self, pick, attacked):
+        departed = self.departed()
+        self.event("join", 0, attacked, uid=departed[pick % len(departed)])
 
     @rule(pick=st.integers(0, 10**6), join=st.booleans())
     def attacked_event(self, pick, join):
@@ -135,8 +162,10 @@ class GroupChurn(RuleBasedStateMachine):
 
     @invariant()
     def views_secrecy_and_counters_hold(self):
-        report = self.proto.verify_consistency(check_secrecy=True)
+        report = self.proto.verify_consistency()
         assert report["consistent"], report
+        assert report == per_user_report(self.proto)
+        assert self.proto.secrecy_failures() == []
         counters = self.proto.counters.as_dict()
         assert all(counters[k] >= v for k, v in self.last_counters.items())
         self.last_counters = counters
