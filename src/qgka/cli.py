@@ -69,11 +69,14 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
         return
     raw = _read_config_file(args.config)
     subparser = _SUBPARSERS[args.command]
+    # argparse fills in no default where the namespace has the flag already
+    given = argparse.Namespace(**{a.dest: None for a in subparser._actions})
+    subparser.parse_args(argv[1:], given)
     for action in subparser._actions:
         dest = action.dest
         if dest not in raw or not action.option_strings:
             continue
-        if any(opt in argv for opt in action.option_strings):
+        if getattr(given, dest) is not None:
             continue  # explicit flags override the file
         value: object = raw[dest]
         if isinstance(action, argparse._StoreTrueAction):

@@ -21,16 +21,16 @@ last abort point, so an abort leaves them untouched; the resources an
 aborted event spent, every drawn session's included, go to
 ``aborted_counters``.
 
-Members' keys are recorded per node, not per user: an entry for a key at a
-node says that every user under the node holds that version, unless an
-entry deeper on the user's path says otherwise.  A rekey message reaches a
-subtree difference, the users under one node minus those under a few nodes
-below it, so delivery enters each key once at that node and, where needed,
-once at each excluded node to keep what it held; after the event the
-entries fold back into one per key, at the key's own node.  An event
-therefore touches only its path: the tree work, the sessions, the message
-addressing and the delivery grow with d and log_d N, not with the number of
-recipients.  ``views`` reads each member's keys off the entries on demand.
+Members hold the tree's keys on their paths, except where an entry, kept
+per node, says that every user under the node holds another version.  An
+event pins each key at its own node to the old value before the tree takes
+the new one.  A rekey message reaches the users under one node minus those
+under a few nodes below it, so delivery enters each key once at that node
+and, where needed, once at each excluded node to keep what it held; after
+the event the entries fold away.  An event therefore touches only its
+path: the tree work, the sessions, the message addressing and the delivery
+grow with d and log_d N, not with the number of recipients.  ``views``
+reads each member's keys off the tree and the entries on demand.
 """
 
 from __future__ import annotations
@@ -154,81 +154,73 @@ _ABSENT = object()
 
 
 class _Entries:
-    """Delivered keys, recorded per node.
+    """Delivered keys, recorded per node where they differ from the tree.
 
     An entry for key K at node X says that every user under X holds the
     given version of K, or with None that none holds K, unless an entry for
-    K deeper on the user's path says otherwise.  The entry for K at K's own
-    node lives in ``own``, every other entry in ``extra``, and ``where``
-    indexes the extra entries by key.  Settled, every key has one entry, at
-    its own node; an event adds entries along its path and at its session
-    users' u-nodes (a u-node's id is its user's id), and ``merge`` folds
-    them back up.
+    K deeper on the user's path says otherwise.  Without an entry, K's own
+    node holds the tree's value, so a settled group has no entries.  An
+    event pins its keys at their own nodes, adds entries along its path and
+    at its session users' u-nodes (a u-node's id is its user's id), and
+    ``merge`` folds them all away.
     """
 
     def __init__(self, tree: KeyTree):
         self.tree = tree
-        self.own: dict[str, Optional[GroupKey]] = {
-            nid: node.key for nid, node in tree.nodes.items() if node.key is not None
-        }
-        self.extra: dict[str, dict[str, Optional[GroupKey]]] = {}
+        self.by_node: dict[str, dict[str, Optional[GroupKey]]] = {}
         self.where: dict[str, set[str]] = {}
 
     def get(self, node_id: str, key_id: str):
         """The entry for ``key_id`` at ``node_id``, or ``_ABSENT``."""
-        if node_id == key_id:
-            return self.own.get(key_id, _ABSENT)
-        entries = self.extra.get(node_id)
+        entries = self.by_node.get(node_id)
         return _ABSENT if entries is None else entries.get(key_id, _ABSENT)
 
     def _set(self, node_id: str, key_id: str, value: Optional[GroupKey]) -> None:
-        if node_id == key_id:
-            self.own[key_id] = value
-            return
-        self.extra.setdefault(node_id, {})[key_id] = value
+        self.by_node.setdefault(node_id, {})[key_id] = value
         self.where.setdefault(key_id, set()).add(node_id)
 
     def _pop(self, node_id: str, key_id: str) -> None:
-        if node_id == key_id:
-            del self.own[key_id]
-            return
-        entries = self.extra[node_id]
+        entries = self.by_node[node_id]
         del entries[key_id]
         if not entries:
-            del self.extra[node_id]
+            del self.by_node[node_id]
         nodes = self.where[key_id]
         nodes.discard(node_id)
         if not nodes:
             del self.where[key_id]
 
+    def pin(self, key_id: str) -> None:
+        """Keep what the key's users hold before the tree's value changes."""
+        if self.get(key_id, key_id) is _ABSENT:
+            self._set(key_id, key_id, self.tree.nodes[key_id].key)
+
     def lookup(self, node_id: Optional[str], key_id: str) -> Optional[GroupKey]:
         """What the users under ``node_id`` hold as ``key_id``, barring
         entries below it."""
-        nodes, own, extra = self.tree.nodes, self.own, self.extra
+        nodes, by_node = self.tree.nodes, self.by_node
         while node_id is not None:
+            entries = by_node.get(node_id)
+            if entries is not None and key_id in entries:
+                return entries[key_id]
             if node_id == key_id:
-                if key_id in own:
-                    return own[key_id]
-            else:
-                entries = extra.get(node_id)
-                if entries is not None and key_id in entries:
-                    return entries[key_id]
+                return nodes[key_id].key
             node_id = nodes[node_id].parent
         return None
 
     def keys_of(self, user_id: str) -> dict[str, GroupKey]:
         """Every key the user holds, by id."""
-        nodes, own, extra = self.tree.nodes, self.own, self.extra
+        nodes, by_node = self.tree.nodes, self.by_node
         held: dict[str, Optional[GroupKey]] = {}
         node_id: Optional[str] = user_id
         while node_id is not None:
-            entries = extra.get(node_id)
+            node = nodes[node_id]
+            entries = by_node.get(node_id)
             if entries:
                 for key_id, value in entries.items():
                     held.setdefault(key_id, value)
-            if node_id in own:
-                held.setdefault(node_id, own[node_id])
-            node_id = nodes[node_id].parent
+            if node.key is not None:
+                held.setdefault(node_id, node.key)
+            node_id = node.parent
         if None in held.values():
             return {k: v for k, v in held.items() if v is not None}
         return held  # type: ignore[return-value]
@@ -250,10 +242,20 @@ class _Entries:
     def inside(self, top: str, key_id: str) -> list[str]:
         """The nodes at or below ``top`` with an entry for ``key_id``."""
         height = self.tree.nodes[top].height
-        found = [y for y in self.where.get(key_id, ()) if self._within(y, top, height)]
-        if key_id in self.own and self._within(key_id, top, height):
-            found.append(key_id)
-        return found
+        return [y for y in self.where.get(key_id, ()) if self._within(y, top, height)]
+
+    def _settle(self, node_id: str, key_id: str, value: Optional[GroupKey]) -> None:
+        """The users under ``node_id`` hold ``value`` as ``key_id``, barring
+        entries below it.  No entry is kept that repeats what the node
+        inherits, which at the key's own node is the tree's value."""
+        if node_id == key_id:
+            inherited = self.tree.nodes[key_id].key
+        else:
+            inherited = self.lookup(self.tree.nodes[node_id].parent, key_id)
+        if inherited != value:
+            self._set(node_id, key_id, value)
+        elif self.get(node_id, key_id) is not _ABSENT:
+            self._pop(node_id, key_id)
 
     def put(
         self,
@@ -265,8 +267,7 @@ class _Entries:
         """Every user under ``node_id``, bar the users under the nodes
         ``keep``, now holds ``value`` as ``key_id`` (None: does not hold it).
 
-        An entry that repeats what its node inherits is not kept, and a kept
-        node's entry then says what its users held before.
+        A kept node's entry then says what its users held before.
         """
         nodes = self.tree.nodes
         kept = [(e, nodes[e].height) for e in keep]
@@ -274,21 +275,17 @@ class _Entries:
         for y in self.inside(node_id, key_id):
             if y != node_id and not any(self._within(y, e, h) for e, h in kept):
                 self._pop(y, key_id)
-        self._set(node_id, key_id, value)
-        if self.lookup(nodes[node_id].parent, key_id) == value:
-            self._pop(node_id, key_id)
+        self._settle(node_id, key_id, value)
         for e, old in before:
-            if self.lookup(nodes[e].parent, key_id) != old:
-                self._set(e, key_id, old)
-            elif self.get(e, key_id) is not _ABSENT:
-                self._pop(e, key_id)
+            self._settle(e, key_id, old)
 
     def holds(self, top: str, wrap: GroupKey, keep: Sequence[str] = ()) -> bool:
         """Whether every user under ``top``, bar the users under the nodes
         ``keep``, holds exactly ``wrap``.
 
-        Only the paths down to the entries and kept nodes below ``top`` are
-        walked; every other subtree holds what its root inherits.
+        Only the paths down to the entries, the key's own node and the kept
+        nodes below ``top`` are walked; every other subtree holds what its
+        root inherits.
         """
         nodes, key_id = self.tree.nodes, wrap.key_id
         # a kept user who holds the key anyway is no exception
@@ -296,9 +293,9 @@ class _Entries:
             e for e in keep if nodes[e].kind == "k" or self.lookup(e, key_id) != wrap
         ]
         height = nodes[top].height
-        marks = [y for y in self.inside(top, key_id) if y != top]
-        marks += [e for e in keep if e != top and self._within(e, top, height)]
-        below: set[str] = set()  # nodes with an entry or a kept node under them
+        marks = [*self.where.get(key_id, ()), key_id, *keep]
+        marks = [y for y in marks if y != top and self._within(y, top, height)]
+        below: set[str] = set()  # nodes with a mark under them
         for y in marks:
             y = nodes[y].parent  # type: ignore[assignment]
             while y not in below:
@@ -314,6 +311,8 @@ class _Entries:
             here = self.get(node_id, key_id)
             if here is not _ABSENT:
                 value = here
+            elif node_id == key_id:
+                value = nodes[key_id].key
             if node_id in keep:
                 continue
             if node_id in below:
@@ -332,23 +331,24 @@ class _Entries:
         while todo:
             _, node_id = heapq.heappop(todo)
             value = self.get(node_id, key_id)
-            parent = nodes[node_id].parent
-            if value is _ABSENT or parent is None:
+            if value is _ABSENT:
                 continue
-            kids = nodes[parent].children
-            if all(self.get(c, key_id) == value for c in kids):
-                for c in kids:
+            parent = nodes[node_id].parent
+            # a climb ends at the key's own node, so its entry stays there
+            if node_id != key_id and parent is not None and all(
+                self.get(c, key_id) == value for c in nodes[parent].children
+            ):
+                for c in nodes[parent].children:
                     self._pop(c, key_id)
                 self._set(parent, key_id, value)
                 heapq.heappush(todo, (nodes[parent].height, parent))
-            elif self.lookup(parent, key_id) == value:
-                self._pop(node_id, key_id)
+            else:
+                self._settle(node_id, key_id, value)
 
     def forget(self, node_id: str) -> None:
         """Remove every entry at a node that left the tree."""
-        for key_id in list(self.extra.get(node_id, ())):
+        for key_id in list(self.by_node.get(node_id, ())):
             self._pop(node_id, key_id)
-        self.own.pop(node_id, None)
 
 
 class _HeldKeys(Mapping):
@@ -438,7 +438,7 @@ class GroupProtocol:
         # spent by events that aborted and were rolled back
         self.aborted_counters = ResourceCounters()
         self.step = 0
-        # every member starts with her keyset, one entry per key
+        # members hold the tree's keys until an event pins one
         self._entries = _Entries(tree)
         self.views: Mapping[str, MemberView] = _Members(self._entries)
         # written only with history tracking, like the probes
@@ -477,13 +477,13 @@ class GroupProtocol:
         recipient must hold the identical wrapping key, so each item is
         unwrapped once, with the first recipient's copy, after checking that
         every recipient holds that copy; the check walks only the paths down
-        to the entries and exclude nodes below the include node.  An item
-        that an earlier message of the event opened under the same wrapping
-        key is not unwrapped again.  Each opened key, never the tree's, is
-        entered once at the include node, and the exclude nodes keep what
-        they held.  Semantically equivalent to each recipient decrypting
-        every item with her own copy of the wrapping key, the per-user form
-        the test suite keeps as its reference.
+        to the entries, the key's own node and the exclude nodes below the
+        include node.  An item that an earlier message of the event opened
+        under the same wrapping key is not unwrapped again.  Each opened key,
+        never the tree's, is entered once at the include node, and the exclude
+        nodes keep what they held.  Semantically equivalent to each recipient
+        decrypting every item with her own copy of the wrapping key, the
+        per-user form the test suite keeps as its reference.
         """
         entries, nodes = self._entries, self.tree.nodes
         include, exclude = message.include, message.exclude
@@ -553,6 +553,7 @@ class GroupProtocol:
                 raise ProtocolAbort(t.abort_cause or "unknown")
         sessions = list(zip(key_ids, transcripts))
         for key_id, t in sessions:
+            self._entries.pin(key_id)
             self.tree.set_key(key_id, t.extracted_key)
         self.tree.commit()
         return sessions
@@ -627,12 +628,10 @@ class GroupProtocol:
         for msg in messages:
             self._deliver(msg)
 
-        # the joiner holds her registration key plus everything she agreed
-        # on; the entries on her path are for those keys only
-        reg = self.tree.individual_key(user_id)
-        for key_id in (reg, *path_root_first):
+        # the joiner holds her registration key, the tree's, plus everything
+        # she agreed on
+        for key_id in path_root_first:
             self._entries.put(user_id, key_id, self.tree.key(key_id))
-        self._entries.merge(reg)
         return self._commit(
             "join", user_id, path_root_first, sessions, messages, counters
         )
@@ -660,8 +659,7 @@ class GroupProtocol:
 
         # the leaver's u-node, individual key and any emptied node are gone,
         # and so is a parent merged into its remaining child, which then
-        # stands in for it on the update list; between events the entries
-        # at a k-node are only its own key's
+        # stands in for it on the update list
         gone = [n for n in old_path if n not in self.tree.nodes]
         for node_id in gone:
             self._entries.forget(node_id)
@@ -719,18 +717,13 @@ class GroupProtocol:
     def verify_consistency(self, raise_on_mismatch: bool = False) -> dict:
         """Compare every member's view with its keyset projection.
 
-        Only users under a node with entries for other keys, or under a
-        k-node whose own entry is not its key, can differ, and between events
-        the entries have settled; only they are compared, in user order, for
-        the report a comparison of every member gives.
+        A member with no entry on her path holds the tree's keys, and between
+        events the entries have settled to none; only the users under a node
+        with entries are compared, in user order, for the report a comparison
+        of every member gives.
         """
         tree, nodes, entries = self.tree, self.tree.nodes, self._entries
-        unsettled = [
-            n
-            for n, node in nodes.items()
-            if (key := entries.own.get(n)) is not node.key and key != node.key
-        ]
-        unsettled += [n for n in entries.extra if n in nodes]
+        unsettled = [n for n in entries.by_node if n in nodes]
         users = {u for n in unsettled for u in (nodes[n].users or (n,))}
         mismatches: dict[str, dict] = {}
         for uid in sorted(users, key=_user_sort_key):

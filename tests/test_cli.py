@@ -283,11 +283,16 @@ class TestConfigFile:
         assert code == 0
         assert out.strip().splitlines()[-1].endswith(",41.0")
 
-    def test_explicit_flag_overrides_config(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "xi",
+        [["--xi", "0"], ["--xi=0"], ["--x", "0"]],
+        ids=["spaced", "equals", "abbreviated"],
+    )
+    def test_explicit_flag_overrides_config(self, capsys, tmp_path, xi):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("xi = 1.0\n")
         code, out, _ = run(
-            capsys, "cost", "--protocol", "ghz", "--N", "2", "--xi", "0",
+            capsys, "cost", "--protocol", "ghz", "--N", "2", *xi,
             "--config", str(cfg),
         )
         assert code == 0

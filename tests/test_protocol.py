@@ -491,7 +491,7 @@ class TestConsistency:
             view.install(tree.key(tree.individual_key("u1")))
         else:
             parent = tree.keyset("u5")[1]
-            proto._entries.own[parent] = GroupKey(parent, 99, "1")
+            proto._entries.put(parent, parent, GroupKey(parent, 99, "1"))
         report = proto.verify_consistency()
         assert not report["consistent"] and "u5" in report["mismatches"]
         assert report == per_user_report(proto)
@@ -573,6 +573,15 @@ class TestDeliveryCheck:
         self._plant_and_run(
             "leave", "u30", lambda key_id, trace: key_id not in trace.updated_keys
         )
+
+    def test_wrong_key_at_its_own_node_stops_a_join(self):
+        # the join keeps the planted entry for the root key at the root when
+        # it regenerates that key, so its members lack the wrapping key
+        proto = fresh_protocol(3, 9, verify_after=False)
+        root = proto.tree.root
+        proto._entries.put(root, root, GroupKey(root, 99, "1"))
+        with pytest.raises(MissingKeyError):
+            proto.join("u10")
 
     def test_delivery_replaces_a_planted_key(self):
         # u5 is not the first member of its root subgroup, so not a root

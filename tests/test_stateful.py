@@ -7,15 +7,15 @@ event succeeded.  Every rekey message is also opened per user by the
 test oracle, on a copy of each recipient's view, and after every message
 all views must equal the oracle's.  After every step the tree's caches
 must match a recomputation and the whole-tree oracles, the delivered keys
-must have settled at their own nodes, every view must match its keyset,
-with the same report from ``verify_consistency`` and from the per-user
-oracle, the secrecy game must hold and the committed counters must not
-shrink; an aborted event must leave the tree exactly as a pre-event clone,
-children order and node counter included, and the protocol's state
-untouched.  Departed user ids join again.  A committed event must leave each
-member's current stay holding exactly the keys it held before plus the keys
-the member now holds, and may change an ended stay only by setting its leave
-step, once.
+must have settled into the tree, leaving no entry, every view must match
+its keyset, with the same report from ``verify_consistency`` and from the
+per-user oracle, the secrecy game must hold and the committed counters must
+not shrink; an aborted event must leave the tree exactly as a pre-event
+clone, children order and node counter included, and the protocol's state,
+its entries included, untouched.  Departed user ids join again.  A
+committed event must leave each member's current stay holding exactly the
+keys it held before plus the keys the member now holds, and may change an
+ended stay only by setting its leave step, once.
 """
 
 from dataclasses import astuple
@@ -74,6 +74,7 @@ def protocol_state(proto: GroupProtocol) -> tuple:
             for u, stays in proto.stays.items()
         },
         len(proto.probes),
+        {n: dict(entries) for n, entries in proto._entries.by_node.items()},
     )
 
 
@@ -157,8 +158,8 @@ class GroupChurn(RuleBasedStateMachine):
         assert tree.join_point() == scan_join_point(tree)
 
     @invariant()
-    def delivered_keys_settle_at_their_own_nodes(self):
-        assert not self.proto._entries.extra
+    def delivered_keys_settle_into_the_tree(self):
+        assert not self.proto._entries.by_node
 
     @invariant()
     def views_secrecy_and_counters_hold(self):
