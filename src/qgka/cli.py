@@ -64,17 +64,22 @@ _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill in values from --config for flags not given on the command line."""
+    """Fill in values from --config for flags not given on the command line;
+    a key that names no settable flag of the subcommand is an error."""
     if not getattr(args, "config", None):
         return
     raw = _read_config_file(args.config)
     subparser = _SUBPARSERS[args.command]
+    flags = {a.dest for a in subparser._actions if a.option_strings}
+    unknown = raw.keys() - (flags - {"help", "config"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     # argparse fills in no default where the namespace has the flag already
     given = argparse.Namespace(**{a.dest: None for a in subparser._actions})
     subparser.parse_args(argv[1:], given)
     for action in subparser._actions:
         dest = action.dest
-        if dest not in raw or not action.option_strings:
+        if dest not in raw:
             continue
         if getattr(given, dest) is not None:
             continue  # explicit flags override the file

@@ -145,6 +145,8 @@ def sweep_degree(
         seen.add(d)
     if not seen:
         raise ValueError("empty degree range")
+    if not xi_values:
+        raise ValueError("empty xi list")
     degrees = sorted(seen)
     for xi in xi_values:
         CostParams(N=N, n=n, xi=xi)

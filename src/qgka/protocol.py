@@ -22,20 +22,21 @@ aborted event spent, every drawn session's included, go to
 ``aborted_counters``.
 
 Members hold the tree's keys on their paths, except where an entry, kept
-per node, says that every user under the node holds another version.  An
-event pins each key at its own node to the old value before the tree takes
-the new one.  A rekey message reaches the users under one node minus those
-under a few nodes below it, so delivery enters each key once at that node
-and, where needed, once at each excluded node to keep what it held; after
-the event the entries fold away.  An event therefore touches only its
-path: the tree work, the sessions, the message addressing and the delivery
-grow with d and log_d N, not with the number of recipients.  ``views``
-reads each member's keys off the tree and the entries on demand.
+per key and node, says that every user under the node holds another
+version.  An event pins each key at its own node to the old value before
+the tree takes the new one.  A rekey message reaches the users under one
+node minus those under a few nodes below it, so delivery asks once per item
+what all its recipients hold, enters each key once at that node and, where
+needed, once at each excluded node to keep what it held.  After the event,
+the same question asked at a key's own node drops that key's entries once
+every user under it holds the tree's value.  An event therefore touches
+only its path: the tree work, the sessions, the message addressing and the
+delivery grow with d and log_d N, not with the number of recipients.
+``views`` reads each member's keys off the tree and the entries on demand.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
@@ -149,81 +150,65 @@ class EventTrace:
         return d
 
 
-#: get()'s answer for a node with no entry for the key
-_ABSENT = object()
+#: common()'s answer when the users do not all hold the same value
+_MIXED = object()
 
 
 class _Entries:
     """Delivered keys, recorded per node where they differ from the tree.
 
-    An entry for key K at node X says that every user under X holds the
-    given version of K, or with None that none holds K, unless an entry for
-    K deeper on the user's path says otherwise.  Without an entry, K's own
+    An entry ``by_key[K][X]`` says that every user under node X holds that
+    version of key K, or with None that none holds K, unless an entry for K
+    deeper on the user's path says otherwise.  Without an entry, K's own
     node holds the tree's value, so a settled group has no entries.  An
     event pins its keys at their own nodes, adds entries along its path and
     at its session users' u-nodes (a u-node's id is its user's id), and
-    ``merge`` folds them all away.
+    ``merge`` drops a key's entries once its users all hold the tree's value.
     """
 
     def __init__(self, tree: KeyTree):
         self.tree = tree
-        self.by_node: dict[str, dict[str, Optional[GroupKey]]] = {}
-        self.where: dict[str, set[str]] = {}
-
-    def get(self, node_id: str, key_id: str):
-        """The entry for ``key_id`` at ``node_id``, or ``_ABSENT``."""
-        entries = self.by_node.get(node_id)
-        return _ABSENT if entries is None else entries.get(key_id, _ABSENT)
+        self.by_key: dict[str, dict[str, Optional[GroupKey]]] = {}
 
     def _set(self, node_id: str, key_id: str, value: Optional[GroupKey]) -> None:
-        self.by_node.setdefault(node_id, {})[key_id] = value
-        self.where.setdefault(key_id, set()).add(node_id)
+        self.by_key.setdefault(key_id, {})[node_id] = value
 
     def _pop(self, node_id: str, key_id: str) -> None:
-        entries = self.by_node[node_id]
-        del entries[key_id]
-        if not entries:
-            del self.by_node[node_id]
-        nodes = self.where[key_id]
-        nodes.discard(node_id)
-        if not nodes:
-            del self.where[key_id]
+        at = self.by_key[key_id]
+        del at[node_id]
+        if not at:
+            del self.by_key[key_id]
 
     def pin(self, key_id: str) -> None:
         """Keep what the key's users hold before the tree's value changes."""
-        if self.get(key_id, key_id) is _ABSENT:
+        if key_id not in self.by_key.get(key_id, {}):
             self._set(key_id, key_id, self.tree.nodes[key_id].key)
 
     def lookup(self, node_id: Optional[str], key_id: str) -> Optional[GroupKey]:
         """What the users under ``node_id`` hold as ``key_id``, barring
         entries below it."""
-        nodes, by_node = self.tree.nodes, self.by_node
+        nodes, at = self.tree.nodes, self.by_key.get(key_id, {})
         while node_id is not None:
-            entries = by_node.get(node_id)
-            if entries is not None and key_id in entries:
-                return entries[key_id]
+            if node_id in at:
+                return at[node_id]
             if node_id == key_id:
                 return nodes[key_id].key
             node_id = nodes[node_id].parent
         return None
 
     def keys_of(self, user_id: str) -> dict[str, GroupKey]:
-        """Every key the user holds, by id."""
-        nodes, by_node = self.tree.nodes, self.by_node
-        held: dict[str, Optional[GroupKey]] = {}
-        node_id: Optional[str] = user_id
-        while node_id is not None:
-            node = nodes[node_id]
-            entries = by_node.get(node_id)
-            if entries:
-                for key_id, value in entries.items():
-                    held.setdefault(key_id, value)
-            if node.key is not None:
-                held.setdefault(node_id, node.key)
-            node_id = node.parent
-        if None in held.values():
-            return {k: v for k, v in held.items() if v is not None}
-        return held  # type: ignore[return-value]
+        """Every key the user holds, by id: the tree's keys on her path,
+        except that a key with an entry on her path at or below its own
+        node takes the deepest such entry."""
+        nodes, path = self.tree.nodes, [user_id]
+        while nodes[path[-1]].parent is not None:
+            path.append(nodes[path[-1]].parent)  # type: ignore[arg-type]
+        held = {y: nodes[y].key for y in path}
+        for key_id, at in self.by_key.items():
+            y = next((y for y in path if y in at or y == key_id), None)
+            if y in at:
+                held[key_id] = at[y]  # type: ignore[index]
+        return {k: v for k, v in held.items() if v is not None}
 
     def _within(self, node_id: str, top: str, height: int) -> bool:
         """Whether ``node_id`` is ``top`` or below it; ``height`` is top's.
@@ -242,7 +227,7 @@ class _Entries:
     def inside(self, top: str, key_id: str) -> list[str]:
         """The nodes at or below ``top`` with an entry for ``key_id``."""
         height = self.tree.nodes[top].height
-        return [y for y in self.where.get(key_id, ()) if self._within(y, top, height)]
+        return [y for y in self.by_key.get(key_id, ()) if self._within(y, top, height)]
 
     def _settle(self, node_id: str, key_id: str, value: Optional[GroupKey]) -> None:
         """The users under ``node_id`` hold ``value`` as ``key_id``, barring
@@ -254,7 +239,7 @@ class _Entries:
             inherited = self.lookup(self.tree.nodes[node_id].parent, key_id)
         if inherited != value:
             self._set(node_id, key_id, value)
-        elif self.get(node_id, key_id) is not _ABSENT:
+        elif node_id in self.by_key.get(key_id, {}):
             self._pop(node_id, key_id)
 
     def put(
@@ -279,22 +264,24 @@ class _Entries:
         for e, old in before:
             self._settle(e, key_id, old)
 
-    def holds(self, top: str, wrap: GroupKey, keep: Sequence[str] = ()) -> bool:
-        """Whether every user under ``top``, bar the users under the nodes
-        ``keep``, holds exactly ``wrap``.
+    def common(self, top: str, key_id: str, keep: Sequence[str] = ()):
+        """What every user under ``top``, bar the users under the nodes
+        ``keep``, holds as ``key_id`` (None: none holds it), or ``_MIXED``
+        when they do not all hold the same.
 
-        Only the paths down to the entries, the key's own node and the kept
-        nodes below ``top`` are walked; every other subtree holds what its
-        root inherits.
+        With no entry for the key, and not the key's own node, strictly
+        below ``top``, that is what ``top`` holds, whatever ``keep`` leaves
+        out.  Otherwise only the paths down to those nodes and the kept ones
+        are walked; every other subtree holds what its root inherits.
         """
-        nodes, key_id = self.tree.nodes, wrap.key_id
-        # a kept user who holds the key anyway is no exception
-        keep = [
-            e for e in keep if nodes[e].kind == "k" or self.lookup(e, key_id) != wrap
-        ]
+        nodes, at = self.tree.nodes, self.by_key.get(key_id, {})
         height = nodes[top].height
-        marks = [*self.where.get(key_id, ()), key_id, *keep]
-        marks = [y for y in marks if y != top and self._within(y, top, height)]
+        marks = [
+            y for y in (*at, key_id) if y != top and self._within(y, top, height)
+        ]
+        if not marks:
+            return self.lookup(top, key_id)
+        marks += [e for e in keep if e != top and self._within(e, top, height)]
         below: set[str] = set()  # nodes with a mark under them
         for y in marks:
             y = nodes[y].parent  # type: ignore[assignment]
@@ -303,51 +290,33 @@ class _Entries:
                 if y == top:
                     break
                 y = nodes[y].parent  # type: ignore[assignment]
-        if not below:
-            return self.lookup(top, key_id) == wrap
+        held: list[Optional[GroupKey]] = []
         todo = [(top, self.lookup(nodes[top].parent, key_id))]
         while todo:
             node_id, value = todo.pop()
-            here = self.get(node_id, key_id)
-            if here is not _ABSENT:
-                value = here
+            if node_id in at:
+                value = at[node_id]
             elif node_id == key_id:
                 value = nodes[key_id].key
             if node_id in keep:
                 continue
             if node_id in below:
                 todo.extend((c, value) for c in nodes[node_id].children)
-            elif value != wrap:
-                return False
-        return True
+            elif value not in held:
+                held.append(value)
+        return held[0] if len(held) == 1 else _MIXED
 
     def merge(self, key_id: str) -> None:
-        """Fold the entries for ``key_id`` upward, bottom up: the children's
-        entries into their parent where all of them carry the same one, and
-        an entry that repeats what its node inherits into nothing."""
-        nodes = self.tree.nodes
-        todo = [(nodes[y].height, y) for y in self.where.get(key_id, ())]
-        heapq.heapify(todo)
-        while todo:
-            _, node_id = heapq.heappop(todo)
-            value = self.get(node_id, key_id)
-            if value is _ABSENT:
-                continue
-            parent = nodes[node_id].parent
-            # a climb ends at the key's own node, so its entry stays there
-            if node_id != key_id and parent is not None and all(
-                self.get(c, key_id) == value for c in nodes[parent].children
-            ):
-                for c in nodes[parent].children:
-                    self._pop(c, key_id)
-                self._set(parent, key_id, value)
-                heapq.heappush(todo, (nodes[parent].height, parent))
-            else:
-                self._settle(node_id, key_id, value)
+        """Drop the entries for ``key_id`` at and below its node once every
+        user under it holds the tree's value; otherwise leave them for
+        ``verify_consistency`` to report."""
+        if self.common(key_id, key_id) == self.tree.nodes[key_id].key:
+            for y in self.inside(key_id, key_id):
+                self._pop(y, key_id)
 
     def forget(self, node_id: str) -> None:
         """Remove every entry at a node that left the tree."""
-        for key_id in list(self.by_node.get(node_id, ())):
+        for key_id in [k for k, at in self.by_key.items() if node_id in at]:
             self._pop(node_id, key_id)
 
 
@@ -474,37 +443,24 @@ class GroupProtocol:
 
         The recipients are the users under the message's include node less
         those under its exclude nodes.  Decryption is deterministic and every
-        recipient must hold the identical wrapping key, so each item is
-        unwrapped once, with the first recipient's copy, after checking that
-        every recipient holds that copy; the check walks only the paths down
-        to the entries, the key's own node and the exclude nodes below the
-        include node.  An item that an earlier message of the event opened
-        under the same wrapping key is not unwrapped again.  Each opened key,
-        never the tree's, is entered once at the include node, and the exclude
-        nodes keep what they held.  Semantically equivalent to each recipient
-        decrypting every item with her own copy of the wrapping key, the
-        per-user form the test suite keeps as its reference.
+        recipient must hold the identical wrapping key, so each item asks
+        once what they all hold (``_Entries.common``), checks its version
+        and is unwrapped once with it.  An item that an earlier message of
+        the event opened under the same wrapping key is not unwrapped again.
+        Each opened key, never the tree's, is entered once at the include
+        node, and the exclude nodes keep what they held.  Semantically
+        equivalent to each recipient decrypting every item with her own copy
+        of the wrapping key, the per-user form the test suite keeps as its
+        reference.
         """
-        entries, nodes = self._entries, self.tree.nodes
-        include, exclude = message.include, message.exclude
-        children = nodes[include].children
-        if exclude and exclude[0] in children:  # a join message
-            first = min(
-                (nodes[c].users[0] for c in children if c not in exclude),
-                key=_user_sort_key,
-            )
-        else:
-            first = next(u for u in nodes[include].users if u not in exclude)
+        entries, include, exclude = self._entries, message.include, message.exclude
         opened: list[GroupKey] = []
         for item in message.items:
-            wrap = entries.lookup(first, item.enc_key_id)
-            if wrap is None or wrap.version != item.enc_version:
+            wrap = entries.common(include, item.enc_key_id, exclude)
+            if wrap is _MIXED or wrap is None or wrap.version != item.enc_version:
                 raise MissingKeyError(
-                    f"{first} lacks {item.enc_key_id} v{item.enc_version}"
-                )
-            if not entries.holds(include, wrap, exclude):
-                raise MissingKeyError(
-                    f"a recipient under {include} lacks {wrap.key_id} v{wrap.version}"
+                    f"a recipient under {include} lacks"
+                    f" {item.enc_key_id} v{item.enc_version}"
                 )
             seen = self._opened.get(item)
             if seen is None or seen[0] != wrap:
@@ -717,13 +673,13 @@ class GroupProtocol:
     def verify_consistency(self, raise_on_mismatch: bool = False) -> dict:
         """Compare every member's view with its keyset projection.
 
-        A member with no entry on her path holds the tree's keys, and between
-        events the entries have settled to none; only the users under a node
-        with entries are compared, in user order, for the report a comparison
-        of every member gives.
+        A member with no entry on her path holds the tree's keys, and an
+        event leaves entries only for a key that some of its users did not
+        receive; only the users under a node with entries are compared, in
+        user order, for the report a comparison of every member gives.
         """
         tree, nodes, entries = self.tree, self.tree.nodes, self._entries
-        unsettled = [n for n in entries.by_node if n in nodes]
+        unsettled = {n for at in entries.by_key.values() for n in at if n in nodes}
         users = {u for n in unsettled for u in (nodes[n].users or (n,))}
         mismatches: dict[str, dict] = {}
         for uid in sorted(users, key=_user_sort_key):

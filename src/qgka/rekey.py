@@ -104,7 +104,7 @@ def encrypt_key(
     counters: Optional[ResourceCounters] = None,
 ) -> SimCipherText:
     """Wrap ``new_key`` under ``enc_key``; counts one encryption."""
-    plain = f"{new_key.key_id}|{new_key.version}|{new_key.bits}".encode()
+    plain = _key_bytes(new_key)
     payload = _xor(plain, _keystream(enc_key, nonce, len(plain)))
     if counters is not None:
         counters.encryptions += 1

@@ -244,6 +244,8 @@ def compare_backends(
     tree backends cost every session at its size under their protocol
     family; star backends cost one whole-group agreement per event.
     """
+    if not backends:
+        raise ValueError("empty backend list")
     unknown = set(backends) - set(ALL_BACKENDS)
     if unknown:
         raise ValueError(f"unknown backends: {sorted(unknown)}")

@@ -298,6 +298,24 @@ class TestConfigFile:
         assert code == 0
         assert out.strip().splitlines()[-1] == "ghz,2,1,0.0,,2.0"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["cost", "--protocol", "ghz", "--N", "2"], "xii = 1.0"),
+            (["trace", "join", "--group-size", "4", "--degree", "2"], "event = leave"),
+            (["cost", "--protocol", "ghz", "--N", "2"], "help = 1"),
+            (["cost", "--protocol", "ghz", "--N", "2"], "config = other.cfg"),
+        ],
+        ids=["misspelt-flag", "positional", "help", "config"],
+    )
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error:") and line.split()[0] in err
+        assert out == ""
+
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n")
@@ -349,6 +367,7 @@ class TestExitCodes:
             ["sweep-degree", "--N", "64", "--n", "0", "--xi-list", "0.25"],
             ["sweep-degree", "--N", "1024", "--xi-list", "0.25",
              "--d-max", "1000000000"],
+            ["sweep-degree", "--N", "64", "--xi-list", ","],
         ],
     )
     def test_values_outside_cost_domain_are_usage_errors(self, capsys, argv):
@@ -384,6 +403,8 @@ class TestExitCodes:
              "--lambda", "1000", "--mode", "analytic"],
             ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "0"],
             ["attack", "--strategy", "cnot", "--decoys", "0", "--trials", "10"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
+             "--backends", ","],
             # over the size limits, rejected before anything is built
             ["trace", "join", "--group-size", "2", "--degree", "2", "--n", "4097"],
             ["trace", "join", "--group-size", "2", "--degree", "2",

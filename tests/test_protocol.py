@@ -597,6 +597,57 @@ class TestDeliveryCheck:
         assert proto.verify_consistency()["consistent"]
 
 
+class TestUndeliveredMessage:
+    """A message that never arrives leaves its recipients without its keys.
+
+    The skipped message is the ``skip``-th of one event at d=3, N=30.  A
+    join's messages all wrap under old keys, so each skip is reported after
+    the event.  A leave sends deeper keys first and wraps each key above
+    under them, so only a root-level skip survives to be reported.
+    """
+
+    @staticmethod
+    def _skipping(monkeypatch, skip):
+        real_deliver = GroupProtocol._deliver
+        sent = []
+
+        def deliver(self, message):
+            sent.append(message)
+            if len(sent) - 1 != skip:
+                real_deliver(self, message)
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", deliver)
+        return fresh_protocol(3, 30, n=4, xi=0.25, verify_after=False), sent
+
+    def _assert_reported(self, proto, skipped):
+        report = proto.verify_consistency()
+        assert sorted(report["mismatches"]) == sorted(skipped.recipients)
+        assert report == per_user_report(proto)
+        assert proto._entries.by_key
+
+    @pytest.mark.parametrize("skip", range(4))
+    def test_skipped_join_message_leaves_its_recipients(self, monkeypatch, skip):
+        proto, sent = self._skipping(monkeypatch, skip)
+        assert len(proto.join("u31").messages) == 4
+        self._assert_reported(proto, sent[skip])
+
+    @pytest.mark.parametrize("skip", range(3))
+    def test_skipped_early_leave_message_stops_a_later_one(self, monkeypatch, skip):
+        proto, sent = self._skipping(monkeypatch, skip)
+        with pytest.raises(MissingKeyError):
+            proto.leave("u7")
+        assert proto.tree.nodes[sent[skip].include].parent != proto.tree.root
+
+    @pytest.mark.parametrize("skip", range(3, 6))
+    def test_skipped_root_level_leave_message_leaves_its_recipients(
+        self, monkeypatch, skip
+    ):
+        proto, sent = self._skipping(monkeypatch, skip)
+        assert len(proto.leave("u7").messages) == 6
+        assert proto.tree.nodes[sent[skip].include].parent == proto.tree.root
+        self._assert_reported(proto, sent[skip])
+
+
 class TestTraceShape:
     def test_trace_serializes(self):
         proto = fresh_protocol(3, 8)

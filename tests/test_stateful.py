@@ -74,7 +74,7 @@ def protocol_state(proto: GroupProtocol) -> tuple:
             for u, stays in proto.stays.items()
         },
         len(proto.probes),
-        {n: dict(entries) for n, entries in proto._entries.by_node.items()},
+        {k: dict(at) for k, at in proto._entries.by_key.items()},
     )
 
 
@@ -159,7 +159,7 @@ class GroupChurn(RuleBasedStateMachine):
 
     @invariant()
     def delivered_keys_settle_into_the_tree(self):
-        assert not self.proto._entries.by_node
+        assert not self.proto._entries.by_key
 
     @invariant()
     def views_secrecy_and_counters_hold(self):
