@@ -18,8 +18,9 @@ root:
   key material;
 * leave: the user's u-node and individual k-node are pruned, a parent left
   with a single child is merged into that child to keep the height tight,
-  and the surviving path nodes need fresh key material.  So no k-node ever
-  has a single child k-node.
+  and the surviving path nodes need fresh key material; ``leave_path``
+  names them without changing the tree.  So no k-node ever has a single
+  child k-node.
 
 Every k-node caches, for its own subtree, the sorted userset, the height and
 the best join point and split target.  Each cache depends on the node's
@@ -28,9 +29,7 @@ a join or leave does O(d * log_d N) work plus one O(log N) search and one
 list copy per path node, and ``join_point``, ``userset``, ``height`` and
 ``stats`` read a cache in O(1).  Usersets are copy-on-write: a change
 installs a new list and never edits an old one, so a userset read before an
-event still lists the users as they were.  An undo record started by
-``checkpoint`` saves each node before the event first changes it, so
-``rollback`` restores an aborted event in time proportional to its path.
+event still lists the users as they were.
 
 The tree is single-writer: all mutations happen on one logical thread (the
 server); read-only queries are safe concurrently between mutations.
@@ -81,16 +80,6 @@ class _Node:
     split: Optional[_Split] = None
 
 
-@dataclass
-class _Undo:
-    """What an event changed, enough to put the tree back as it was."""
-
-    root: Optional[str]
-    counter: int
-    # node id -> the node as it was before its first change, None if created
-    nodes: dict[str, Optional[_Node]] = field(default_factory=dict)
-
-
 def _user_sort_key(uid: str) -> tuple[int, str]:
     # natural-ish ordering so u2 < u10
     return (len(uid), uid)
@@ -117,7 +106,6 @@ class KeyTree:
         self.nodes: dict[str, _Node] = {}
         self.root: Optional[str] = None
         self._counter = 0
-        self._undo: Optional[_Undo] = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -129,8 +117,6 @@ class KeyTree:
             raise KeyTreeError(f"duplicate node id {nid}")
         node = _Node(id=nid, kind=kind, created=self._counter)
         self.nodes[nid] = node
-        if self._undo is not None:
-            self._undo.nodes[nid] = None
         return node
 
     def set_key(self, key_id: str, bits: str) -> GroupKey:
@@ -140,7 +126,6 @@ class KeyTree:
             raise KeyTreeError(
                 f"key material must be {self.key_len} bits, got {len(bits)}"
             )
-        self._save(node)
         version = node.key.version + 1 if node.key else 1
         node.key = GroupKey(node.id, version, bits)
         return node.key
@@ -191,14 +176,16 @@ class KeyTree:
         node = self._k_node(key_id)
         return [c for c in node.children if self.nodes[c].kind == "k"]
 
+    def path(self, node_id: str) -> list[str]:
+        """The node and every node above it, root last."""
+        path = [node_id]
+        while (parent := self.nodes[path[-1]].parent) is not None:
+            path.append(parent)
+        return path
+
     def keyset(self, user_id: str) -> list[str]:
         """K-nodes on the user's path, individual key first, root last."""
-        node: Optional[_Node] = self.nodes[self._u_node(user_id).parent]  # type: ignore[index]
-        path = []
-        while node is not None:
-            path.append(node.id)
-            node = self.nodes[node.parent] if node.parent else None
-        return path
+        return self.path(self.individual_key(user_id))
 
     def userset(self, key_id: str) -> Sequence[str]:
         """Users in the key node's subtree, in stable user order.
@@ -267,7 +254,6 @@ class KeyTree:
         path = []
         while node_id is not None:
             node = self.nodes[node_id]
-            self._save(node)
             users = list(node.users)
             i = _user_index(users, user_id)
             if add:
@@ -279,38 +265,6 @@ class KeyTree:
             path.append(node_id)
             node_id = node.parent
         return path
-
-    # ------------------------------------------------------------------ #
-    # undo record
-
-    def checkpoint(self) -> None:
-        """Start recording changes, so that ``rollback`` can undo them."""
-        self._undo = _Undo(self.root, self._counter)
-
-    def commit(self) -> None:
-        """Keep every change since ``checkpoint`` and stop recording."""
-        self._undo = None
-
-    def rollback(self) -> None:
-        """Restore the tree exactly as it was at ``checkpoint``."""
-        undo, self._undo = self._undo, None
-        if undo is None:
-            raise KeyTreeError("no checkpoint to roll back to")
-        for nid, saved in undo.nodes.items():
-            if saved is None:
-                self.nodes.pop(nid, None)
-            else:
-                self.nodes[nid] = saved
-        self.root, self._counter = undo.root, undo.counter
-
-    def _save(self, node: _Node) -> None:
-        """Record a node before its first change since the checkpoint.
-
-        The copy shares the node's userset list, which no change edits.
-        """
-        undo = self._undo
-        if undo is not None and node.id not in undo.nodes:
-            undo.nodes[node.id] = replace(node, children=list(node.children))
 
     # ------------------------------------------------------------------ #
     # balanced construction
@@ -401,21 +355,22 @@ class KeyTree:
         # a lone individual root is the only split target there is
         return "split", root.id if root.split is None else root.split[-1]
 
-    def insert_user(
-        self, user_id: str, rng: np.random.Generator
-    ) -> list[str]:
+    def insert_user(self, user_id: str, bits: str) -> list[str]:
         """Attach a new user and return the path k-nodes needing fresh keys.
 
         The user joins at ``join_point``; on a split the fresh k-node takes
         the target's place, holds the target and the new user's individual
         key, and gets no key material here.  The update list runs from the
         join point up to the root (deepest first).  The user's individual
-        key gets fresh random material here, standing in for a key
-        pre-shared with the server at registration; it is not part of the
-        update list.
+        key takes ``bits``, standing in for a key pre-shared with the server
+        at registration; it is not part of the update list.
         """
         if user_id in self.nodes:
             raise KeyTreeError(f"user {user_id!r} already present")
+        if len(bits) != self.key_len:
+            raise KeyTreeError(
+                f"key material must be {self.key_len} bits, got {len(bits)}"
+            )
         kind, point_id = self.join_point()
         point = self.nodes[point_id]
         if kind == "split":
@@ -425,18 +380,28 @@ class KeyTree:
                 self.root = point.id
             else:
                 grand = self.nodes[target.parent]
-                self._save(grand)
                 grand.children[grand.children.index(target.id)] = point.id
                 point.parent = grand.id
-            self._save(target)
             target.parent = point.id
             point.children.append(target.id)
         leaf = self._leaf_for(user_id)
-        self.set_key(leaf, random_bits(self.key_len, rng))
-        self._save(point)
+        self.set_key(leaf, bits)
         self.nodes[leaf].parent = point.id
         point.children.append(leaf)
         return self._update_path(point.id, user_id, add=True)
+
+    def leave_path(self, user_id: str) -> list[str]:
+        """The update list ``remove_user`` returns, without changing the tree:
+        the user's parent k-node and its ancestors, the parent replaced by
+        its surviving child when the leave merges the two."""
+        if self.nodes[self.root].users == [user_id]:  # type: ignore[index]
+            raise KeyTreeError("cannot remove the only user")
+        leaf = self.nodes[self.individual_key(user_id)]
+        path = self.path(leaf.parent)  # type: ignore[arg-type]
+        siblings = [c for c in self.nodes[path[0]].children if c != leaf.id]
+        if len(siblings) == 1:
+            path[0] = siblings[0]
+        return path
 
     def remove_user(self, user_id: str) -> list[str]:
         """Prune a user and return the surviving path k-nodes needing fresh keys.
@@ -452,9 +417,6 @@ class KeyTree:
 
         leaf = self.nodes[u.parent]  # type: ignore[index]
         parent = self.nodes[leaf.parent]  # type: ignore[index]
-        self._save(u)
-        self._save(leaf)
-        self._save(parent)
         parent.children.remove(leaf.id)
         del self.nodes[u.id], self.nodes[leaf.id]
         if len(parent.children) != 1:
@@ -462,13 +424,11 @@ class KeyTree:
 
         # merge the parent into its only child, whose subtree is unchanged
         child = self.nodes[parent.children[0]]
-        self._save(child)
         child.parent = parent.parent
         if parent.parent is None:
             self.root = child.id
         else:
             grand = self.nodes[parent.parent]
-            self._save(grand)
             grand.children[grand.children.index(parent.id)] = child.id
         del self.nodes[parent.id]
         return [child.id, *self._update_path(child.parent, user_id, add=False)]

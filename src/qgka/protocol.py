@@ -9,17 +9,17 @@ multi-party session per key: the server plus one agent per child subgroup
 regenerated keys then travel to everyone else encrypted under keys the
 leaver never held.
 
-Events are strictly serialized; one membership change mutates the tree at a
-time.  The sessions inside one event touch disjoint keys.  Their random
-draws and channel checks are made in order, root key first, with a leave's
-agents each chosen just before their session; then all of them are
-measured and extracted in one stacked pass (``qka.finish_sessions``), and
-the new keys go into the tree in order.  An aborted session, the first in
-order, rolls the tree and its key versions back to the pre-event
-checkpoint.  Views, history and counters are written only after an event's
-last abort point, so an abort leaves them untouched; the resources an
-aborted event spent, every drawn session's included, go to
-``aborted_counters``.
+Events are strictly serialized.  An event first agrees on its keys, over
+the path the tree names without changing (``KeyTree.join_point`` and
+``leave_path``), and only then changes the tree, once.  The sessions inside
+one event touch disjoint keys.  Their random draws and channel checks are
+made in order, root key first, with a leave's agents each chosen just
+before their session from the subgroups as they stand without the leaver;
+then all of them are measured and extracted in one stacked pass
+(``qka.finish_sessions``).  An aborted session, the first in order, ends
+the event before anything changed, so the tree, views, history, step and
+counters stay as they were; the resources an aborted event spent, every
+drawn session's included, go to ``aborted_counters``.
 
 Members hold the tree's keys on their paths, except where an entry, kept
 per key and node, says that every user under the node holds another
@@ -45,7 +45,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree, KeyTreeError, _user_sort_key, random_bits
+from .keytree import (
+    GroupKey,
+    KeyTree,
+    KeyTreeError,
+    _user_index,
+    _user_sort_key,
+    random_bits,
+)
 from .qka import (
     ChannelModel,
     QkaConfig,
@@ -69,7 +76,7 @@ SERVER_ID = "s"
 
 
 class ProtocolAbort(Exception):
-    """A session aborted; the event was rolled back."""
+    """A session aborted; the event changed nothing."""
 
     def __init__(self, cause: str):
         super().__init__(f"event aborted: {cause}")
@@ -200,9 +207,7 @@ class _Entries:
         """Every key the user holds, by id: the tree's keys on her path,
         except that a key with an entry on her path at or below its own
         node takes the deepest such entry."""
-        nodes, path = self.tree.nodes, [user_id]
-        while nodes[path[-1]].parent is not None:
-            path.append(nodes[path[-1]].parent)  # type: ignore[arg-type]
+        nodes, path = self.tree.nodes, self.tree.path(user_id)
         held = {y: nodes[y].key for y in path}
         for key_id, at in self.by_key.items():
             y = next((y for y in path if y in at or y == key_id), None)
@@ -404,7 +409,7 @@ class GroupProtocol:
         self.rng = rng
         self.channel = channel
         self.counters = ResourceCounters()
-        # spent by events that aborted and were rolled back
+        # spent by events that aborted before changing anything
         self.aborted_counters = ResourceCounters()
         self.step = 0
         # members hold the tree's keys until an event pins one
@@ -422,21 +427,6 @@ class GroupProtocol:
                 self.stays[uid] = [Stay(0, keys=held)]
 
     # ------------------------------------------------------------------ #
-
-    def _choose_agent(self, members: Sequence[str]) -> str:
-        if self.config.agent_selection == "first":
-            return members[0]
-        return members[int(self.rng.integers(len(members)))]
-
-    def _begin(self) -> ResourceCounters:
-        """Open the next event step; returns the event's counters."""
-        self.step += 1
-        # Sessions can only abort through an adversarial channel (an honest
-        # channel's decoy checks are error-free by construction), so the
-        # tree records an undo log only when one is installed.
-        if self.channel is not None:
-            self.tree.checkpoint()
-        return ResourceCounters()
 
     def _deliver(self, message: RekeyMessage) -> None:
         """Enter one message's keys for its recipients.
@@ -469,27 +459,42 @@ class GroupProtocol:
         for key in opened:
             entries.put(include, key.key_id, key, exclude)
 
-    def _session_agents(self, key_id: str) -> list[str]:
-        """A leave session's users for a key: one agent per child subgroup,
-        in child order, as ``build_leave_messages`` takes them."""
-        children = self.tree.child_keys(key_id)
-        if children:
-            return [self._choose_agent(self.tree.userset(c)) for c in children]
-        # a pruned subgroup merged into an individual key
-        return list(self.tree.userset(key_id))
+    def _choose_agent(self, members: Sequence[str], leaver: Optional[str]) -> str:
+        """The first or a random member, picked as from ``members`` without
+        ``leaver`` (None: she is not among them)."""
+        if self.config.agent_selection == "first":
+            return members[1] if members[0] == leaver else members[0]
+        if leaver is None:
+            return members[int(self.rng.integers(len(members)))]
+        i = int(self.rng.integers(len(members) - 1))
+        return members[i + (i >= _user_index(members, leaver))]
 
-    def _regenerate(
+    def _agents(self, key_id: str, old_path: list[str]) -> list[str]:
+        """A leave session's users for a key, read before the leaver
+        ``old_path[0]`` goes: one agent per child subgroup without her, in
+        child order, as ``build_leave_messages`` takes them."""
+        tree, leaver = self.tree, old_path[0]
+        children = [c for c in tree.child_keys(key_id) if c != old_path[1]]
+        if not children:
+            # a pruned subgroup merged into an individual key
+            return list(tree.userset(key_id))
+        return [
+            self._choose_agent(tree.userset(c), leaver if c in old_path else None)
+            for c in children
+        ]
+
+    def _agree(
         self,
         key_ids: list[str],
         users_of: Callable[[str], list[str]],
         counters: ResourceCounters,
-    ) -> list[tuple[str, QkaTranscript]]:
-        """Agree on a new value for each key, then commit the event's tree.
+    ) -> list[QkaTranscript]:
+        """Agree on a new value for each key, changing nothing else.
 
         Each key's session, the server plus ``users_of(key_id)`` taken just
         before it, is drawn in order, and the drawn sessions are finished in
         one stacked pass.  Every drawn session's counters go into
-        ``counters``; the first aborted one, in order, rolls the event back.
+        ``counters``; the first aborted one, in order, ends the event.
         """
         n, xi = self.config.key_len, self.config.xi
         draws = []
@@ -503,15 +508,19 @@ class GroupProtocol:
             counters.merge(t.counters)
         for t in transcripts:
             if t.aborted:
-                self.tree.rollback()
-                self.step -= 1
                 self.aborted_counters.merge(counters)
                 raise ProtocolAbort(t.abort_cause or "unknown")
+        return transcripts
+
+    def _install(
+        self, key_ids: list[str], transcripts: list[QkaTranscript]
+    ) -> list[tuple[str, QkaTranscript]]:
+        """Open the event's step and give each key its agreed value."""
+        self.step += 1
         sessions = list(zip(key_ids, transcripts))
         for key_id, t in sessions:
             self._entries.pin(key_id)
             self.tree.set_key(key_id, t.extracted_key)
-        self.tree.commit()
         return sessions
 
     def _commit(
@@ -570,13 +579,17 @@ class GroupProtocol:
             raise KeyTreeError(f"user {user_id!r} already in the group")
         if user_id == SERVER_ID:
             raise ValueError(f"user id {SERVER_ID!r} is the server's")
-        counters = self._begin()
-        path = self.tree.insert_user(user_id, self.rng)  # deepest first
+        counters = ResourceCounters()
+        registration = random_bits(self.tree.key_len, self.rng)
+        # only the count matters: a split's fresh node takes its target's place
+        point_path = self.tree.path(self.tree.join_point()[1])
+        transcripts = self._agree(point_path, lambda _: [user_id], counters)
+
+        path = self.tree.insert_user(user_id, registration)  # deepest first
         path_root_first = list(reversed(path))
         # the path's pre-event keys, None at a fresh split node
         old_material = {key_id: self.tree.nodes[key_id].key for key_id in path}
-
-        sessions = self._regenerate(path_root_first, lambda _: [user_id], counters)
+        sessions = self._install(path_root_first, transcripts)
 
         messages = build_join_messages(
             self.tree, path_root_first, old_material, user_id, self.rng, counters
@@ -598,12 +611,15 @@ class GroupProtocol:
             raise KeyTreeError(f"user {user_id!r} not in the group")
         if self.tree.group_size() < 2:
             raise KeyTreeError("cannot remove the last member of a group")
-        counters = self._begin()
-        old_path = [user_id, *self.tree.keyset(user_id)]
-        updated = self.tree.remove_user(user_id)  # deepest first
-        path_root_first = list(reversed(updated))
+        counters = ResourceCounters()
+        old_path = self.tree.path(user_id)
+        path_root_first = list(reversed(self.tree.leave_path(user_id)))
+        transcripts = self._agree(
+            path_root_first, lambda key_id: self._agents(key_id, old_path), counters
+        )
 
-        sessions = self._regenerate(path_root_first, self._session_agents, counters)
+        updated = self.tree.remove_user(user_id)  # deepest first
+        sessions = self._install(path_root_first, transcripts)
         session_users = {kid: t.participants[1:] for kid, t in sessions}
 
         messages = build_leave_messages(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgka.keytree import KeyTree, KeyTreeError
+from qgka.keytree import KeyTree, KeyTreeError, random_bits
 
 from oracle import depth, per_node_keys
 
@@ -134,7 +134,7 @@ class TestJoinPoint:
         before = set(tree.key_nodes())
         kind, target = tree.join_point()
         assert kind == "split" and tree.child_keys(target) == []
-        path = tree.insert_user("u5", rng)
+        path = tree.insert_user("u5", random_bits(tree.key_len, rng))
         # a fresh intermediate node holds the displaced individual key and
         # the new user's
         point = path[0]
@@ -147,7 +147,7 @@ class TestJoinPoint:
         # root, so pairing there keeps the tree balanced
         tree, rng = build(2, 3)
         assert tree.join_point() == ("split", tree.individual_key("u3"))
-        tree.insert_user("u4", rng)
+        tree.insert_user("u4", random_bits(tree.key_len, rng))
         assert tree.height() == 3
         tree.check_invariants()
 
@@ -164,7 +164,7 @@ class TestJoinPoint:
 class TestInsertRemove:
     def test_insert_ninth_user(self):
         tree, rng = build(3, 8)
-        path = tree.insert_user("u9", rng)
+        path = tree.insert_user("u9", random_bits(tree.key_len, rng))
         assert len(path) == 2  # subgroup key and group key
         assert path[-1] == tree.root
         assert tree.userset(path[0]) == ["u7", "u8", "u9"]
@@ -190,7 +190,17 @@ class TestInsertRemove:
     def test_duplicate_insert(self):
         tree, rng = build(2, 2)
         with pytest.raises(KeyTreeError):
-            tree.insert_user("u1", rng)
+            tree.insert_user("u1", random_bits(tree.key_len, rng))
+
+    @pytest.mark.parametrize("bits", ["", "10", "1" * 5], ids=["empty", "short", "long"])
+    @pytest.mark.parametrize("d, N", [(3, 8), (2, 4)])  # attach, split
+    def test_wrong_length_registration_refused_before_any_change(self, d, N, bits):
+        tree, _ = build(d, N, n=4)
+        before = tree.to_dict(include_keys=True), tree._counter
+        with pytest.raises(KeyTreeError, match="4 bits"):
+            tree.insert_user(f"u{N + 1}", bits)
+        assert (tree.to_dict(include_keys=True), tree._counter) == before
+        tree.check_invariants()
 
     def test_remove_unknown(self):
         tree, _ = build(2, 2)
@@ -214,15 +224,25 @@ class TestInsertRemove:
         rng = np.random.default_rng(99)
         tree, _ = build(3, 9, seed=5)
         next_uid = 10
+        splits = merges = 0
         for step in range(1000):
             if rng.random() < 0.5 or tree.group_size() <= 2:
-                path = tree.insert_user(f"u{next_uid}", rng)
+                # the pure queries name as many keys as the insert updates
+                kind, point = tree.join_point()
+                count = len(tree.path(point))
+                path = tree.insert_user(f"u{next_uid}", random_bits(tree.key_len, rng))
+                assert len(path) == count
+                splits += kind == "split"
                 next_uid += 1
             else:
                 victim = tree.users()[int(rng.integers(tree.group_size()))]
+                merges += len(tree.child_keys(tree.keyset(victim)[1])) == 2
+                predicted = tree.leave_path(victim)
                 path = tree.remove_user(victim)
+                assert predicted == path
             N = tree.group_size()
             assert len(path) <= math.ceil(math.log(max(N, 2), 3)) + 1
+        assert splits and merges
         tree.check_invariants()
         # duality still holds everywhere after the churn
         for uid in tree.users():
@@ -230,28 +250,25 @@ class TestInsertRemove:
                 assert uid in tree.userset(kid)
 
     def test_usersets_read_earlier_stay_as_read(self):
-        # usersets are copy-on-write: a list read before a change, or before
-        # a rolled-back change, still lists the users it listed then
+        # usersets are copy-on-write: a list read before a change still
+        # lists the users it listed then
         tree, rng = build(3, 9)
         root = tree.root
         before = tree.userset(root)
         kept = list(before)
-        tree.insert_user("u10", rng)
-        tree.checkpoint()
+        tree.insert_user("u10", random_bits(tree.key_len, rng))
+        joined = tree.userset(root)
         tree.remove_user("u3")
         during = tree.userset(tree.root)
-        tree.rollback()
         assert before == kept
         assert "u10" in tree.userset(root) and "u3" not in during
-        assert list(tree.userset(root)) == sorted(
-            [*kept, "u10"], key=lambda u: (len(u), u)
-        )
+        assert list(joined) == sorted([*kept, "u10"], key=lambda u: (len(u), u))
         tree.check_invariants()
 
     def test_clone_is_independent(self):
         tree, rng = build(2, 4)
         copy = tree.clone()
-        tree.insert_user("u5", rng)
+        tree.insert_user("u5", random_bits(tree.key_len, rng))
         assert copy.group_size() == 4
         assert tree.group_size() == 5
         copy.check_invariants()

@@ -119,14 +119,21 @@ class TestJoin:
 
 
 class TestLeave:
-    def test_worked_nine_user_leave(self):
+    @pytest.mark.parametrize("leaver", ["u1", "u5", "u9"])
+    def test_worked_nine_user_leave(self, leaver):
         proto = fresh_protocol(3, 9, agent_selection="first")
-        trace = proto.leave("u9")
+        trace = proto.leave(leaver)
         assert len(trace.updated_keys) == 2
         assert sorted(trace.session_sizes) == [3, 4]
         assert trace.counters.qubits_prepared == 7
         assert trace.counters.encryptions == 3
         assert proto.tree.group_size() == 8
+        # a "first" agent is the first of her subgroup without the leaver
+        tree = proto.tree
+        for kid, t in trace.sessions:
+            assert leaver not in t.participants
+            firsts = [tree.userset(c)[0] for c in tree.child_keys(kid)]
+            assert t.participants[1:] == firsts
 
     def test_leave_from_two_user_group(self):
         proto = fresh_protocol(2, 2)
@@ -320,15 +327,19 @@ class TestTamperAbort:
     @pytest.mark.parametrize("row", [0, 1])  # the first leader's, a follower's
     @pytest.mark.parametrize("k", [0, 1, -1])
     @pytest.mark.parametrize("kind", ["join", "leave"])
-    def test_tampered_session_rolls_back_exactly(self, monkeypatch, kind, k, row):
+    @pytest.mark.parametrize("channel", ["zero_rate", None])
+    def test_tampered_session_rolls_back_exactly(
+        self, monkeypatch, channel, kind, k, row
+    ):
+        if channel is not None:  # taps nothing
+            channel = AdversarialChannel(EveStrategy("intercept_resend", 0.0))
         rng = np.random.default_rng(41)
         tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(27)], 4, rng)
         proto = GroupProtocol(
             tree,
             ProtocolConfig(key_len=4, xi=0.5, track_history=True),
             rng,
-            # taps nothing, but makes the event checkpoint
-            channel=AdversarialChannel(EveStrategy("intercept_resend", 0.0)),
+            channel=channel,
         )
         proto.join("u28")
         proto.leave("u5")

@@ -96,7 +96,8 @@ class TestJoinMessages:
     def test_worked_join_message_groups(self):
         tree, rng = _nine_user_setup()
         old = {kid: tree.key(kid) for kid in tree.key_nodes()}
-        path = list(reversed(tree.insert_user("u9", rng)))  # root first
+        bits = random_bits(tree.key_len, rng)
+        path = list(reversed(tree.insert_user("u9", bits)))  # root first
         for kid in path:
             tree.set_key(kid, random_bits(1, rng))
         c = ResourceCounters()
@@ -120,7 +121,7 @@ class TestJoinMessages:
         rng = np.random.default_rng(3)
         tree = KeyTree.build_balanced(2, ["u1"], 1, rng)
         old = {kid: tree.key(kid) for kid in tree.key_nodes()}
-        path = list(reversed(tree.insert_user("u2", rng)))
+        path = list(reversed(tree.insert_user("u2", random_bits(tree.key_len, rng))))
         assert len(path) == 1  # fresh root only
         tree.set_key(path[0], "1")
         c = ResourceCounters()
@@ -135,7 +136,7 @@ class TestJoinMessages:
         # node has no old key and the displaced child is not on the path
         rng = np.random.default_rng(5)
         tree = KeyTree.build_balanced(2, ["u1", "u2", "u3", "u4"], 4, rng)
-        path = list(reversed(tree.insert_user("u5", rng)))
+        path = list(reversed(tree.insert_user("u5", random_bits(tree.key_len, rng))))
         old = {kid: tree.nodes[kid].key for kid in path}
         fresh = path[-1]
         assert old[fresh] is None
@@ -156,7 +157,7 @@ class TestJoinMessages:
         tree, rng = _nine_user_setup()
         members = set(tree.users())
         old = {kid: tree.key(kid) for kid in tree.key_nodes()}
-        path = list(reversed(tree.insert_user("u9", rng)))
+        path = list(reversed(tree.insert_user("u9", random_bits(tree.key_len, rng))))
         for kid in path:
             tree.set_key(kid, "0")
         msgs = build_join_messages(tree, path, old, "u9", rng, ResourceCounters())
@@ -173,7 +174,7 @@ class TestJoinMessages:
             for uid in tree.users()
         }
         old = {kid: tree.key(kid) for kid in tree.key_nodes()}
-        path = list(reversed(tree.insert_user("u9", rng)))
+        path = list(reversed(tree.insert_user("u9", random_bits(tree.key_len, rng))))
         for kid in path:
             tree.set_key(kid, random_bits(1, rng))
         msgs = build_join_messages(tree, path, old, "u9", rng, ResourceCounters())
