@@ -270,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["random", "first"],
         default="random",
         dest="agent_selection",
+        help="agent per subgroup on a leave: random, or first in tree order",
     )
     p.add_argument(
         "--reveal-keys",
@@ -347,7 +348,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, argv)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -358,7 +359,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyTreeError) as exc:  # flag values validation rejects
+    # flag values that validation rejects, and paths that cannot be used
+    except (ValueError, KeyTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

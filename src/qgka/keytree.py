@@ -22,14 +22,16 @@ root:
   names them without changing the tree.  So no k-node ever has a single
   child k-node.
 
-Every k-node caches, for its own subtree, the sorted userset, the height and
-the best join point and split target.  Each cache depends on the node's
-children only, so a membership change refreshes exactly its path, bottom up:
-a join or leave does O(d * log_d N) work plus one O(log N) search and one
-list copy per path node, and ``join_point``, ``userset``, ``height`` and
-``stats`` read a cache in O(1).  Usersets are copy-on-write: a change
-installs a new list and never edits an old one, so a userset read before an
-event still lists the users as they were.
+Every k-node caches, for its own subtree, its users as a rope, their count,
+the height and the best join point and split target.  A rope is the user's
+id at an individual key and the tuple of the children's ropes at any other
+k-node, so a subtree lists its users in tree order (children in order); a
+fresh tree lists them in the order ``build_balanced`` sorts them.  Each
+cache depends on the node's children only, so a membership change refreshes
+exactly its path, bottom up, in O(d * log_d N), and ``join_point``,
+``height`` and ``stats`` read a cache in O(1).  Ropes are immutable (path
+copying): a change builds new tuples along its path and never edits an old
+one, so a rope read before an event still lists the users as they were.
 
 The tree is single-writer: all mutations happen on one logical thread (the
 server); read-only queries are safe concurrently between mutations.
@@ -37,9 +39,8 @@ server); read-only queries are safe concurrently between mutations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class GroupKey:
     bits: str
 
 
+#: A subtree's users: the user id at an individual key, else the tuple of
+#: the children's ropes.
+Rope = Union[str, tuple]
 #: A node's best join point in its subtree: (user count, created, id).
 _Attach = tuple[int, int, str]
 #: A node's best split target strictly below it: (depth below the node,
@@ -72,9 +76,9 @@ class _Node:
     children: list[str] = field(default_factory=list)
     key: Optional[GroupKey] = None
     created: int = 0  # creation order, used for deterministic tie-breaking
-    # caches of a k-node's subtree, refreshed along every changed path;
-    # ``users`` is its userset in _user_sort_key order (None on a u-node)
-    users: list[str] = None  # type: ignore[assignment]
+    # caches of a k-node's subtree, refreshed along every changed path
+    users: Rope = ()  # the subtree's rope (empty on a u-node)
+    count: int = 0  # users in the subtree
     height: int = 0  # edges down to the deepest u-node; 1 for an individual key
     attach: Optional[_Attach] = None
     split: Optional[_Split] = None
@@ -85,8 +89,19 @@ def _user_sort_key(uid: str) -> tuple[int, str]:
     return (len(uid), uid)
 
 
-def _user_index(users: list[str], user_id: str) -> int:
-    return bisect_left(users, _user_sort_key(user_id), key=_user_sort_key)
+def flatten(rope: Rope, out: Optional[list[str]] = None) -> list[str]:
+    """A rope's users in tree order, appended to ``out``."""
+    if out is None:
+        out = []
+    if type(rope) is str:
+        out.append(rope)
+        return out
+    for part in rope:
+        if type(part) is str:
+            out.append(part)
+        else:
+            flatten(part, out)
+    return out
 
 
 def random_bits(n: int, rng: np.random.Generator) -> str:
@@ -150,14 +165,14 @@ class KeyTree:
         return node is not None and node.kind == "u"
 
     def users(self) -> list[str]:
-        """Every member, in stable user order (a copy)."""
-        return list(self.nodes[self.root].users) if self.root else []
+        """Every member, in tree order (a copy)."""
+        return flatten(self.nodes[self.root].users) if self.root else []
 
     def key_nodes(self) -> list[str]:
         return [n.id for n in self.nodes.values() if n.kind == "k"]
 
     def group_size(self) -> int:
-        return len(self.nodes[self.root].users) if self.root else 0
+        return self.nodes[self.root].count if self.root else 0
 
     def key(self, key_id: str) -> GroupKey:
         node = self._k_node(key_id)
@@ -187,14 +202,33 @@ class KeyTree:
         """K-nodes on the user's path, individual key first, root last."""
         return self.path(self.individual_key(user_id))
 
-    def userset(self, key_id: str) -> Sequence[str]:
-        """Users in the key node's subtree, in stable user order.
+    def userset(self, key_id: str) -> list[str]:
+        """Users in the key node's subtree, in tree order (a copy)."""
+        return flatten(self._k_node(key_id).users)
 
-        This is the tree's own list; never modify it.  A change replaces a
-        node's list instead of editing it, so the list returned here keeps
-        listing the subtree's users as they were when it was read.
-        """
+    def rope(self, key_id: str) -> Rope:
+        """The key node's users as a rope; it keeps listing them as they
+        are now after later changes (``flatten`` lists them)."""
         return self._k_node(key_id).users
+
+    def user_at(self, key_id: str, i: int, skip: Collection[str] = ()) -> str:
+        """The ``i``-th user under a k-node in tree order, in O(d * h).
+
+        ``skip`` holds a user's path, as ``path`` gives it; that user is not
+        counted, so ``i`` runs below the subtree's count minus one.
+        """
+        node = self._k_node(key_id)
+        while node.height > 1:
+            for child in node.children:
+                kid = self.nodes[child]
+                count = kid.count - (child in skip)
+                if i < count:
+                    break
+                i -= count
+            else:
+                raise IndexError(f"no user {i} past the end under {key_id}")
+            node = kid
+        return node.users  # type: ignore[return-value]
 
     def height(self) -> int:
         """Edges along the longest u-node to root path."""
@@ -208,8 +242,9 @@ class KeyTree:
 
     def _summary(
         self, node: _Node
-    ) -> tuple[int, Optional[_Attach], Optional[_Split]]:
-        """A k-node's (height, attach, split), from its children's caches.
+    ) -> tuple[Rope, int, int, Optional[_Attach], Optional[_Split]]:
+        """A k-node's (rope, count, height, attach, split), from its
+        children's caches.
 
         ``attach`` is the subtree's non-full parent of individual keys with
         the fewest users, then the earliest created; ``split`` is the
@@ -219,7 +254,9 @@ class KeyTree:
         """
         kids = [self.nodes[c] for c in node.children]
         if kids[0].kind == "u":
-            return 1, None, None
+            return kids[0].id, 1, 1, None, None
+        rope = tuple([kid.users for kid in kids])
+        count = sum([kid.count for kid in kids])
         height = 1
         attach: Optional[_Attach] = None
         split: Optional[_Split] = None
@@ -237,33 +274,21 @@ class KeyTree:
                 split = kid.split
         if first is None:
             depth, *rest = split  # type: ignore[misc]
-            return height + 1, attach, (depth + 1, *rest)
+            return rope, count, height + 1, attach, (depth + 1, *rest)
         # an individual child, at depth 1, beats every deeper split target
-        count = len(node.users)
         if len(kids) < self.degree:
             own = (count, node.created, node.id)
             if attach is None or own < attach:
                 attach = own
-        return height + 1, attach, (1, count, first.created, first.id)
+        return rope, count, height + 1, attach, (1, count, first.created, first.id)
 
-    def _update_path(
-        self, node_id: Optional[str], user_id: str, add: bool
-    ) -> list[str]:
-        """Insert or delete a user in every userset from ``node_id`` up to
-        the root, refreshing each node's summary; returns the ids walked."""
-        path = []
-        while node_id is not None:
+    def _refresh(self, path: list[str]) -> list[str]:
+        """Recompute every cache along ``path``, deepest first; returns it."""
+        for node_id in path:
             node = self.nodes[node_id]
-            users = list(node.users)
-            i = _user_index(users, user_id)
-            if add:
-                users.insert(i, user_id)
-            else:
-                del users[i]
-            node.users = users
-            node.height, node.attach, node.split = self._summary(node)
-            path.append(node_id)
-            node_id = node.parent
+            node.users, node.count, node.height, node.attach, node.split = (
+                self._summary(node)
+            )
         return path
 
     # ------------------------------------------------------------------ #
@@ -292,7 +317,7 @@ class KeyTree:
         if len(set(users)) != len(users):
             raise KeyTreeError("user ids must be unique")
         tree = cls(degree, key_len)
-        tree.root = tree._build(sorted(users, key=_user_sort_key))
+        tree.root = tree._build(sorted(users, key=_user_sort_key), 0, len(users))
         k_nodes = [n for n in tree.nodes.values() if n.kind == "k"]
         rows = max(1, 2**14 // key_len)
         for start in range(0, len(k_nodes), rows):
@@ -309,29 +334,26 @@ class KeyTree:
         k = self._new_node("k")
         u.parent = k.id
         k.children.append(u.id)
-        k.users = [user_id]
-        k.height = 1
+        k.users, k.count, k.height = user_id, 1, 1
         return k.id
 
-    def _build(self, users: list[str]) -> str:
-        """Keyless subtree over ``users`` (sorted, and kept as its userset)."""
-        if len(users) == 1:
-            return self._leaf_for(users[0])
-        if len(users) <= self.degree:
-            sizes = [1] * len(users)
+    def _build(self, users: list[str], lo: int, hi: int) -> str:
+        """Keyless subtree over ``users[lo:hi]``, in that order."""
+        if hi - lo == 1:
+            return self._leaf_for(users[lo])
+        if hi - lo <= self.degree:
+            sizes = [1] * (hi - lo)
         else:
-            groups = min(self.degree, max(2, len(users) // 2))
-            q, r = divmod(len(users), groups)
+            groups = min(self.degree, max(2, (hi - lo) // 2))
+            q, r = divmod(hi - lo, groups)
             sizes = [q + 1] * r + [q] * (groups - r)
         parent = self._new_node("k")
-        parent.users = users
-        start = 0
         for size in sizes:
-            child = self._build(users[start : start + size])
+            child = self._build(users, lo, lo + size)
             self.nodes[child].parent = parent.id
             parent.children.append(child)
-            start += size
-        parent.height, parent.attach, parent.split = self._summary(parent)
+            lo += size
+        self._refresh([parent.id])
         return parent.id
 
     # ------------------------------------------------------------------ #
@@ -375,7 +397,6 @@ class KeyTree:
         point = self.nodes[point_id]
         if kind == "split":
             target, point = point, self._new_node("k")
-            point.users = target.users
             if target.parent is None:
                 self.root = point.id
             else:
@@ -388,15 +409,15 @@ class KeyTree:
         self.set_key(leaf, bits)
         self.nodes[leaf].parent = point.id
         point.children.append(leaf)
-        return self._update_path(point.id, user_id, add=True)
+        return self._refresh(self.path(point.id))
 
     def leave_path(self, user_id: str) -> list[str]:
         """The update list ``remove_user`` returns, without changing the tree:
         the user's parent k-node and its ancestors, the parent replaced by
         its surviving child when the leave merges the two."""
-        if self.nodes[self.root].users == [user_id]:  # type: ignore[index]
-            raise KeyTreeError("cannot remove the only user")
         leaf = self.nodes[self.individual_key(user_id)]
+        if self.group_size() == 1:
+            raise KeyTreeError("cannot remove the only user")
         path = self.path(leaf.parent)  # type: ignore[arg-type]
         siblings = [c for c in self.nodes[path[0]].children if c != leaf.id]
         if len(siblings) == 1:
@@ -409,29 +430,25 @@ class KeyTree:
         The user's u-node and individual key vanish.  If the parent k-node is
         left with a single child it is merged into that child (the child
         takes its place; the absorbing child then stands in for it on the
-        update list).  The update list runs deepest first up to the root.
+        update list).  The update list, ``leave_path``'s, runs deepest first
+        up to the root.
         """
-        u = self._u_node(user_id)
-        if self.nodes[self.root].users == [user_id]:  # type: ignore[index]
-            raise KeyTreeError("cannot remove the only user")
-
-        leaf = self.nodes[u.parent]  # type: ignore[index]
+        path = self.leave_path(user_id)
+        leaf = self.nodes[self.individual_key(user_id)]
         parent = self.nodes[leaf.parent]  # type: ignore[index]
         parent.children.remove(leaf.id)
-        del self.nodes[u.id], self.nodes[leaf.id]
-        if len(parent.children) != 1:
-            return self._update_path(parent.id, user_id, add=False)
-
-        # merge the parent into its only child, whose subtree is unchanged
-        child = self.nodes[parent.children[0]]
-        child.parent = parent.parent
-        if parent.parent is None:
-            self.root = child.id
-        else:
-            grand = self.nodes[parent.parent]
-            grand.children[grand.children.index(parent.id)] = child.id
-        del self.nodes[parent.id]
-        return [child.id, *self._update_path(child.parent, user_id, add=False)]
+        del self.nodes[user_id], self.nodes[leaf.id]
+        if path[0] != parent.id:
+            # merge the parent into its only child, whose subtree is unchanged
+            child = self.nodes[path[0]]
+            child.parent = parent.parent
+            if parent.parent is None:
+                self.root = child.id
+            else:
+                grand = self.nodes[parent.parent]
+                grand.children[grand.children.index(parent.id)] = child.id
+            del self.nodes[parent.id]
+        return self._refresh(path)
 
     # ------------------------------------------------------------------ #
     # validation and serialization
@@ -439,8 +456,9 @@ class KeyTree:
     def check_invariants(self) -> None:
         """Raise when any structural invariant or cache is wrong (test hook).
 
-        Every cached userset, height and summary is recomputed from the
-        node's children, children first.
+        Every cached rope, count, height and summary is recomputed from the
+        node's children, children first.  With the edges checked, the ropes
+        give the keyset/userset duality.
         """
         if self.root is None:
             raise KeyTreeError("no root")
@@ -480,25 +498,16 @@ class KeyTree:
             node = self.nodes[nid]
             if node.kind == "u":
                 continue
-            kids = [self.nodes[c] for c in node.children]
-            held = (kid.users if kid.kind == "k" else [kid.id] for kid in kids)
-            expected = sorted((u for users in held for u in users), key=_user_sort_key)
-            if node.users != expected:
-                raise KeyTreeError(f"stale userset at {nid}")
-            if (node.height, node.attach, node.split) != self._summary(node):
-                raise KeyTreeError(f"stale height or join summary at {nid}")
-        members = {nid: set(n.users) for nid, n in self.nodes.items() if n.kind == "k"}
-        for uid in self.users():
-            for kid in self.keyset(uid):
-                if uid not in members[kid]:
-                    raise KeyTreeError(f"duality broken for {uid} / {kid}")
+            cached = (node.users, node.count, node.height, node.attach, node.split)
+            if cached != self._summary(node):
+                raise KeyTreeError(f"stale rope, count or summary at {nid}")
 
     def clone(self) -> "KeyTree":
         other = KeyTree(self.degree, self.key_len)
         other.root = self.root
         other._counter = self._counter
         for nid, node in self.nodes.items():
-            # usersets are copy-on-write, so the clone shares them
+            # ropes are immutable, so the clone shares them
             other.nodes[nid] = replace(node, children=list(node.children))
         return other
 

@@ -14,9 +14,9 @@ the path the tree names without changing (``KeyTree.join_point`` and
 ``leave_path``), and only then changes the tree, once.  The sessions inside
 one event touch disjoint keys.  Their random draws and channel checks are
 made in order, root key first, with a leave's agents each chosen just
-before their session from the subgroups as they stand without the leaver;
-then all of them are measured and extracted in one stacked pass
-(``qka.finish_sessions``).  An aborted session, the first in order, ends
+before their session by index into a subgroup in tree order, the leaver not
+counted (``KeyTree.user_at``); then all of them are measured and extracted
+in one stacked pass (``qka.finish_sessions``).  An aborted session, the first in order, ends
 the event before anything changed, so the tree, views, history, step and
 counters stay as they were; the resources an aborted event spent, every
 drawn session's included, go to ``aborted_counters``.
@@ -45,14 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import (
-    GroupKey,
-    KeyTree,
-    KeyTreeError,
-    _user_index,
-    _user_sort_key,
-    random_bits,
-)
+from .keytree import GroupKey, KeyTree, KeyTreeError, random_bits
 from .qka import (
     ChannelModel,
     QkaConfig,
@@ -95,7 +88,8 @@ class ConsistencyError(Exception):
 class ProtocolConfig:
     key_len: int = 1
     xi: float = 0.0
-    agent_selection: str = "random"  # or "first" (lowest user id)
+    # or "first": first in tree order, the lowest id on a fresh tree
+    agent_selection: str = "random"
     track_history: bool = False
 
     def __post_init__(self) -> None:
@@ -372,7 +366,7 @@ class MemberView:
 
 
 class _Members(Mapping):
-    """Current members' views, in stable user order, made on demand."""
+    """Current members' views, in tree order, made on demand."""
 
     def __init__(self, entries: _Entries):
         self._entries = entries
@@ -383,8 +377,7 @@ class _Members(Mapping):
         return MemberView(self._entries, user_id)
 
     def __iter__(self) -> Iterator[str]:
-        tree = self._entries.tree
-        return iter(tree.userset(tree.root) if tree.root else ())
+        return iter(self._entries.tree.users())
 
     def __len__(self) -> int:
         return self._entries.tree.group_size()
@@ -459,29 +452,24 @@ class GroupProtocol:
         for key in opened:
             entries.put(include, key.key_id, key, exclude)
 
-    def _choose_agent(self, members: Sequence[str], leaver: Optional[str]) -> str:
-        """The first or a random member, picked as from ``members`` without
-        ``leaver`` (None: she is not among them)."""
+    def _choose_agent(self, key_id: str, skip: set[str]) -> str:
+        """The first or a random user under ``key_id`` in tree order, not
+        counting the leaver, whose path is ``skip``."""
         if self.config.agent_selection == "first":
-            return members[1] if members[0] == leaver else members[0]
-        if leaver is None:
-            return members[int(self.rng.integers(len(members)))]
-        i = int(self.rng.integers(len(members) - 1))
-        return members[i + (i >= _user_index(members, leaver))]
+            return self.tree.user_at(key_id, 0, skip)
+        count = self.tree.nodes[key_id].count - (key_id in skip)
+        return self.tree.user_at(key_id, int(self.rng.integers(count)), skip)
 
     def _agents(self, key_id: str, old_path: list[str]) -> list[str]:
         """A leave session's users for a key, read before the leaver
         ``old_path[0]`` goes: one agent per child subgroup without her, in
         child order, as ``build_leave_messages`` takes them."""
-        tree, leaver = self.tree, old_path[0]
-        children = [c for c in tree.child_keys(key_id) if c != old_path[1]]
+        children = [c for c in self.tree.child_keys(key_id) if c != old_path[1]]
         if not children:
             # a pruned subgroup merged into an individual key
-            return list(tree.userset(key_id))
-        return [
-            self._choose_agent(tree.userset(c), leaver if c in old_path else None)
-            for c in children
-        ]
+            return self.tree.userset(key_id)
+        skip = set(old_path)
+        return [self._choose_agent(c, skip) for c in children]
 
     def _agree(
         self,
@@ -691,14 +679,17 @@ class GroupProtocol:
 
         A member with no entry on her path holds the tree's keys, and an
         event leaves entries only for a key that some of its users did not
-        receive; only the users under a node with entries are compared, in
-        user order, for the report a comparison of every member gives.
+        receive; only the users under a node with entries are compared, by
+        id, for the report a comparison of every member gives.
         """
         tree, nodes, entries = self.tree, self.tree.nodes, self._entries
         unsettled = {n for at in entries.by_key.values() for n in at if n in nodes}
-        users = {u for n in unsettled for u in (nodes[n].users or (n,))}
+        users = {
+            u for n in unsettled
+            for u in (tree.userset(n) if nodes[n].kind == "k" else (n,))
+        }
         mismatches: dict[str, dict] = {}
-        for uid in sorted(users, key=_user_sort_key):
+        for uid in sorted(users):
             projection = {k: tree.key(k) for k in tree.keyset(uid)}
             held = entries.keys_of(uid)
             if held != projection:

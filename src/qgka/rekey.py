@@ -15,10 +15,9 @@ addressed to a subtree difference, the users under one k-node minus the
 users under some nodes below it, so it is built and delivered in time that
 does not grow with how many users it reaches.  Within one
 event, messages must be applied in list order: leave-time messages for
-deeper keys precede the ones encrypted under them.  A recipient tuple is
-built only when it is read, from the tree's copy-on-write usersets of the
-send time, and keeps the tree's stable user order: it is filtered out of a
-sorted userset, never sorted again.
+deeper keys precede the ones encrypted under them.  A message keeps the
+tree's immutable ropes of its send time (``KeyTree.rope``), and its
+recipient tuple is listed from them, in tree order, only when it is read.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree
+from .keytree import GroupKey, KeyTree, Rope, flatten
 
 TAG_BYTES = 16
 
@@ -143,9 +142,10 @@ def try_unwrap(enc_key: GroupKey, ct: SimCipherText) -> Optional[GroupKey]:
 class RekeyMessage:
     """One ciphertext bundle addressed to one group of users.
 
-    The recipients are ``recipients`` less ``skip``, in ``recipients``
-    order, built on each read.  A built message keeps the two lists of its
-    send time and names its addressing: the users under the k-node
+    The recipients are the users of the rope ``recipients`` less those of
+    the rope ``skip``, in tree order, listed on each read; a tuple of user
+    ids is a rope.  A built message keeps the two ropes of its send time and
+    names its addressing: the users under the k-node
     ``include`` minus the users under the nodes ``exclude``, which is either
     one child of ``include`` (a join message) or the u-nodes of session users
     under ``include`` (a leave message; a u-node's id is its user's id).  A
@@ -156,11 +156,11 @@ class RekeyMessage:
 
     def __init__(
         self,
-        recipients: Sequence[str],
+        recipients: Rope,
         items: tuple[SimCipherText, ...],
         include: Optional[str] = None,
         exclude: tuple[str, ...] = (),
-        skip: Sequence[str] = (),
+        skip: Rope = (),
     ):
         self.items = items
         self.include = include
@@ -170,8 +170,8 @@ class RekeyMessage:
 
     @property
     def recipients(self) -> tuple[str, ...]:
-        skip = set(self._skip)
-        return tuple(filterfalse(skip.__contains__, self._users))
+        skip = set(flatten(self._skip))
+        return tuple(filterfalse(skip.__contains__, flatten(self._users)))
 
     def to_dict(self) -> dict:
         return {
@@ -210,8 +210,6 @@ def build_join_messages(
     for j, key_id in enumerate(path):
         new_key = tree.key(key_id)
         below = path[j + 1] if j + 1 < len(path) else tree.individual_key(joiner)
-        # the joiner is under ``below``, on her own path
-        skip, users = tree.userset(below), tree.userset(key_id)
         old = old_material.get(key_id)
         if old is not None:
             enc_key = old
@@ -224,17 +222,18 @@ def build_join_messages(
                 )
             enc_key = tree.key(children[0])
         ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
-        if len(users) > len(skip):
-            messages.append(
-                RekeyMessage(
-                    users,
-                    tuple(ciphertexts),
-                    include=key_id,
-                    exclude=(below,),
-                    skip=skip,
-                )
+        # the joiner is under ``below``, on her own path, and ``key_id`` has
+        # another child, so every path key has recipients
+        messages.append(
+            RekeyMessage(
+                tree.rope(key_id),
+                tuple(ciphertexts),
+                include=key_id,
+                exclude=(below,),
+                skip=tree.rope(below),
             )
-            counters.rekey_messages += 1
+        )
+        counters.rekey_messages += 1
     return messages
 
 
@@ -259,13 +258,14 @@ def build_leave_messages(
     for key_id, agents in updated_deepest_first:
         new_key = tree.key(key_id)
         for child, agent in zip(tree.child_keys(key_id), agents):
-            users = tree.userset(child)
-            if len(users) == 1:
-                continue
+            if not tree.child_keys(child):
+                continue  # the agent is the child's only user
             ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
             skip = (agent,)
             messages.append(
-                RekeyMessage(users, (ct,), include=child, exclude=skip, skip=skip)
+                RekeyMessage(
+                    tree.rope(child), (ct,), include=child, exclude=skip, skip=skip
+                )
             )
             counters.rekey_messages += 1
     return messages

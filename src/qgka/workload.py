@@ -3,9 +3,9 @@
 A run spawns two random streams from its seed.  The first draws the event
 list alone: each step draws an event count from Poisson(lambda), each event
 is a join with probability ``p_join`` and otherwise a leave, and each leave
-draws its leaver as an index into the sorted group.  A leave that would
-shrink the group below two members is skipped and recorded, never silently
-dropped.  So one seed gives one event list for every decoy proportion, key
+draws its leaver as an index into the group in tree order.  A leave that
+would shrink the group below two members is skipped and recorded, never
+silently dropped.  So one seed gives one event list for every decoy proportion, key
 length, mode and backend.  The second stream builds the tree and runs the
 sessions.  Every run replays the list into one cumulative record per step:
 
@@ -117,7 +117,7 @@ class EventInfo:
     """One drawn membership event; a ``sim`` replay fills its session sizes.
 
     ``kind`` is "join", "leave" or "skip", a leave drawn at two members.  A
-    leave's ``leaver`` indexes the sorted members before it.
+    leave's ``leaver`` indexes the members before it, in tree order.
     """
 
     step: int
@@ -204,8 +204,8 @@ def _protocol_cost(config: WorkloadConfig) -> _Cost:
         if ev.kind == "join":
             trace = protocol.join(f"u{next(joiners)}")
         else:
-            members = protocol.tree.userset(protocol.tree.root)
-            trace = protocol.leave(members[ev.leaver])
+            tree = protocol.tree
+            trace = protocol.leave(tree.user_at(tree.root, ev.leaver))
         ev.session_sizes = tuple(trace.session_sizes)
         return trace.counters
 

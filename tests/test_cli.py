@@ -429,6 +429,27 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--protocol", "ghz", "--N", "8", "--config", "{dir}"],
+            ["trace", "join", "--group-size", "4", "--degree", "2",
+             "--out", "{missing}/t.json"],
+            ["simulate", "--initial", "8", "--degree", "2", "--steps", "2",
+             "--backends", "tree-ghz", "--out", "{file}"],
+            ["attack", "--strategy", "cnot", "--decoys", "3", "--trials", "2",
+             "--csv", "{dir}"],
+        ],
+        ids=["config-dir", "out-missing-dir", "outdir-is-file", "csv-dir"],
+    )
+    def test_unusable_paths_are_usage_errors(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        paths = {"dir": tmp_path, "missing": tmp_path / "missing"}
+        paths["file"] = tmp_path / "file"
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert err.startswith("error:"), err
+
     def test_help_mentions_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgka.keytree import KeyTree, KeyTreeError, random_bits
+from qgka.keytree import KeyTree, KeyTreeError, flatten, random_bits
 
 from oracle import depth, per_node_keys
 
@@ -250,20 +250,66 @@ class TestInsertRemove:
                 assert uid in tree.userset(kid)
 
     def test_usersets_read_earlier_stay_as_read(self):
-        # usersets are copy-on-write: a list read before a change still
-        # lists the users it listed then
+        # ropes are immutable: one read before a change still lists the
+        # users it listed then, in tree order, where a joiner sits at her
+        # leaf's place: u10 splits u1's individual key
         tree, rng = build(3, 9)
         root = tree.root
-        before = tree.userset(root)
-        kept = list(before)
+        before = tree.rope(root)
         tree.insert_user("u10", random_bits(tree.key_len, rng))
-        joined = tree.userset(root)
+        joined = tree.rope(root)
         tree.remove_user("u3")
-        during = tree.userset(tree.root)
-        assert before == kept
-        assert "u10" in tree.userset(root) and "u3" not in during
-        assert list(joined) == sorted([*kept, "u10"], key=lambda u: (len(u), u))
+        fresh = [f"u{i + 1}" for i in range(9)]
+        assert flatten(before) == fresh
+        assert flatten(joined) == ["u1", "u10", *fresh[1:]]
+        assert tree.users() == ["u1", "u10", "u2", *fresh[3:]]
+        assert tree.userset(tree.individual_key("u10")) == ["u10"]
         tree.check_invariants()
+
+    @staticmethod
+    def churned(d, seed, events=300):
+        """A tree built at 12 users and churned by random joins and leaves."""
+        rng = np.random.default_rng(seed)
+        tree, _ = build(d, 12, seed=seed)
+        for step in range(events):
+            if rng.random() < 0.5 or tree.group_size() <= 2:
+                tree.insert_user(f"u{13 + step}", random_bits(tree.key_len, rng))
+            else:
+                users = tree.users()
+                tree.remove_user(users[int(rng.integers(len(users)))])
+        tree.check_invariants()
+        return tree
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_user_at_counts_past_the_leaver(self, d):
+        tree = self.churned(d, seed=d)
+        for leaver in tree.users():
+            skip = tree.path(leaver)
+            for key_id in skip[2:]:  # her parent k-node and up
+                expected = [u for u in tree.userset(key_id) if u != leaver]
+                got = [tree.user_at(key_id, i, skip) for i in range(len(expected))]
+                assert got == expected, (leaver, key_id)
+                with pytest.raises(IndexError):
+                    tree.user_at(key_id, len(expected), skip)
+        for key_id in tree.key_nodes():
+            users = tree.userset(key_id)
+            assert [tree.user_at(key_id, i) for i in range(len(users))] == users
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_remove_user_applies_leave_path(self, d):
+        tree = self.churned(d, seed=10 + d)
+        for leaver in tree.users():
+            copy = tree.clone()
+            assert copy.remove_user(leaver) == tree.leave_path(leaver)
+            copy.check_invariants()
+        lone, _ = build(d, 1)
+        for t in (tree, lone):
+            for uid in ("u1", "nobody"):
+                with pytest.raises(KeyTreeError) as a:
+                    t.leave_path(uid)
+                with pytest.raises(KeyTreeError) as b:
+                    t.remove_user(uid)
+                assert str(a.value) == str(b.value)
 
     def test_clone_is_independent(self):
         tree, rng = build(2, 4)
@@ -279,9 +325,11 @@ class TestInsertRemove:
         tree, _ = build(2, 1)
         lone = tree.nodes[tree.root]
         fresh = tree._new_node("k")
-        fresh.users, fresh.children = lone.users, [lone.id]
+        fresh.children = [lone.id]
         lone.parent, tree.root = fresh.id, fresh.id
-        fresh.height, fresh.attach, fresh.split = tree._summary(fresh)
+        fresh.users, fresh.count, fresh.height, fresh.attach, fresh.split = (
+            tree._summary(fresh)
+        )
         with pytest.raises(KeyTreeError, match="single child"):
             tree.check_invariants()
 

@@ -15,7 +15,9 @@ clone, children order and node counter included, and the protocol's state,
 its entries included, untouched.  Departed user ids join again.  A
 committed event must leave each member's current stay holding exactly the
 keys it held before plus the keys the member now holds, and may change an
-ended stay only by setting its leave step, once.
+ended stay only by setting its leave step, once.  Every committed event's
+messages are kept, and each must list the recipients it listed when sent
+after every later step.
 """
 
 from dataclasses import astuple
@@ -91,6 +93,7 @@ class GroupChurn(RuleBasedStateMachine):
         self.channel = AdversarialChannel(EveStrategy("intercept_resend", 0.15))
         self.next_uid = size + 1
         self.last_counters = self.proto.counters.as_dict()
+        self.sent = []  # (message, its recipients when sent)
 
     def departed(self) -> list[str]:
         return [u for u in self.proto.stays if u not in self.proto.views]
@@ -107,7 +110,7 @@ class GroupChurn(RuleBasedStateMachine):
         before = protocol_state(proto)
         proto.channel = self.channel if attacked else None
         try:
-            (proto.join if kind == "join" else proto.leave)(uid)
+            trace = (proto.join if kind == "join" else proto.leave)(uid)
         except ProtocolAbort as exc:
             assert attacked and exc.cause == "eavesdropper"
             assert tree_state(proto.tree) == tree_state(tree_before)
@@ -115,6 +118,7 @@ class GroupChurn(RuleBasedStateMachine):
             return
         finally:
             proto.channel = None
+        self.sent += [(m, m.recipients) for m in trace.messages]
         stays_before = before[3]  # protocol_state's stays
         for user, stays in proto.stays.items():
             old = stays_before.get(user, [])
@@ -156,6 +160,10 @@ class GroupChurn(RuleBasedStateMachine):
         tree.check_invariants()
         assert tree.height() == dfs_height(tree)
         assert tree.join_point() == scan_join_point(tree)
+
+    @invariant()
+    def sent_messages_keep_their_recipients(self):
+        assert all(m.recipients == sent for m, sent in self.sent)
 
     @invariant()
     def delivered_keys_settle_into_the_tree(self):
