@@ -87,14 +87,14 @@ DIGESTS = {
     "trace-leave-reveal": "73651cda3cbd15b95b19323422b71b2f6d2e1e51b63ffb3fd02451408864a959",
     "cost": "670739ba7ffcc49013dc0b25aad1e041d909e29c53d10b70ce1e4fce919c605f",
     "sweep-degree": "c2eb28b9720d18a4915af0bb3825f092a62f0fcd6c9c5bdcc3677aee6b6a2449",
-    "simulate-self": "a3713a36768b8e0a6387a023d036e60ed096e63af2f9567746e76efec5bb999f",
-    "simulate-eight": "cb3645c00a1f7bd49c351ef8cae0226ffe5bef98b3ae9b65ffd9c4a651dbb7e3",
+    "simulate-self": "23b347fdda9aa795c717a4f0f890421814f43bd08476f9a71c2d9d514424e862",
+    "simulate-eight": "382cc23447313a473a69011ea01103b43fc5722b95da4f68742371b94e684076",
     "attack": "bf2938d776f580aa6c0dab81dcce861ae6e26c960daa6a22b1b1e2a6fcfe3828",
 }
 
 
 #: Every ``EventTrace.to_dict(reveal_keys=True)`` of ``churn_traces()``.
-CHURN_DIGEST = "fdbbe0c2db59f8d0951a4960d9351169795282d601439e721ba87cedf3beb4e5"
+CHURN_DIGEST = "e5eea52dedc72f0ade101d23abe0ee060d23ed145d31e9e705f8597db9291648"
 
 
 #: Every session of ``session_batch()`` plus the generator state after it.
