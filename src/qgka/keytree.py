@@ -339,13 +339,14 @@ class KeyTree:
 
     def _build(self, users: list[str], lo: int, hi: int) -> str:
         """Keyless subtree over ``users[lo:hi]``, in that order."""
-        if hi - lo == 1:
+        n = hi - lo
+        if n == 1:
             return self._leaf_for(users[lo])
-        if hi - lo <= self.degree:
-            sizes = [1] * (hi - lo)
+        if n <= self.degree:
+            sizes = [1] * n
         else:
-            groups = min(self.degree, max(2, (hi - lo) // 2))
-            q, r = divmod(hi - lo, groups)
+            groups = min(self.degree, max(2, n // 2))
+            q, r = divmod(n, groups)
             sizes = [q + 1] * r + [q] * (groups - r)
         parent = self._new_node("k")
         for size in sizes:
