@@ -105,7 +105,8 @@ def flatten(rope: Rope, out: Optional[list[str]] = None) -> list[str]:
 
 
 def random_bits(n: int, rng: np.random.Generator) -> str:
-    return "".join(map(str, rng.integers(0, 2, size=n).tolist()))
+    bits = rng.integers(0, 2, size=n)
+    return (bits + 48).astype(np.uint8).tobytes().decode("ascii")
 
 
 class KeyTree:

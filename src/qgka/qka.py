@@ -44,17 +44,23 @@ choice of her flip bit, so a corrupted follower slot shows as seats that
 disagree.  Either failure aborts the session with cause "tamper".
 
 A session runs in two stages.  ``draw_session`` makes all of its random
-draws and channel checks, and stops at the first failed check.  Its draws,
-in order: the operation keys as one (P, n) draw of bits; the decoy kinds of
-all the distribution hops as one draw of values in [0, 4), then whatever
-the channel draws for that whole batch; the leaders' choice bits as one
-draw of n bits; and the return hops like the distribution hops.  A phase
-without decoys draws nothing for them.  Each sequence's decoy count comes
-from a plan made once per (P, n, xi).  On PCG64 a draw of k bounded
-integers returns the same values and leaves the same generator state as k
-scalar draws, so the engine consumes the generator exactly as the
-one-qubit-at-a-time reference in ``tests/oracle.py`` does, which draws its
-decoys one by one and hands the channel the same batch.
+draws and channel checks, and stops at the first failed check.  It calls
+the generator twice, once per phase, each time for values in [0, 4): first
+the operation keys, P * n of them in (P, n) order, followed by the decoy
+kinds of all the distribution hops, then whatever the channel draws for
+that whole batch; after the distribution check, the leaders' n choice bits
+followed by the return hops' decoy kinds, and the channel's draws for
+those.  A phase without decoys draws only its bits.  Each sequence's decoy
+count comes from a plan made once per (P, n, xi).  On PCG64 a draw of k
+bounded integers returns the same values and leaves the same generator
+state as k scalar draws.  By Lemire's method, which numpy uses for bounded
+integers, a value in [0, 2^b) is the top b bits of one 32-bit output, so a
+value in [0, 4) shifted right by one is the bit that a draw of bits would
+have taken from the same output.  The engine therefore consumes the
+generator exactly as the one-qubit-at-a-time reference in
+``tests/oracle.py`` does, which draws its bits and its decoys one by one
+and hands the channel the same batch; ``TestArrayEngine`` in
+``tests/test_qka.py`` pins both properties draw for draw.
 
 ``finish_sessions`` then encodes, measures, checks and extracts any number
 of drawn sessions of one key length at once; it draws nothing.  The
@@ -264,6 +270,7 @@ def _plan(P: int, n: int, xi: float) -> tuple[_Hops, _Hops]:
 
 def _checked_hops(
     hops: _Hops,
+    kinds: np.ndarray,
     channel: Optional[ChannelModel],
     rng: np.random.Generator,
     counters: ResourceCounters,
@@ -271,28 +278,26 @@ def _checked_hops(
     """Send a phase's sequences through the channel, in order, and verify
     each one's decoys.
 
-    The sender prepares each sequence's decoys, the channel may tamper with
-    them, and the receiver measures each in its announced basis.  The
-    bases/positions announcement plus the verification reply count as one
-    classical exchange per sequence that has decoys.  All the decoy kinds
-    of the phase are drawn at once and the channel carries them in one
+    The sender prepares each sequence's decoys, whose kinds the phase drew
+    as ``kinds``; the channel may tamper with them, and the receiver
+    measures each in its announced basis.  The bases/positions announcement plus the
+    verification reply count as one classical exchange per sequence that
+    has decoys.  The channel carries all the decoys of the phase in one
     call; without a channel every decoy reads back right.  Returns False
     when a sequence reads wrong; the sequences after the first such one are
     never sent, so the counters stop with it.
     """
     total, payload, messages = hops.decoy_qubits, hops.payload_qubits, hops.messages
     ok = True
-    if total:
-        kinds = rng.integers(4, size=total)
-        # an honest channel reads every decoy back as prepared
-        if channel is not None:
-            wrong = np.flatnonzero(channel.transmit(kinds, rng) != kinds & 1)
-            if wrong.size:
-                # the first sequence whose decoys run past the first wrong one
-                sent = bisect_right(hops.ends, wrong[0]) + 1
-                decoys = hops.decoys[:sent]
-                total, payload = sum(decoys), sum(hops.payloads[:sent])
-                messages, ok = sent - decoys.count(0), False
+    # an honest channel reads every decoy back as prepared
+    if total and channel is not None:
+        wrong = np.flatnonzero(channel.transmit(kinds, rng) != kinds & 1)
+        if wrong.size:
+            # the first sequence whose decoys run past the first wrong one
+            sent = bisect_right(hops.ends, wrong[0]) + 1
+            decoys = hops.decoys[:sent]
+            total, payload = sum(decoys), sum(hops.payloads[:sent])
+            messages, ok = sent - decoys.count(0), False
     counters.qubits_prepared += total
     counters.qubits_transmitted += payload + total
     counters.classical_messages += messages
@@ -392,24 +397,27 @@ def draw_session(
     counters = t.counters
 
     # Private operation keys, one bit per position per participant, and one
-    # P-qubit GHZ state per position prepared by the server.
-    draw = SessionDraw(t, rng.integers(0, 2, size=(P, n)))
+    # P-qubit GHZ state per position prepared by the server; the same draw
+    # holds the distribution decoys' kinds after the keys.
+    values = rng.integers(4, size=P * n + out.decoy_qubits)
+    draw = SessionDraw(t, (values[: P * n] >> 1).reshape(P, n))
     counters.qubits_prepared += P * n
 
     # Distribution: one sequence per other participant (her particle of every
     # state plus decoys), each channel-checked on receipt.
-    if not _checked_hops(out, channel, rng, counters):
+    if not _checked_hops(out, values[P * n :], channel, rng, counters):
         t.aborted, t.abort_cause = True, "eavesdropper"
         return draw
 
     # Encoding: everyone applies the gate for her key bit on her own
-    # particle; the leaders' free choices are drawn here, the gates are
-    # worked out at the finish.
-    draw.choice = rng.integers(2, size=n)
+    # particle; the leaders' free choices are drawn here, with the return
+    # decoys' kinds after them, and the gates are worked out at the finish.
+    values = rng.integers(4, size=n + back.decoy_qubits)
+    draw.choice = values[:n] >> 1
     counters.gates_applied += P * n
 
     # Return: the followers' particles go back to each position's leader.
-    if not _checked_hops(back, channel, rng, counters):
+    if not _checked_hops(back, values[n:], channel, rng, counters):
         t.aborted, t.abort_cause = True, "eavesdropper"
     return draw
 

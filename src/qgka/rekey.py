@@ -18,6 +18,12 @@ event, messages must be applied in list order: leave-time messages for
 deeper keys precede the ones encrypted under them.  A message keeps the
 tree's immutable ropes of its send time (``KeyTree.rope``), and its
 recipient tuple is listed from them, in tree order, only when it is read.
+
+A build lists its sends first and then draws every message's 8-byte nonce
+from one ``rng.bytes`` call, sliced in send order; PCG64 fills bytes from
+32-bit outputs, so this is the stream of one 8-byte draw per message.  A
+build that sends nothing draws nothing: ``rng.bytes(0)`` still consumes a
+32-bit output.
 """
 
 from __future__ import annotations
@@ -53,15 +59,20 @@ def _tag_material(key: GroupKey) -> bytes:
 
 
 def _keystream(key: GroupKey, nonce: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = hashlib.blake2b(
-            _key_bytes(key) + nonce + counter.to_bytes(8, "big"), digest_size=32
-        ).digest()
-        out.extend(block)
-        counter += 1
-    return bytes(out[:length])
+    """BLAKE2b-256 blocks of the key's bytes, the nonce and an 8-byte
+    big-endian counter from 0, cut to ``length``, which is at least 1.  The
+    key and nonce are hashed once; each block but the last continues a copy
+    of that state, and the last continues the state itself."""
+    head = hashlib.blake2b(_key_bytes(key) + nonce, digest_size=32)
+    last = (length - 1) // 32
+    blocks = []
+    for counter in range(last):
+        block = head.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
+    head.update(last.to_bytes(8, "big"))
+    blocks.append(head.digest())
+    return b"".join(blocks)[:length]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -180,8 +191,10 @@ class RekeyMessage:
         }
 
 
-def _nonce(rng: np.random.Generator) -> bytes:
-    return rng.bytes(8)
+def _nonces(rng: np.random.Generator, count: int) -> list[bytes]:
+    """``count`` 8-byte nonces cut from one draw, and no draw for none."""
+    drawn = rng.bytes(8 * count) if count else b""
+    return [drawn[i : i + 8] for i in range(0, len(drawn), 8)]
 
 
 def build_join_messages(
@@ -207,7 +220,7 @@ def build_join_messages(
     ciphertexts: list[SimCipherText] = []
     messages: list[RekeyMessage] = []
     path = list(path_root_first)
-    for j, key_id in enumerate(path):
+    for j, (key_id, nonce) in enumerate(zip(path, _nonces(rng, len(path)))):
         new_key = tree.key(key_id)
         below = path[j + 1] if j + 1 < len(path) else tree.individual_key(joiner)
         old = old_material.get(key_id)
@@ -221,7 +234,7 @@ def build_join_messages(
                     f"no usable wrapping key for fresh path node {key_id}"
                 )
             enc_key = tree.key(children[0])
-        ciphertexts.append(encrypt_key(enc_key, new_key, _nonce(rng), counters))
+        ciphertexts.append(encrypt_key(enc_key, new_key, nonce, counters))
         # the joiner is under ``below``, on her own path, and ``key_id`` has
         # another child, so every path key has recipients
         messages.append(
@@ -254,18 +267,20 @@ def build_leave_messages(
     Deeper keys come first so that a recipient always holds the wrapping key
     by the time she needs it.
     """
+    sends = [
+        (key_id, child, agent)
+        for key_id, agents in updated_deepest_first
+        for child, agent in zip(tree.child_keys(key_id), agents)
+        if tree.child_keys(child)  # else the agent is the child's only user
+    ]
     messages: list[RekeyMessage] = []
-    for key_id, agents in updated_deepest_first:
-        new_key = tree.key(key_id)
-        for child, agent in zip(tree.child_keys(key_id), agents):
-            if not tree.child_keys(child):
-                continue  # the agent is the child's only user
-            ct = encrypt_key(tree.key(child), new_key, _nonce(rng), counters)
-            skip = (agent,)
-            messages.append(
-                RekeyMessage(
-                    tree.rope(child), (ct,), include=child, exclude=skip, skip=skip
-                )
+    for (key_id, child, agent), nonce in zip(sends, _nonces(rng, len(sends))):
+        ct = encrypt_key(tree.key(child), tree.key(key_id), nonce, counters)
+        skip = (agent,)
+        messages.append(
+            RekeyMessage(
+                tree.rope(child), (ct,), include=child, exclude=skip, skip=skip
             )
-            counters.rekey_messages += 1
+        )
+        counters.rekey_messages += 1
     return messages

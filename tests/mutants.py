@@ -1,0 +1,162 @@
+"""Mutation check: break the code in one known way at a time and make sure
+the tests notice.
+
+    python tests/mutants.py [name ...]
+
+A mutant names a file under ``src``, an exact snippet of it, the snippet's
+replacement and the tests expected to kill it.  For each mutant the script
+copies ``src`` and ``tests`` to a temporary directory, replaces the
+snippet there and runs those tests with pytest: the mutant is killed when
+they fail and survives when they pass.  A snippet that does not occur
+exactly once is an error, so a change to the code updates its mutants with
+it.  The tests are first run once on the unchanged copy, which must pass.
+Exits 0 only when every mutant applies and is killed.  Pytest does not
+collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    # pytest node ids expected to fail, quickest first: the run stops at the
+    # first failure, before hypothesis shrinks a failing example of the next
+    tests: tuple[str, ...]
+
+
+ARRAY_ENGINE = "tests/test_qka.py::TestArrayEngine"
+EVENT_STREAM = "tests/test_protocol.py::TestEventStream"
+LONG_KEY_CIPHER = "tests/test_rekey.py::TestLongKeyCipher"
+
+MUTANTS = [
+    Mutant(
+        "keys-not-shifted",
+        "src/qgka/qka.py",
+        "SessionDraw(t, (values[: P * n] >> 1).reshape(P, n))",
+        "SessionDraw(t, (values[: P * n] >> 0).reshape(P, n))",
+        (EVENT_STREAM, ARRAY_ENGINE),
+    ),
+    Mutant(
+        "nonce-drawn-for-no-send",
+        "src/qgka/rekey.py",
+        'drawn = rng.bytes(8 * count) if count else b""',
+        "drawn = rng.bytes(8 * count)",
+        (f"{EVENT_STREAM}::test_leave_without_messages_draws_no_nonce",),
+    ),
+    Mutant(
+        "keystream-counter-from-1",
+        "src/qgka/rekey.py",
+        "    for counter in range(last):\n"
+        "        block = head.copy()\n"
+        '        block.update(counter.to_bytes(8, "big"))\n'
+        "        blocks.append(block.digest())\n"
+        '    head.update(last.to_bytes(8, "big"))\n',
+        "    for counter in range(1, last + 1):\n"
+        "        block = head.copy()\n"
+        '        block.update(counter.to_bytes(8, "big"))\n'
+        "        blocks.append(block.digest())\n"
+        '    head.update((last + 1).to_bytes(8, "big"))\n',
+        (LONG_KEY_CIPHER,),
+    ),
+    Mutant(
+        "keystream-last-block-hashed-twice",
+        "src/qgka/rekey.py",
+        '    head.update(last.to_bytes(8, "big"))\n',
+        '    head.update(last.to_bytes(8, "big"))\n'
+        '    head.update(last.to_bytes(8, "big"))\n',
+        (LONG_KEY_CIPHER,),
+    ),
+    Mutant(
+        "return-phase-drawn-before-check",
+        "src/qgka/qka.py",
+        "    if not _checked_hops(out, values[P * n :], channel, rng, counters):\n"
+        '        t.aborted, t.abort_cause = True, "eavesdropper"\n'
+        "        return draw\n"
+        "\n"
+        "    # Encoding: everyone applies the gate for her key bit on her own\n"
+        "    # particle; the leaders' free choices are drawn here, with the return\n"
+        "    # decoys' kinds after them, and the gates are worked out at the finish.\n"
+        "    values = rng.integers(4, size=n + back.decoy_qubits)\n",
+        "    kinds = values[P * n :]\n"
+        "    values = rng.integers(4, size=n + back.decoy_qubits)\n"
+        "    if not _checked_hops(out, kinds, channel, rng, counters):\n"
+        '        t.aborted, t.abort_cause = True, "eavesdropper"\n'
+        "        return draw\n",
+        (f"{EVENT_STREAM}::test_attacked_channel_with_aborts", ARRAY_ENGINE),
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+
+
+def _passes(workdir: Path, tests: tuple[str, ...]) -> bool:
+    env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests],
+        cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return run.returncode == 0
+
+
+def _apply(workdir: Path, mutant: Mutant) -> bool:
+    """Replace the mutant's snippet in the copy; False when it does not
+    occur exactly once."""
+    target = workdir / mutant.path
+    source = target.read_text()
+    if source.count(mutant.snippet) != 1:
+        return False
+    target.write_text(source.replace(mutant.snippet, mutant.replacement))
+    return True
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    every_test = tuple(dict.fromkeys(t for m in chosen for t in m.tests))
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        if not _passes(base, every_test):
+            print("the tests fail on the unchanged code; no mutant was run")
+            return 2
+        bad = 0
+        for mutant in chosen:
+            workdir = Path(tmp) / mutant.name
+            _copy(workdir)
+            if not _apply(workdir, mutant):
+                verdict = "does not apply: its snippet is not in the code once"
+            elif _passes(workdir, mutant.tests):
+                verdict = "survived"
+            else:
+                verdict = "killed"
+            bad += verdict != "killed"
+            print(f"{mutant.name}: {verdict}")
+            shutil.rmtree(workdir)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

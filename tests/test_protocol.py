@@ -1,5 +1,7 @@
 """End-to-end join/leave orchestration, rollback, and view consistency."""
 
+import hashlib
+import json
 import math
 from dataclasses import astuple
 
@@ -675,3 +677,66 @@ class TestTraceShape:
         proto = fresh_protocol(4, 64)
         trace = proto.leave("u10")
         assert len(trace.sessions) == len(trace.updated_keys)
+
+
+def _stream_run(d, users, n, xi, events, channel=None, seed=3):
+    """Per event of ``events``, a short digest of the generator state after
+    it and of its full trace, or of its abort cause; with the number of
+    rekey messages each committed event sent (None for an abort)."""
+    rng = np.random.default_rng(seed)
+    tree = KeyTree.build_balanced(d, [f"u{i}" for i in range(1, users + 1)], n, rng)
+    config = ProtocolConfig(key_len=n, xi=xi, track_history=True)
+    proto = GroupProtocol(tree, config, rng, channel)
+    digests, sent = [], []
+    for kind, user in events:
+        try:
+            trace = getattr(proto, kind)(user)
+        except ProtocolAbort as abort:
+            record, count = ["abort", abort.cause], None
+        else:
+            record, count = trace.to_dict(reveal_keys=True), len(trace.messages)
+        doc = json.dumps([rng.bit_generator.state, record])
+        digests.append(hashlib.sha256(doc.encode()).hexdigest()[:12])
+        sent.append(count)
+    return digests, sent
+
+
+_CHURN = [
+    ("join", "u20"), ("leave", "u3"), ("join", "u21"), ("leave", "u20"),
+    ("leave", "u1"), ("join", "u22"), ("join", "u23"), ("leave", "u5"),
+]
+
+
+class TestEventStream:
+    """Every event's generator state and trace, pinned per event, so a
+    change to how a session or a rekey build draws shows at the first event
+    it alters.  The three runs cover a leave that sends no rekey message,
+    phases without decoys, a 256-bit key wrapped over many keystream blocks
+    and an attacked channel on which events abort."""
+
+    def test_leave_without_messages_draws_no_nonce(self):
+        events = [("leave", "u2"), ("join", "u4"), ("leave", "u3"), ("join", "u5")]
+        digests, sent = _stream_run(4, 3, 4, 0.0, events)
+        assert sent[0] == 0  # u1 and u3 under the root, each alone
+        assert digests == [
+            "0dd3f2363816", "e767ca0753ed", "caec8e5c5e90", "1614cb8282aa",
+        ]
+
+    def test_long_keys_without_decoys(self):
+        digests, sent = _stream_run(4, 10, 256, 0.0, _CHURN)
+        assert None not in sent
+        assert digests == [
+            "76f7d7887036", "41cc0ff36749", "cfa7cdc431ab", "f549339350f0",
+            "1c3ba7592d14", "2b4f46943143", "0899e0d37555", "ae1df8f0162c",
+        ]
+
+    def test_attacked_channel_with_aborts(self):
+        channel = AdversarialChannel(EveStrategy("intercept_resend", 0.05))
+        events = _CHURN + [("join", "u24"), ("leave", "u7"), ("join", "u25")]
+        digests, sent = _stream_run(3, 12, 8, 0.25, events, channel)
+        assert None in sent and any(sent)
+        assert digests == [
+            "b24ea1810e00", "fb954948a548", "112304f1f43d", "8bb986537664",
+            "70595ce69d28", "1fdace605129", "f7d0f36628a8", "9da453ff610f",
+            "b30bfc0ba36f", "f3b9d893a634", "e28cd5a4cbd5",
+        ]

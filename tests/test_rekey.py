@@ -1,10 +1,13 @@
 """Simulated cipher, message construction, and the secrecy games."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, random_bits
+from qgka import rekey
 from qgka.rekey import (
     AuthenticationError,
     MissingKeyError,
@@ -84,6 +87,62 @@ class TestCipher:
         encrypt_key(key(), key("k2", 1, "0"), rng.bytes(8), c)
         encrypt_key(key(), key("k2", 1, "0"), rng.bytes(8), c)
         assert c.encryptions == 2
+
+
+def long_key(kid, version, n):
+    """A key of ``n`` fixed bits, drawn without ``random_bits``."""
+    draw = np.random.default_rng(n).integers(2, size=n).tolist()
+    return GroupKey(kid, version, "".join("01"[b] for b in draw))
+
+
+def reference_keystream(key, nonce, length):
+    """The keystream by its definition: BLAKE2b-256 blocks of the key's
+    bytes, the nonce and an 8-byte big-endian counter from 0, cut to
+    ``length``."""
+    head = rekey._key_bytes(key) + nonce
+    blocks = (
+        hashlib.blake2b(head + i.to_bytes(8, "big"), digest_size=32).digest()
+        for i in range(-(-length // 32))
+    )
+    return b"".join(blocks)[:length]
+
+
+class TestLongKeyCipher:
+    """Keys of many bits, whose wrapping spans many keystream blocks."""
+
+    NONCE = bytes.fromhex("0123456789abcdef")
+
+    # 261 is the plaintext length of a 256-bit key: "k2|5|" and its bits
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 64, 65, 261])
+    def test_keystream_matches_its_definition(self, length):
+        wrap = long_key("k1", 2, 256)
+        stream = rekey._keystream(wrap, self.NONCE, length)
+        assert stream == reference_keystream(wrap, self.NONCE, length)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (256, "a34aab43e7d5f30117c6f60524d52998c8ccaeb86653f63386b9f9d19a6bdc15"),
+            (4096, "f14ccd70d431324754cb338a5531828a81ae2ac45b5352f120cfc1ebd6b88136"),
+        ],
+    )
+    def test_encryption_is_pinned(self, n, digest):
+        ct = encrypt_key(long_key("k1", 2, n), long_key("k2", 5, n), self.NONCE)
+        assert hashlib.sha256(ct.payload + ct.tag).hexdigest() == digest
+
+    def test_round_trip_and_wrong_key(self):
+        wrap, plain = long_key("k1", 2, 256), long_key("k2", 5, 256)
+        ct = encrypt_key(wrap, plain, self.NONCE)
+        assert decrypt_key(wrap, ct) == plain
+        last = "01"[wrap.bits[-1] == "0"]
+        for wrong in (
+            GroupKey("k1", 2, wrap.bits[:-1] + last),  # one bit off, at the end
+            GroupKey("k1", 3, wrap.bits),
+            GroupKey("k9", 2, wrap.bits),
+        ):
+            assert rekey.try_unwrap(wrong, ct) is None
+            with pytest.raises(AuthenticationError):
+                decrypt_key(wrong, ct)
 
 
 def _nine_user_setup(seed=7):
