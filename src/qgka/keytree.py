@@ -1,10 +1,14 @@
-"""The tree key graph: u-nodes, k-nodes, keyset/userset duality, churn updates.
+"""The tree key graph: k-nodes, keyset/userset duality, churn updates.
 
-A key tree is a single-rooted DAG.  Each user owns a u-node with exactly one
-outgoing edge into her individual leaf k-node, and internal k-nodes group up
-to ``degree`` child k-nodes apiece.  A user holds exactly the keys on her
-path to the root (her keyset); dually, a key is held by exactly the users in
-its subtree (its userset).  The root key is the group key.
+A key tree is a single-rooted tree of k-nodes.  Each user has one
+individual key, a k-node without children, and every other k-node groups
+two to ``degree`` child k-nodes.  The paper draws each user as a u-node with
+one edge into her individual key (Wong, Gouda and Lam's key graph); in a
+tree that edge says nothing the individual key does not, so a user is only
+an entry of ``leaves``, her id mapped to her individual key's.  A user holds
+exactly the keys on her path to the root (her keyset); dually, a key is
+held by exactly the users in its subtree (its userset).  The root key is the
+group key.
 
 Membership changes touch only the path between the affected user and the
 root:
@@ -16,11 +20,10 @@ root:
   node (this may grow the height by one).  The new user's individual k-node
   attaches there, and the path from the join point to the root needs fresh
   key material;
-* leave: the user's u-node and individual k-node are pruned, a parent left
-  with a single child is merged into that child to keep the height tight,
-  and the surviving path nodes need fresh key material; ``leave_path``
-  names them without changing the tree.  So no k-node ever has a single
-  child k-node.
+* leave: the user's individual k-node is pruned, a parent left with a
+  single child is merged into that child to keep the height tight, and the
+  surviving path nodes need fresh key material; ``leave_path`` names them
+  without changing the tree.  So no k-node ever has a single child k-node.
 
 Every k-node caches, for its own subtree, its users as a rope, their count,
 the height and the best join point and split target.  A rope is the user's
@@ -71,15 +74,14 @@ _Split = tuple[int, int, int, str]
 @dataclass(slots=True)
 class _Node:
     id: str
-    kind: str  # "u" or "k"
     parent: Optional[str] = None
-    children: list[str] = field(default_factory=list)
+    children: list[str] = field(default_factory=list)  # none at an individual key
     key: Optional[GroupKey] = None
     created: int = 0  # creation order, used for deterministic tie-breaking
-    # caches of a k-node's subtree, refreshed along every changed path
-    users: Rope = ()  # the subtree's rope (empty on a u-node)
+    # caches of the subtree, refreshed along every changed path
+    users: Rope = ()  # the subtree's rope; the user's id at an individual key
     count: int = 0  # users in the subtree
-    height: int = 0  # edges down to the deepest u-node; 1 for an individual key
+    height: int = 0  # 1 at an individual key, else 1 + the highest child's
     attach: Optional[_Attach] = None
     split: Optional[_Split] = None
 
@@ -119,20 +121,18 @@ class KeyTree:
             raise KeyTreeError("key length must be at least 1 bit")
         self.degree = degree
         self.key_len = key_len
-        self.nodes: dict[str, _Node] = {}
+        self.nodes: dict[str, _Node] = {}  # k-nodes, in creation order
+        self.leaves: dict[str, str] = {}  # user id -> individual key id
         self.root: Optional[str] = None
         self._counter = 0
 
     # ------------------------------------------------------------------ #
     # construction
 
-    def _new_node(self, kind: str, node_id: Optional[str] = None) -> _Node:
+    def _new_node(self) -> _Node:
         self._counter += 1
-        nid = node_id if node_id is not None else f"k{self._counter}"
-        if nid in self.nodes:
-            raise KeyTreeError(f"duplicate node id {nid}")
-        node = _Node(id=nid, kind=kind, created=self._counter)
-        self.nodes[nid] = node
+        node = _Node(id=f"k{self._counter}", created=self._counter)
+        self.nodes[node.id] = node
         return node
 
     def set_key(self, key_id: str, bits: str) -> GroupKey:
@@ -151,26 +151,19 @@ class KeyTree:
 
     def _k_node(self, key_id: str) -> _Node:
         node = self.nodes.get(key_id)
-        if node is None or node.kind != "k":
+        if node is None:
             raise KeyTreeError(f"unknown key node {key_id!r}")
         return node
 
-    def _u_node(self, user_id: str) -> _Node:
-        node = self.nodes.get(user_id)
-        if node is None or node.kind != "u":
-            raise KeyTreeError(f"unknown user {user_id!r}")
-        return node
-
     def has_user(self, user_id: str) -> bool:
-        node = self.nodes.get(user_id)
-        return node is not None and node.kind == "u"
+        return user_id in self.leaves
 
     def users(self) -> list[str]:
         """Every member, in tree order (a copy)."""
         return flatten(self.nodes[self.root].users) if self.root else []
 
     def key_nodes(self) -> list[str]:
-        return [n.id for n in self.nodes.values() if n.kind == "k"]
+        return list(self.nodes)
 
     def group_size(self) -> int:
         return self.nodes[self.root].count if self.root else 0
@@ -183,14 +176,14 @@ class KeyTree:
 
     def individual_key(self, user_id: str) -> str:
         """The user's own leaf k-node."""
-        u = self._u_node(user_id)
-        assert u.parent is not None
-        return u.parent
+        leaf = self.leaves.get(user_id)
+        if leaf is None:
+            raise KeyTreeError(f"unknown user {user_id!r}")
+        return leaf
 
     def child_keys(self, key_id: str) -> list[str]:
-        """Child k-nodes of a key node (u-node children excluded)."""
-        node = self._k_node(key_id)
-        return [c for c in node.children if self.nodes[c].kind == "k"]
+        """Child k-nodes of a key node, none at an individual key."""
+        return list(self._k_node(key_id).children)
 
     def path(self, node_id: str) -> list[str]:
         """The node and every node above it, root last."""
@@ -215,8 +208,8 @@ class KeyTree:
     def user_at(self, key_id: str, i: int, skip: Collection[str] = ()) -> str:
         """The ``i``-th user under a k-node in tree order, in O(d * h).
 
-        ``skip`` holds a user's path, as ``path`` gives it; that user is not
-        counted, so ``i`` runs below the subtree's count minus one.
+        ``skip`` holds a user's keyset; that user is not counted, so ``i``
+        runs below the subtree's count minus one.
         """
         node = self._k_node(key_id)
         while node.height > 1:
@@ -232,7 +225,8 @@ class KeyTree:
         return node.users  # type: ignore[return-value]
 
     def height(self) -> int:
-        """Edges along the longest u-node to root path."""
+        """Edges along the longest user to root path, a user's edge into
+        her individual key counted."""
         return self.nodes[self.root].height if self.root else 0
 
     def stats(self) -> dict[str, int]:
@@ -253,9 +247,9 @@ class KeyTree:
         count, creation), the depth counted from this node.  An individual
         key (height 1) has neither: its parent accounts for it.
         """
+        if not node.children:
+            return node.users, 1, 1, None, None
         kids = [self.nodes[c] for c in node.children]
-        if kids[0].kind == "u":
-            return kids[0].id, 1, 1, None, None
         rope = tuple([kid.users for kid in kids])
         count = sum([kid.count for kid in kids])
         height = 1
@@ -319,7 +313,7 @@ class KeyTree:
             raise KeyTreeError("user ids must be unique")
         tree = cls(degree, key_len)
         tree.root = tree._build(sorted(users, key=_user_sort_key), 0, len(users))
-        k_nodes = [n for n in tree.nodes.values() if n.kind == "k"]
+        k_nodes = list(tree.nodes.values())
         rows = max(1, 2**14 // key_len)
         for start in range(0, len(k_nodes), rows):
             block = k_nodes[start : start + rows]
@@ -330,11 +324,15 @@ class KeyTree:
         return tree
 
     def _leaf_for(self, user_id: str) -> str:
-        """Create a u-node plus its individual k-node, returning the k-node."""
-        u = self._new_node("u", node_id=user_id)
-        k = self._new_node("k")
-        u.parent = k.id
-        k.children.append(u.id)
+        """Create the user's individual k-node, returning its id.
+
+        The creation number before the k-node's stays unused, where the
+        paper's key graph has the user's u-node, so key ids and the order
+        ``to_dict`` lists are those of a tree that keeps u-nodes.
+        """
+        self._counter += 1
+        k = self._new_node()
+        self.leaves[user_id] = k.id
         k.users, k.count, k.height = user_id, 1, 1
         return k.id
 
@@ -349,7 +347,7 @@ class KeyTree:
             groups = min(self.degree, max(2, n // 2))
             q, r = divmod(n, groups)
             sizes = [q + 1] * r + [q] * (groups - r)
-        parent = self._new_node("k")
+        parent = self._new_node()
         for size in sizes:
             child = self._build(users, lo, lo + size)
             self.nodes[child].parent = parent.id
@@ -389,7 +387,7 @@ class KeyTree:
         key takes ``bits``, standing in for a key pre-shared with the server
         at registration; it is not part of the update list.
         """
-        if user_id in self.nodes:
+        if user_id in self.leaves:
             raise KeyTreeError(f"user {user_id!r} already present")
         if len(bits) != self.key_len:
             raise KeyTreeError(
@@ -398,7 +396,7 @@ class KeyTree:
         kind, point_id = self.join_point()
         point = self.nodes[point_id]
         if kind == "split":
-            target, point = point, self._new_node("k")
+            target, point = point, self._new_node()
             if target.parent is None:
                 self.root = point.id
             else:
@@ -429,7 +427,7 @@ class KeyTree:
     def remove_user(self, user_id: str) -> list[str]:
         """Prune a user and return the surviving path k-nodes needing fresh keys.
 
-        The user's u-node and individual key vanish.  If the parent k-node is
+        The user and her individual key vanish.  If the parent k-node is
         left with a single child it is merged into that child (the child
         takes its place; the absorbing child then stands in for it on the
         update list).  The update list, ``leave_path``'s, runs deepest first
@@ -439,7 +437,7 @@ class KeyTree:
         leaf = self.nodes[self.individual_key(user_id)]
         parent = self.nodes[leaf.parent]  # type: ignore[index]
         parent.children.remove(leaf.id)
-        del self.nodes[user_id], self.nodes[leaf.id]
+        del self.leaves[user_id], self.nodes[leaf.id]
         if path[0] != parent.id:
             # merge the parent into its only child, whose subtree is unchanged
             child = self.nodes[path[0]]
@@ -459,8 +457,9 @@ class KeyTree:
         """Raise when any structural invariant or cache is wrong (test hook).
 
         Every cached rope, count, height and summary is recomputed from the
-        node's children, children first.  With the edges checked, the ropes
-        give the keyset/userset duality.
+        node's children, children first, and ``leaves`` must map each user
+        to the one individual key whose rope is her id.  With the edges
+        checked, the ropes give the keyset/userset duality.
         """
         if self.root is None:
             raise KeyTreeError("no root")
@@ -468,6 +467,7 @@ class KeyTree:
             raise KeyTreeError("root has a parent")
         order: list[str] = []
         seen: set[str] = set()
+        individual = 0
         stack = [self.root]
         while stack:
             nid = stack.pop()
@@ -476,30 +476,24 @@ class KeyTree:
             seen.add(nid)
             order.append(nid)
             node = self.nodes[nid]
-            if node.kind == "k":
-                if not node.children:
-                    raise KeyTreeError(f"k-node {nid} has no children")
-                k_children = [c for c in node.children if self.nodes[c].kind == "k"]
-                if len(k_children) > self.degree:
-                    raise KeyTreeError(f"degree bound violated at {nid}")
-                if k_children and len(k_children) != len(node.children):
-                    raise KeyTreeError(f"k-node {nid} mixes u- and k-children")
-                if not k_children and len(node.children) != 1:
-                    raise KeyTreeError(f"individual key {nid} has several users")
-                if len(k_children) == 1:
-                    raise KeyTreeError(f"k-node {nid} has a single child")
-                for c in node.children:
-                    if self.nodes[c].parent != nid:
-                        raise KeyTreeError(f"broken edge {nid} -> {c}")
-                stack.extend(node.children)
-            elif node.children:
-                raise KeyTreeError(f"u-node {nid} has children")
+            if len(node.children) > self.degree:
+                raise KeyTreeError(f"degree bound violated at {nid}")
+            if len(node.children) == 1:
+                raise KeyTreeError(f"k-node {nid} has a single child")
+            if not node.children:
+                individual += 1
+                if self.leaves.get(node.users) != nid:  # type: ignore[call-overload]
+                    raise KeyTreeError(f"individual key {nid} is not its user's")
+            for c in node.children:
+                if self.nodes[c].parent != nid:
+                    raise KeyTreeError(f"broken edge {nid} -> {c}")
+            stack.extend(node.children)
         if seen != set(self.nodes):
             raise KeyTreeError("unreachable nodes present")
+        if individual != len(self.leaves):
+            raise KeyTreeError("a user has no individual key in the tree")
         for nid in reversed(order):
             node = self.nodes[nid]
-            if node.kind == "u":
-                continue
             cached = (node.users, node.count, node.height, node.attach, node.split)
             if cached != self._summary(node):
                 raise KeyTreeError(f"stale rope, count or summary at {nid}")
@@ -508,21 +502,26 @@ class KeyTree:
         other = KeyTree(self.degree, self.key_len)
         other.root = self.root
         other._counter = self._counter
+        other.leaves = dict(self.leaves)
         for nid, node in self.nodes.items():
             # ropes are immutable, so the clone shares them
             other.nodes[nid] = replace(node, children=list(node.children))
         return other
 
     def to_dict(self, include_keys: bool = False) -> dict:
-        """JSON-ready structure dump; key material redacted unless asked for."""
+        """JSON-ready structure dump; key material redacted unless asked for.
+
+        The nodes are listed in creation order as the paper's key graph has
+        them: each user as a u-node right before her individual key.
+        """
         nodes = []
-        for nid in sorted(self.nodes, key=lambda i: self.nodes[i].created):
-            node = self.nodes[nid]
-            entry: dict = {"id": node.id, "kind": node.kind, "parent": node.parent}
-            if node.kind == "k":
-                entry["version"] = node.key.version if node.key else 0
-                if include_keys and node.key:
-                    entry["bits"] = node.key.bits
+        for node in self.nodes.values():
+            if not node.children:
+                nodes.append({"id": node.users, "kind": "u", "parent": node.id})
+            entry: dict = {"id": node.id, "kind": "k", "parent": node.parent}
+            entry["version"] = node.key.version if node.key else 0
+            if include_keys and node.key:
+                entry["bits"] = node.key.bits
             nodes.append(entry)
         return {
             "degree": self.degree,

@@ -163,8 +163,8 @@ class _Entries:
     deeper on the user's path says otherwise.  Without an entry, K's own
     node holds the tree's value, so a settled group has no entries.  An
     event pins its keys at their own nodes, adds entries along its path and
-    at its session users' u-nodes (a u-node's id is its user's id), and
-    ``merge`` drops a key's entries once its users all hold the tree's value.
+    at its session users' individual keys, and ``merge`` drops a key's
+    entries once its users all hold the tree's value.
     """
 
     def __init__(self, tree: KeyTree):
@@ -201,7 +201,7 @@ class _Entries:
         """Every key the user holds, by id: the tree's keys on her path,
         except that a key with an entry on her path at or below its own
         node takes the deepest such entry."""
-        nodes, path = self.tree.nodes, self.tree.path(user_id)
+        nodes, path = self.tree.nodes, self.tree.keyset(user_id)
         held = {y: nodes[y].key for y in path}
         for key_id, at in self.by_key.items():
             y = next((y for y in path if y in at or y == key_id), None)
@@ -329,7 +329,8 @@ class _HeldKeys(Mapping):
         self._user_id = user_id
 
     def __getitem__(self, key_id: str) -> GroupKey:
-        key = self._entries.lookup(self._user_id, key_id)
+        leaf = self._entries.tree.individual_key(self._user_id)
+        key = self._entries.lookup(leaf, key_id)
         if key is None:
             raise KeyError(key_id)
         return key
@@ -345,7 +346,7 @@ class MemberView:
     """One member's keys, read off the delivered entries.
 
     ``keys`` maps key ids to what the member holds now; ``install`` and
-    ``drop`` change it through entries at her u-node.
+    ``drop`` change it through entries at her individual key.
     """
 
     __slots__ = ("_entries", "user_id")
@@ -359,10 +360,13 @@ class MemberView:
         return _HeldKeys(self._entries, self.user_id)
 
     def install(self, key: GroupKey) -> None:
-        self._entries.put(self.user_id, key.key_id, key)
+        self._entries.put(self._leaf(), key.key_id, key)
 
     def drop(self, key_id: str) -> None:
-        self._entries.put(self.user_id, key_id, None)
+        self._entries.put(self._leaf(), key_id, None)
+
+    def _leaf(self) -> str:
+        return self._entries.tree.individual_key(self.user_id)
 
 
 class _Members(Mapping):
@@ -454,17 +458,17 @@ class GroupProtocol:
 
     def _choose_agent(self, key_id: str, skip: set[str]) -> str:
         """The first or a random user under ``key_id`` in tree order, not
-        counting the leaver, whose path is ``skip``."""
+        counting the leaver, whose keyset is ``skip``."""
         if self.config.agent_selection == "first":
             return self.tree.user_at(key_id, 0, skip)
         count = self.tree.nodes[key_id].count - (key_id in skip)
         return self.tree.user_at(key_id, int(self.rng.integers(count)), skip)
 
     def _agents(self, key_id: str, old_path: list[str]) -> list[str]:
-        """A leave session's users for a key, read before the leaver
-        ``old_path[0]`` goes: one agent per child subgroup without her, in
-        child order, as ``build_leave_messages`` takes them."""
-        children = [c for c in self.tree.child_keys(key_id) if c != old_path[1]]
+        """A leave session's users for a key, read before the leaver, whose
+        keyset is ``old_path``, goes: one agent per child subgroup without
+        her, in child order, as ``build_leave_messages`` takes them."""
+        children = [c for c in self.tree.child_keys(key_id) if c != old_path[0]]
         if not children:
             # a pruned subgroup merged into an individual key
             return self.tree.userset(key_id)
@@ -587,8 +591,9 @@ class GroupProtocol:
 
         # the joiner holds her registration key, the tree's, plus everything
         # she agreed on
+        leaf = self.tree.individual_key(user_id)
         for key_id in path_root_first:
-            self._entries.put(user_id, key_id, self.tree.key(key_id))
+            self._entries.put(leaf, key_id, self.tree.key(key_id))
         return self._commit(
             "join", user_id, path_root_first, sessions, messages, counters
         )
@@ -600,7 +605,7 @@ class GroupProtocol:
         if self.tree.group_size() < 2:
             raise KeyTreeError("cannot remove the last member of a group")
         counters = ResourceCounters()
-        old_path = self.tree.path(user_id)
+        old_path = self.tree.keyset(user_id)
         path_root_first = list(reversed(self.tree.leave_path(user_id)))
         transcripts = self._agree(
             path_root_first, lambda key_id: self._agents(key_id, old_path), counters
@@ -617,9 +622,8 @@ class GroupProtocol:
             counters,
         )
 
-        # the leaver's u-node, individual key and any emptied node are gone,
-        # and so is a parent merged into its remaining child, which then
-        # stands in for it on the update list
+        # the leaver's individual key is gone, and so is a parent merged into
+        # its remaining child, which then stands in for it on the update list
         gone = [n for n in old_path if n not in self.tree.nodes]
         for node_id in gone:
             self._entries.forget(node_id)
@@ -628,7 +632,7 @@ class GroupProtocol:
         for key_id in path_root_first:
             key = self.tree.key(key_id)
             for uid in session_users[key_id]:
-                self._entries.put(uid, key_id, key)
+                self._entries.put(self.tree.individual_key(uid), key_id, key)
         for msg in messages:
             self._deliver(msg)
         return self._commit(
@@ -684,10 +688,7 @@ class GroupProtocol:
         """
         tree, nodes, entries = self.tree, self.tree.nodes, self._entries
         unsettled = {n for at in entries.by_key.values() for n in at if n in nodes}
-        users = {
-            u for n in unsettled
-            for u in (tree.userset(n) if nodes[n].kind == "k" else (n,))
-        }
+        users = {u for n in unsettled for u in tree.userset(n)}
         mismatches: dict[str, dict] = {}
         for uid in sorted(users):
             projection = {k: tree.key(k) for k in tree.keyset(uid)}

@@ -155,12 +155,12 @@ class RekeyMessage:
 
     The recipients are the users of the rope ``recipients`` less those of
     the rope ``skip``, in tree order, listed on each read; a tuple of user
-    ids is a rope.  A built message keeps the two ropes of its send time and
-    names its addressing: the users under the k-node
-    ``include`` minus the users under the nodes ``exclude``, which is either
-    one child of ``include`` (a join message) or the u-nodes of session users
-    under ``include`` (a leave message; a u-node's id is its user's id).  A
-    message without ``include`` only opens per user.
+    ids is a rope.  A built message names its addressing, the users under
+    the k-node ``include`` minus the users under the one k-node in
+    ``exclude``, and keeps the two nodes' ropes of its send time.  The
+    excluded node is a child of ``include`` on the joiner's path (a join
+    message) or the individual key of the session agent under ``include``
+    (a leave message).  A message without ``include`` only opens per user.
     """
 
     __slots__ = ("items", "include", "exclude", "_users", "_skip")
@@ -195,6 +195,15 @@ def _nonces(rng: np.random.Generator, count: int) -> list[bytes]:
     """``count`` 8-byte nonces cut from one draw, and no draw for none."""
     drawn = rng.bytes(8 * count) if count else b""
     return [drawn[i : i + 8] for i in range(0, len(drawn), 8)]
+
+
+def _addressed(
+    tree: KeyTree, include: str, exclude: str, items: tuple[SimCipherText, ...]
+) -> RekeyMessage:
+    """A message to the users under ``include`` less those under ``exclude``."""
+    return RekeyMessage(
+        tree.rope(include), items, include, (exclude,), tree.rope(exclude)
+    )
 
 
 def build_join_messages(
@@ -237,15 +246,7 @@ def build_join_messages(
         ciphertexts.append(encrypt_key(enc_key, new_key, nonce, counters))
         # the joiner is under ``below``, on her own path, and ``key_id`` has
         # another child, so every path key has recipients
-        messages.append(
-            RekeyMessage(
-                tree.rope(key_id),
-                tuple(ciphertexts),
-                include=key_id,
-                exclude=(below,),
-                skip=tree.rope(below),
-            )
-        )
+        messages.append(_addressed(tree, key_id, below, tuple(ciphertexts)))
         counters.rekey_messages += 1
     return messages
 
@@ -261,7 +262,8 @@ def build_leave_messages(
     ``updated_deepest_first`` pairs each regenerated key with the agents of
     its agreement session: one agent per child key, in child order, each a
     user under that child.  (A key without child keys, a pruned subgroup's,
-    sends nothing.)  Every child's users but its agent receive the new key
+    sends nothing.)  Every child's users but its agent, the users under the
+    child less those under the agent's individual key, receive the new key
     wrapped under the child's current key, one message per (updated key,
     child) pair; a child whose agent is its only user produces nothing.
     Deeper keys come first so that a recipient always holds the wrapping key
@@ -276,11 +278,6 @@ def build_leave_messages(
     messages: list[RekeyMessage] = []
     for (key_id, child, agent), nonce in zip(sends, _nonces(rng, len(sends))):
         ct = encrypt_key(tree.key(child), tree.key(key_id), nonce, counters)
-        skip = (agent,)
-        messages.append(
-            RekeyMessage(
-                tree.rope(child), (ct,), include=child, exclude=skip, skip=skip
-            )
-        )
+        messages.append(_addressed(tree, child, tree.individual_key(agent), (ct,)))
         counters.rekey_messages += 1
     return messages

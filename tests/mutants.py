@@ -6,12 +6,13 @@ the tests notice.
 A mutant names a file under ``src``, an exact snippet of it, the snippet's
 replacement and the tests expected to kill it.  For each mutant the script
 copies ``src`` and ``tests`` to a temporary directory, replaces the
-snippet there and runs those tests with pytest: the mutant is killed when
-they fail and survives when they pass.  A snippet that does not occur
-exactly once is an error, so a change to the code updates its mutants with
-it.  The tests are first run once on the unchanged copy, which must pass.
-Exits 0 only when every mutant applies and is killed.  Pytest does not
-collect this file.
+snippet there and runs those tests with pytest, under the hypothesis
+profile ``mutants`` (``tests/conftest.py``), which does not shrink a
+failing example: the mutant is killed when they fail and survives when
+they pass.  A snippet that does not occur exactly once is an error, so a
+change to the code updates its mutants with it.  The tests are first run
+once on the unchanged copy, which must pass.  Exits 0 only when every
+mutant applies and is killed.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ class Mutant:
 ARRAY_ENGINE = "tests/test_qka.py::TestArrayEngine"
 EVENT_STREAM = "tests/test_protocol.py::TestEventStream"
 LONG_KEY_CIPHER = "tests/test_rekey.py::TestLongKeyCipher"
+GOLDEN = "tests/test_golden.py"
+INSERT_REMOVE = "tests/test_keytree.py::TestInsertRemove"
+STATEFUL = "tests/test_stateful.py"
 
 MUTANTS = [
     Mutant(
@@ -98,6 +102,94 @@ MUTANTS = [
         "        return draw\n",
         (f"{EVENT_STREAM}::test_attacked_channel_with_aborts", ARRAY_ENGINE),
     ),
+    # an event agrees on its keys before the tree changes
+    Mutant(
+        "random-agent-counts-the-leaver",
+        "src/qgka/protocol.py",
+        "        count = self.tree.nodes[key_id].count - (key_id in skip)\n"
+        "        return self.tree.user_at("
+        "key_id, int(self.rng.integers(count)), skip)\n",
+        "        count = self.tree.nodes[key_id].count\n"
+        "        return self.tree.user_at(key_id, int(self.rng.integers(count)))\n",
+        (GOLDEN, STATEFUL),
+    ),
+    Mutant(
+        "first-agent-counts-the-leaver",
+        "src/qgka/protocol.py",
+        "return self.tree.user_at(key_id, 0, skip)",
+        "return self.tree.user_at(key_id, 0)",
+        ("tests/test_protocol.py::TestLeave::test_worked_nine_user_leave",),
+    ),
+    Mutant(
+        "leave-path-never-merges",
+        "src/qgka/keytree.py",
+        "        if len(siblings) == 1:\n            path[0] = siblings[0]\n",
+        "",
+        (INSERT_REMOVE,),
+    ),
+    Mutant(
+        "agents-keep-the-leavers-leaf",
+        "src/qgka/protocol.py",
+        "children = [c for c in self.tree.child_keys(key_id) if c != old_path[0]]",
+        "children = self.tree.child_keys(key_id)",
+        ("tests/test_protocol.py::TestLeave", GOLDEN),
+    ),
+    Mutant(
+        "registration-length-unchecked",
+        "src/qgka/keytree.py",
+        '            raise KeyTreeError(f"user {user_id!r} already present")\n'
+        "        if len(bits) != self.key_len:\n",
+        '            raise KeyTreeError(f"user {user_id!r} already present")\n'
+        "        if False:\n",
+        (
+            f"{INSERT_REMOVE}"
+            "::test_wrong_length_registration_refused_before_any_change",
+        ),
+    ),
+    Mutant(
+        "join-agrees-one-key-too-few",
+        "src/qgka/protocol.py",
+        "point_path = self.tree.path(self.tree.join_point()[1])",
+        "point_path = self.tree.path(self.tree.join_point()[1])[1:]",
+        ("tests/test_protocol.py::TestJoin", GOLDEN),
+    ),
+    # one tree node per member: user ids map to their individual keys
+    Mutant(
+        "leaf-number-not-used-up",
+        "src/qgka/keytree.py",
+        "        self._counter += 1\n        k = self._new_node()\n",
+        "        k = self._new_node()\n",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "u-node-listed-after-its-key",
+        "src/qgka/keytree.py",
+        "            nodes.append(entry)\n",
+        # an individual key's entry goes before its u-node's
+        "            nodes.insert(len(nodes) - (not node.children), entry)\n",
+        (GOLDEN,),
+    ),
+    Mutant(
+        "removed-user-kept-in-leaves",
+        "src/qgka/keytree.py",
+        "del self.leaves[user_id], self.nodes[leaf.id]",
+        "del self.nodes[leaf.id]",
+        (INSERT_REMOVE,),
+    ),
+    Mutant(
+        "invariants-skip-the-leaf-owner",
+        "src/qgka/keytree.py",
+        "if self.leaves.get(node.users) != nid:",
+        "if False:",
+        (f"{INSERT_REMOVE}::test_stale_user_entry_rejected",),
+    ),
+    Mutant(
+        "invariants-skip-the-leaf-count",
+        "src/qgka/keytree.py",
+        "if individual != len(self.leaves):",
+        "if False:",
+        (f"{INSERT_REMOVE}::test_stale_user_entry_rejected",),
+    ),
 ]
 
 
@@ -111,7 +203,7 @@ def _passes(workdir: Path, tests: tuple[str, ...]) -> bool:
     env = {**os.environ, "PYTHONPATH": str(workdir / "src")}
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         *tests],
+         "--hypothesis-profile=mutants", *tests],
         cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return run.returncode == 0

@@ -184,18 +184,17 @@ def per_user_report(proto: GroupProtocol) -> dict:
 
 
 def dfs_height(tree: KeyTree) -> int:
-    """Edges along the longest u-node to root path, by one DFS."""
+    """K-nodes along the longest individual key to root path, by one DFS."""
     if tree.root is None:
         return 0
     best = 0
-    stack = [(tree.root, 0)]
+    stack = [(tree.root, 1)]
     while stack:
         nid, depth = stack.pop()
         node = tree.nodes[nid]
-        if node.kind == "u":
+        if not node.children:
             best = max(best, depth)
-        else:
-            stack.extend((c, depth + 1) for c in node.children)
+        stack.extend((c, depth + 1) for c in node.children)
     return best
 
 
@@ -211,9 +210,7 @@ def depth(tree: KeyTree, node_id: str) -> int:
 def per_node_keys(tree: KeyTree, rng: np.random.Generator) -> dict[str, GroupKey]:
     """First-version keys for every k-node of ``tree``, drawn with one
     ``random_bits`` call per node in creation order."""
-    k_nodes = sorted(
-        (n for n in tree.nodes.values() if n.kind == "k"), key=lambda n: n.created
-    )
+    k_nodes = sorted(tree.nodes.values(), key=lambda n: n.created)
     return {n.id: GroupKey(n.id, 1, random_bits(tree.key_len, rng)) for n in k_nodes}
 
 
@@ -225,11 +222,7 @@ def scan_join_point(tree: KeyTree) -> tuple[str, str]:
     parent is full, ``("split", individual key)``: the one with the
     smallest (depth, parent's user count, creation).
     """
-    individuals = [
-        n
-        for n in tree.nodes.values()
-        if n.kind == "k" and tree.nodes[n.children[0]].kind == "u"
-    ]
+    individuals = [n for n in tree.nodes.values() if not n.children]
     parents = [tree.nodes[p] for p in {n.parent for n in individuals if n.parent}]
     open_parents = [p for p in parents if len(p.children) < tree.degree]
     if open_parents:

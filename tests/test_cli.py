@@ -68,6 +68,16 @@ class TestTrace:
         assert "server" in err
         assert not out.exists()
 
+    def test_join_user_named_like_a_key(self, capsys, tmp_path):
+        out = tmp_path / "t.json"
+        code, _, err = run(
+            capsys,
+            "trace", "join", "--group-size", "9", "--degree", "3",
+            "--user", "k1", "--out", str(out),
+        )
+        assert code == 0, err
+        assert json.loads(out.read_text())["event"]["user"] == "k1"
+
     def test_reveal_keys_flag(self, capsys, tmp_path):
         out = tmp_path / "t.json"
         run(

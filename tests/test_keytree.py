@@ -51,6 +51,19 @@ class TestBuild:
         with pytest.raises(KeyTreeError):
             KeyTree.build_balanced(2, ["a", "a"], 1, rng)
 
+    @pytest.mark.parametrize(
+        "d, users", [(3, ["k3", "u1", "u2"]), (2, ["k2", "k3", "k9", "u1", "u2"])]
+    )
+    def test_user_ids_shaped_like_key_ids(self, d, users):
+        # user ids and key ids live in separate maps: a user may be named
+        # like a key
+        tree = KeyTree.build_balanced(d, users, 1, np.random.default_rng(0))
+        tree.check_invariants()
+        assert set(users) & set(tree.key_nodes())
+        assert sorted(tree.users()) == sorted(users)
+        for uid in users:
+            assert tree.userset(tree.individual_key(uid)) == [uid]
+
     @given(d=st.integers(2, 5), N=st.integers(1, 40))
     @settings(max_examples=40)
     def test_invariants_hold_for_any_size(self, d, N):
@@ -94,9 +107,7 @@ class TestKeysetUserset:
     def test_keyset_length_equals_depth(self):
         tree, _ = build(3, 8)
         for uid in tree.users():
-            assert len(tree.keyset(uid)) == depth(tree, uid) == depth(
-                tree, tree.individual_key(uid)
-            ) + 1
+            assert len(tree.keyset(uid)) == depth(tree, tree.individual_key(uid)) + 1
 
     def test_unknown_ids(self):
         tree, _ = build(2, 4)
@@ -202,6 +213,16 @@ class TestInsertRemove:
         assert (tree.to_dict(include_keys=True), tree._counter) == before
         tree.check_invariants()
 
+    def test_insert_user_named_like_a_key(self):
+        tree, rng = build(2, 4)
+        name = tree.root
+        tree.insert_user(name, random_bits(tree.key_len, rng))
+        tree.check_invariants()
+        assert tree.keyset(name)[-1] == name != tree.individual_key(name)
+        tree.remove_user(name)
+        tree.check_invariants()
+        assert tree.root == name and not tree.has_user(name)
+
     def test_remove_unknown(self):
         tree, _ = build(2, 2)
         with pytest.raises(KeyTreeError):
@@ -284,8 +305,8 @@ class TestInsertRemove:
     def test_user_at_counts_past_the_leaver(self, d):
         tree = self.churned(d, seed=d)
         for leaver in tree.users():
-            skip = tree.path(leaver)
-            for key_id in skip[2:]:  # her parent k-node and up
+            skip = tree.keyset(leaver)
+            for key_id in skip[1:]:  # her parent k-node and up
                 expected = [u for u in tree.userset(key_id) if u != leaver]
                 got = [tree.user_at(key_id, i, skip) for i in range(len(expected))]
                 assert got == expected, (leaver, key_id)
@@ -323,13 +344,26 @@ class TestInsertRemove:
         # would leave behind
         tree, _ = build(2, 1)
         lone = tree.nodes[tree.root]
-        fresh = tree._new_node("k")
+        fresh = tree._new_node()
         fresh.children = [lone.id]
         lone.parent, tree.root = fresh.id, fresh.id
         fresh.users, fresh.count, fresh.height, fresh.attach, fresh.split = (
             tree._summary(fresh)
         )
         with pytest.raises(KeyTreeError, match="single child"):
+            tree.check_invariants()
+
+    @pytest.mark.parametrize("plant", ["departed", "swapped"])
+    def test_stale_user_entry_rejected(self, plant):
+        tree, _ = build(3, 9)
+        if plant == "departed":
+            leaf = tree.individual_key("u9")
+            tree.remove_user("u9")
+            tree.leaves["u9"] = leaf
+        else:
+            leaves = tree.leaves
+            leaves["u1"], leaves["u2"] = leaves["u2"], leaves["u1"]
+        with pytest.raises(KeyTreeError):
             tree.check_invariants()
 
 

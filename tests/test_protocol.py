@@ -95,6 +95,25 @@ class TestJoin:
         with pytest.raises(KeyTreeError):
             proto.join("u1")
 
+    def test_join_user_named_like_an_existing_key(self):
+        proto = fresh_protocol(3, 9)
+        name = proto.tree.keyset("u5")[1]
+        proto.join(name)
+        proto.tree.check_invariants()
+        assert proto.tree.key(name).key_id == name and name in proto.views
+        proto.leave(name)
+        proto.tree.check_invariants()
+
+    def test_join_user_named_like_a_later_key(self):
+        # "k20" is free when she joins; the second join after hers creates
+        # the key node numbered 20
+        proto = fresh_protocol(2, 4)
+        proto.join("k20")
+        for i in range(5, 10):
+            proto.join(f"u{i}")
+            proto.tree.check_invariants()
+        assert "k20" in proto.tree.key_nodes() and "k20" in proto.views
+
     def test_server_id_refused_before_any_change(self):
         # the server takes part in every session, so a user named like it
         # would appear twice in one
@@ -169,7 +188,7 @@ class TestLeave:
                 parent = proto.tree.nodes[m.include].parent
                 under = [a for a in agents[parent] if m.include in proto.tree.keyset(a)]
                 assert len(under) == 1
-                assert m.exclude == tuple(under)
+                assert m.exclude == (proto.tree.individual_key(under[0]),)
                 messages += 1
                 not_first += under[0] != proto.tree.userset(m.include)[0]
         assert messages > 30 and not_first > 0

@@ -11,13 +11,13 @@ must have settled into the tree, leaving no entry, every view must match
 its keyset, with the same report from ``verify_consistency`` and from the
 per-user oracle, the secrecy game must hold and the committed counters must
 not shrink; an aborted event must leave the tree exactly as a pre-event
-clone, children order and node counter included, and the protocol's state,
-its entries included, untouched.  Departed user ids join again.  A
-committed event must leave each member's current stay holding exactly the
-keys it held before plus the keys the member now holds, and may change an
-ended stay only by setting its leave step, once.  Every committed event's
-messages are kept, and each must list the recipients it listed when sent
-after every later step.
+clone, children order, node counter and user map included, and the
+protocol's state, its entries included, untouched.  Departed user ids join
+again.  A committed event must leave each member's current stay holding
+exactly the keys it held before plus the keys the member now holds, and
+may change an ended stay only by setting its leave step, once.  Every
+committed event's messages are kept, and each must list the recipients it
+listed when sent after every later step.
 """
 
 from dataclasses import astuple
@@ -63,6 +63,7 @@ def tree_state(tree: KeyTree) -> tuple:
         tree.root,
         tree._counter,
         {nid: astuple(node) for nid, node in tree.nodes.items()},
+        dict(tree.leaves),
     )
 
 
