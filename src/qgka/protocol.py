@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree, KeyTreeError, random_bits
+from .keytree import GroupKey, KeyTree, KeyTreeError, Rope, flatten, random_bits
 from .qka import (
     ChannelModel,
     QkaConfig,
@@ -106,14 +106,14 @@ class GroupEvent:
     timestamp: int  # integer event step
 
 
-@dataclass
+@dataclass(slots=True)
 class Stay:
-    """One membership of a user id: the steps ``[joined, left)`` (``left``
-    None while it lasts) and every (id, version, bits) key held in it."""
+    """One membership of a user id: the steps ``[joined, left)``, ``left``
+    None while it lasts.  A key is held in the last stay that its holder
+    joined at or before the step she got it (``GroupProtocol.held``)."""
 
     joined: int
     left: Optional[int] = None
-    keys: set[tuple[str, int, str]] = field(default_factory=set)
 
 
 @dataclass
@@ -412,16 +412,16 @@ class GroupProtocol:
         # members hold the tree's keys until an event pins one
         self._entries = _Entries(tree)
         self.views: Mapping[str, MemberView] = _Members(self._entries)
-        # written only with history tracking, like the probes
+        # written only with history tracking, like the probes; ``held`` has
+        # one (key, its holders' rope, step they got it) per key version
         self.stays: dict[str, list[Stay]] = {}
+        self.held: list[tuple[GroupKey, Rope, int]] = []
         self.probes: list[tuple[int, SimCipherText]] = []
         # item -> (wrapping key, opened key) over one event's messages
         self._opened: dict[SimCipherText, tuple[GroupKey, GroupKey]] = {}
         if config.track_history:
-            for uid in tree.users():
-                keys = map(tree.key, tree.keyset(uid))
-                held = {(k.key_id, k.version, k.bits) for k in keys}
-                self.stays[uid] = [Stay(0, keys=held)]
+            self.stays = {uid: [Stay(0)] for uid in tree.users()}
+            self.held = [(n.key, n.users, 0) for n in tree.nodes.values()]
 
     # ------------------------------------------------------------------ #
 
@@ -509,6 +509,7 @@ class GroupProtocol:
     ) -> list[tuple[str, QkaTranscript]]:
         """Open the event's step and give each key its agreed value."""
         self.step += 1
+        self._opened.clear()
         sessions = list(zip(key_ids, transcripts))
         for key_id, t in sessions:
             self._entries.pin(key_id)
@@ -526,33 +527,28 @@ class GroupProtocol:
     ) -> EventTrace:
         """Close a delivered event and trace it.
 
-        With history tracking, a joiner opens a stay holding her
-        registration key, a leaver's stay ends, every user under an updated
-        key adds its new version to her current stay, and a probe is sent
+        With history tracking, a joiner opens a stay, a leaver's stay ends,
+        each updated key is recorded with the rope of the users now under
+        it, a joiner's registration key with her alone, and a probe is sent
         under the new group key.
         """
-        self._opened.clear()
         for key_id in updated:
             self._entries.merge(key_id)
         self.counters.merge(counters)
         tree = self.tree
         new_material = {kid: tree.key(kid) for kid in updated}
         if self.config.track_history:
+            step = self.step
             if kind == "join":
+                self.stays.setdefault(user_id, []).append(Stay(step))
                 reg = tree.key(tree.individual_key(user_id))
-                stay = Stay(self.step, keys={(reg.key_id, reg.version, reg.bits)})
-                self.stays.setdefault(user_id, []).append(stay)
+                self.held.append((reg, user_id, step))
             else:
-                self.stays[user_id][-1].left = self.step
-            for key in new_material.values():
-                held = (key.key_id, key.version, key.bits)  # once per key
-                for uid in tree.userset(key.key_id):
-                    self.stays[uid][-1].keys.add(held)
+                self.stays[user_id][-1].left = step
+            self.held += [(k, tree.rope(k.key_id), step) for k in new_material.values()]
             root_key = tree.key(tree.root)  # type: ignore[arg-type]
-            probe = GroupKey("probe", self.step, random_bits(tree.key_len, self.rng))
-            self.probes.append(
-                (self.step, encrypt_key(root_key, probe, self.rng.bytes(8)))
-            )
+            probe = GroupKey("probe", step, random_bits(tree.key_len, self.rng))
+            self.probes.append((step, encrypt_key(root_key, probe, self.rng.bytes(8))))
         return EventTrace(
             event=GroupEvent(kind, user_id, self.step),
             updated_keys=updated,
@@ -651,9 +647,11 @@ class GroupProtocol:
         from before the join (backward secrecy) or from the leave step on,
         that leave's own rekey messages included (forward secrecy).  Opening
         needs the exact (id, version, bits) key, so the ciphertexts are
-        indexed once by (id, version) and each held key decrypts only those
-        under its own.  The probe recorded after the latest committed event
-        is under the current root key.  Requires history tracking.
+        indexed once by (id, version).  A key version of ``held`` is tried
+        once on each ciphertext under it that a holder may not open; what
+        was sent at the step they got it, all of them may.  The probe
+        recorded after the latest committed event is under the current root
+        key.  Requires history tracking.
         """
         if not self.config.track_history:
             raise ValueError("secrecy checks need track_history=True")
@@ -661,18 +659,29 @@ class GroupProtocol:
         under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
         for i, (_, ct) in enumerate(sent):
             under.setdefault((ct.enc_key_id, ct.enc_version), []).append(i)
+        opened: dict[tuple[str, int], set[int]] = {}  # by (user id, stay index)
+        for key, rope, got in self.held:
+            sent_under = under.get((key.key_id, key.version), ())
+            others = [i for i in sent_under if sent[i][0] != got]
+            opens: dict[int, bool] = {}  # by position, once for all holders
+            for uid in flatten(rope) if others else ():
+                stays = self.stays[uid]
+                at = len(stays) - 1
+                while stays[at].joined > got:
+                    at -= 1
+                stay = stays[at]
+                left = float("inf") if stay.left is None else stay.left
+                for i in others:
+                    if not stay.joined <= sent[i][0] < left:
+                        if i not in opens:
+                            opens[i] = try_unwrap(key, sent[i][1]) is not None
+                        if opens[i]:
+                            opened.setdefault((uid, at), set()).add(i)
         failures: list[str] = []
         for uid, stays in self.stays.items():
-            for stay in stays:
+            for at, stay in enumerate(stays):
                 left = float("inf") if stay.left is None else stay.left
-                opened = {
-                    i
-                    for k, v, bits in stay.keys
-                    for i in under.get((k, v), ())
-                    if not stay.joined <= sent[i][0] < left
-                    and try_unwrap(GroupKey(k, v, bits), sent[i][1])
-                }
-                for i in sorted(opened):
+                for i in sorted(opened.get((uid, at), ())):
                     step = sent[i][0]
                     who = f"departed {uid}" if step >= left else uid
                     failures.append(f"{who} opened a ciphertext from step {step}")

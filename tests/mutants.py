@@ -4,9 +4,10 @@ the tests notice.
     python tests/mutants.py [name ...]
 
 A mutant names a file under ``src``, an exact snippet of it, the snippet's
-replacement and the tests expected to kill it.  For each mutant the script
+replacement, any further (snippet, replacement) pairs in the same file and
+the tests expected to kill it.  For each mutant the script
 copies ``src`` and ``tests`` to a temporary directory, replaces the
-snippet there and runs those tests with pytest, under the hypothesis
+snippets there and runs those tests with pytest, under the hypothesis
 profile ``mutants`` (``tests/conftest.py``), which does not shrink a
 failing example: the mutant is killed when they fail and survives when
 they pass.  A snippet that does not occur exactly once is an error, so a
@@ -37,6 +38,7 @@ class Mutant:
     # pytest node ids expected to fail, quickest first: the run stops at the
     # first failure, before hypothesis shrinks a failing example of the next
     tests: tuple[str, ...]
+    more: tuple[tuple[str, str], ...] = ()  # further (snippet, replacement)
 
 
 ARRAY_ENGINE = "tests/test_qka.py::TestArrayEngine"
@@ -45,6 +47,8 @@ LONG_KEY_CIPHER = "tests/test_rekey.py::TestLongKeyCipher"
 GOLDEN = "tests/test_golden.py"
 INSERT_REMOVE = "tests/test_keytree.py::TestInsertRemove"
 STATEFUL = "tests/test_stateful.py"
+CONSISTENCY = "tests/test_protocol.py::TestConsistency"
+HELD_KEYS = f"{CONSISTENCY}::test_each_stay_holds_the_keys_its_member_held"
 
 MUTANTS = [
     Mutant(
@@ -190,6 +194,79 @@ MUTANTS = [
         "if False:",
         (f"{INSERT_REMOVE}::test_stale_user_entry_rejected",),
     ),
+    # one record per key version: its holders' rope and the step they got it
+    Mutant(
+        "holders-read-before-the-tree-changes",
+        "src/qgka/protocol.py",
+        "        path = self.tree.insert_user(user_id, registration)"
+        "  # deepest first\n",
+        "        self._ropes = {k: self.tree.rope(k) for k in point_path}\n"
+        "        path = self.tree.insert_user(user_id, registration)\n",
+        (f"{CONSISTENCY}::test_secrecy_probe_check", HELD_KEYS),
+        more=(
+            (
+                "        updated = self.tree.remove_user(user_id)"
+                "  # deepest first\n",
+                "        self._ropes = "
+                "{k: self.tree.rope(k) for k in path_root_first}\n"
+                "        updated = self.tree.remove_user(user_id)\n",
+            ),
+            (
+                "(k, tree.rope(k.key_id), step)",
+                "(k, self._ropes.get(k.key_id, tree.rope(k.key_id)), step)",
+            ),
+        ),
+    ),
+    Mutant(
+        "registration-key-not-recorded",
+        "src/qgka/protocol.py",
+        "                self.held.append((reg, user_id, step))\n",
+        "",
+        (HELD_KEYS, STATEFUL),
+    ),
+    Mutant(
+        "first-stay-taken-for-the-last",
+        "src/qgka/protocol.py",
+        "                at = len(stays) - 1\n",
+        "                at = 0\n",
+        (f"{CONSISTENCY}::test_rejoined_id_opens_only_its_own_stays", STATEFUL),
+    ),
+    Mutant(
+        "same-step-skip-widened",
+        "src/qgka/protocol.py",
+        "if sent[i][0] != got]",
+        "if abs(sent[i][0] - got) > 1]",
+        (f"{CONSISTENCY}::test_secrecy_checker_reports_leaked_keys",),
+    ),
+    # delivered keys: one index and one query
+    Mutant(
+        "put-gives-kept-nodes-the-key",
+        "src/qgka/protocol.py",
+        "        for e, old in before:\n            self._settle(e, key_id, old)\n",
+        "",
+        (f"{CONSISTENCY}::test_shared_delivery_matches_per_user_oracle", STATEFUL),
+    ),
+    Mutant(
+        "put-clears-entries-under-kept-nodes",
+        "src/qgka/protocol.py",
+        "if y != node_id and not any(self._within(y, e, h) for e, h in kept):",
+        "if y != node_id:",
+        (f"{CONSISTENCY}::test_put_keeps_entries_under_a_kept_node",),
+    ),
+    Mutant(
+        "common-ignores-keep",
+        "src/qgka/protocol.py",
+        "            if node_id in keep:\n                continue\n",
+        "",
+        (EVENT_STREAM, GOLDEN),
+    ),
+    Mutant(
+        "merge-drops-mixed-entries",
+        "src/qgka/protocol.py",
+        "if self.common(key_id, key_id) == self.tree.nodes[key_id].key:",
+        "if True:",
+        ("tests/test_protocol.py::TestUndeliveredMessage",),
+    ),
 ]
 
 
@@ -214,9 +291,11 @@ def _apply(workdir: Path, mutant: Mutant) -> bool:
     occur exactly once."""
     target = workdir / mutant.path
     source = target.read_text()
-    if source.count(mutant.snippet) != 1:
-        return False
-    target.write_text(source.replace(mutant.snippet, mutant.replacement))
+    for snippet, replacement in ((mutant.snippet, mutant.replacement), *mutant.more):
+        if source.count(snippet) != 1:
+            return False
+        source = source.replace(snippet, replacement)
+    target.write_text(source)
     return True
 
 

@@ -13,6 +13,14 @@ member's view with its keyset projection, one user at a time, the reference
 for ``GroupProtocol.verify_consistency``, which compares only the users
 whose keys have not settled.
 
+``stays_with_keys`` lists every stay of every user id with the keys held in
+it, one holder of one recorded key version at a time, and
+``per_stay_failures`` plays the secrecy game one stay at a time over such a
+listing, trying each key of a stay on every ciphertext under its id and
+version sent outside the stay: the references for the protocol's key
+records and ``GroupProtocol.secrecy_failures``, which keeps each key
+version once and unwraps a ciphertext once per key, not once per holder.
+
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
 references for the tree's cached height and join summaries, ``depth``
 counts a node's edges up to the root, and
@@ -45,7 +53,7 @@ report and, for a run of at most one chunk, draw for draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -53,7 +61,7 @@ import numpy as np
 
 from qgka.adversary import AttackReport, EveStrategy, tap_decoys
 from qgka.counters import ResourceCounters
-from qgka.keytree import GroupKey, KeyTree, random_bits
+from qgka.keytree import GroupKey, KeyTree, flatten, random_bits
 from qgka.qka import (
     ChannelModel,
     PositionRecord,
@@ -73,7 +81,17 @@ from qgka.quantum import (
     random_decoy,
 )
 from qgka.protocol import GroupProtocol
-from qgka.rekey import MissingKeyError, RekeyMessage, decrypt_key
+from qgka.rekey import (
+    MissingKeyError,
+    RekeyMessage,
+    SimCipherText,
+    decrypt_key,
+    try_unwrap,
+)
+
+#: one stay of a user id: (joined, left or None, the (id, version, bits) keys
+#: held in it)
+StayKeys = tuple[int, Optional[int], set[tuple[str, int, str]]]
 
 _MATRICES = {
     Pauli.I: np.eye(2, dtype=complex),
@@ -163,6 +181,47 @@ def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
         view.install(new_key)
         installed.append(new_key)
     return installed
+
+
+def stays_with_keys(proto: GroupProtocol) -> dict[str, list[StayKeys]]:
+    """Every stay of every user id, with the keys of ``proto.held`` that
+    its holders got while it lasted, one holder at a time."""
+    stays = {
+        uid: [(s.joined, s.left, set()) for s in user_stays]
+        for uid, user_stays in proto.stays.items()
+    }
+    for key, rope, got in proto.held:
+        held = astuple(key)
+        for uid in flatten(rope):
+            _, _, keys = next(s for s in reversed(stays[uid]) if s[0] <= got)
+            keys.add(held)
+    return stays
+
+
+def per_stay_failures(
+    stays: dict[str, list[StayKeys]], sent: Sequence[tuple[int, SimCipherText]]
+) -> list[str]:
+    """``GroupProtocol.secrecy_failures``'s report over ``sent``, the
+    ciphertexts with their send steps, by trying every key of every stay."""
+    under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
+    for i, (_, ct) in enumerate(sent):
+        under.setdefault((ct.enc_key_id, ct.enc_version), []).append(i)
+    failures: list[str] = []
+    for uid, user_stays in stays.items():
+        for joined, left, keys in user_stays:
+            end = float("inf") if left is None else left
+            opened = {
+                i
+                for k, v, bits in keys
+                for i in under.get((k, v), ())
+                if not joined <= sent[i][0] < end
+                and try_unwrap(GroupKey(k, v, bits), sent[i][1]) is not None
+            }
+            for i in sorted(opened):
+                step = sent[i][0]
+                who = f"departed {uid}" if step >= end else uid
+                failures.append(f"{who} opened a ciphertext from step {step}")
+    return failures
 
 
 def per_user_report(proto: GroupProtocol) -> dict:

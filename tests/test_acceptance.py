@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qgka.adversary import EveStrategy, detection_experiment
+from qgka.adversary import AdversarialChannel, EveStrategy, detection_experiment
 from qgka.cli import main as cli_main
 from qgka.cost import (
     star_ghz_cost,
@@ -20,7 +20,7 @@ from qgka.cost import (
     tree_leave_cost,
 )
 from qgka.keytree import GroupKey, KeyTree
-from qgka.protocol import GroupProtocol, ProtocolConfig
+from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
 from qgka.quantum import (
     EntangledState,
     Pauli,
@@ -31,7 +31,7 @@ from qgka.quantum import (
 from qgka.rekey import try_unwrap
 from qgka.workload import WorkloadConfig, compare_backends, run_simulation
 
-from oracle import extract_keys
+from oracle import extract_keys, stays_with_keys
 from test_qka import THREE_PARTY_TABLE, TWO_PARTY_TABLE
 
 
@@ -265,10 +265,10 @@ def test_c10_secrecy_games_over_churn():
     post_items = sorted(ciphertexts, key=lambda p: p[0])
     sample_rng = np.random.default_rng(7)
     ended = [  # (leave step, sorted keys) per ended stay, by user id
-        (stay.left, sorted(stay.keys))
-        for _, stays in sorted(proto.stays.items())
-        for stay in stays
-        if stay.left is not None
+        (left, sorted(keys))
+        for _, stays in sorted(stays_with_keys(proto).items())
+        for _, left, keys in stays
+        if left is not None
     ]
     direct_failures = 0
     for _ in range(20_000):
@@ -287,6 +287,39 @@ def test_c10_secrecy_games_over_churn():
         f"1000 events, {len(ended)} leavers, 0 violations over "
         f"{len(ciphertexts)} ciphertexts and {len(proto.probes)} probes "
         f"in {elapsed:.1f}s",
+    )
+
+
+def test_c10_secrecy_game_over_attacked_churn_at_4096():
+    # beside c10: the game at a size and key length c10 cannot reach, with
+    # aborted events among the committed ones
+    start = time.monotonic()
+    proto = _protocol(4, 4096, seed=2027, n=16, xi=0.25, track_history=True)
+    channel = AdversarialChannel(EveStrategy("intercept_resend", 0.01))
+    events = np.random.default_rng(2028)
+    ciphertexts: list[tuple[int, object]] = []
+    aborts = 0
+    for i in range(300):
+        proto.channel = channel if events.random() < 0.3 else None
+        try:
+            if events.random() < 0.5:
+                trace = proto.join(f"u{4097 + i}")
+            else:
+                members = proto.tree.users()
+                trace = proto.leave(members[int(events.integers(len(members)))])
+        except ProtocolAbort:
+            aborts += 1
+            continue
+        items = {id(item): item for m in trace.messages for item in m.items}
+        ciphertexts += [(proto.step, item) for item in items.values()]
+    failures = proto.secrecy_failures(ciphertexts)
+    elapsed = time.monotonic() - start
+    assert failures == [] and aborts > 0
+    assert elapsed < 10.0
+    _report(
+        10,
+        f"N=4096, n=16: {proto.step} committed events, {aborts} aborted, 0 "
+        f"violations over {len(ciphertexts)} ciphertexts in {elapsed:.1f}s",
     )
 
 

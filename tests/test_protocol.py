@@ -23,7 +23,13 @@ from qgka.protocol import (
 from qgka.cost import tree_join_cost, tree_leave_cost
 from qgka.rekey import MissingKeyError
 
-from oracle import UserView, apply_rekey, per_user_report
+from oracle import (
+    UserView,
+    apply_rekey,
+    per_stay_failures,
+    per_user_report,
+    stays_with_keys,
+)
 
 
 def fresh_protocol(d, N, seed=1, n=1, xi=0.0, verify_after=True, **kwargs):
@@ -52,10 +58,8 @@ def snapshot(proto):
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {
-            u: [(s.joined, s.left, set(s.keys)) for s in stays]
-            for u, stays in proto.stays.items()
-        },
+        {u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()},
+        list(proto.held),
         len(proto.probes),
     )
 
@@ -475,16 +479,18 @@ class TestConsistency:
     def test_secrecy_checker_reports_leaked_keys(self):
         proto = fresh_protocol(3, 9, track_history=True)
         proto.leave("u9")  # step 1, whose probe is under this group key
-        leaked = astuple(proto.tree.key(proto.tree.root))
+        leaked = proto.tree.key(proto.tree.root)
         proto.join("u10")  # step 2
         # the leaver holds the group key of the leave's own step, the joiner
         # one from before the join; the joiner's own step-2 keys stay legal
-        proto.stays["u9"][-1].keys.add(leaked)
-        proto.stays["u10"][-1].keys.add(leaked)
-        assert proto.secrecy_failures() == [
+        for uid in ("u9", "u10"):
+            proto.held.append((leaked, uid, proto.stays[uid][-1].joined))
+        expected = [
             "departed u9 opened a ciphertext from step 1",
             "u10 opened a ciphertext from step 1",
         ]
+        assert proto.secrecy_failures() == expected
+        assert per_stay_failures(stays_with_keys(proto), proto.probes) == expected
         with pytest.raises(ValueError):
             fresh_protocol(3, 9).secrecy_failures()
 
@@ -495,7 +501,9 @@ class TestConsistency:
         proto.leave("u3")  # step 1
         proto.join("u10")  # step 2
         proto.join("u3")  # step 3
-        assert proto.secrecy_failures() == []
+        trace = proto.join("u11")  # step 4, sent under keys u3 got at step 3
+        sent = [(4, item) for m in trace.messages for item in m.items]
+        assert proto.secrecy_failures(sent) == []
         assert [(s.joined, s.left) for s in proto.stays["u3"]] == [(0, 1), (3, None)]
 
     def test_ended_stay_key_opening_a_later_stay_is_reported(self):
@@ -503,10 +511,53 @@ class TestConsistency:
         proto.leave("u3")
         proto.join("u10")
         proto.join("u3")  # step 3, whose probe is under this group key
-        proto.stays["u3"][0].keys.add(astuple(proto.tree.key(proto.tree.root)))
-        assert proto.secrecy_failures() == [
-            "departed u3 opened a ciphertext from step 3"
-        ]
+        root_key = proto.tree.key(proto.tree.root)
+        proto.held.append((root_key, "u3", proto.stays["u3"][0].joined))
+        expected = ["departed u3 opened a ciphertext from step 3"]
+        assert proto.secrecy_failures() == expected
+        assert per_stay_failures(stays_with_keys(proto), proto.probes) == expected
+
+    def test_each_stay_holds_the_keys_its_member_held(self):
+        # every key a member's view held during a stay, rejoins included, is
+        # recorded with her among its holders at a step of that stay
+        proto = fresh_protocol(3, 12, seed=5, n=4, xi=0.25, track_history=True)
+        model = {
+            u: [[0, None, set(map(astuple, v.keys.values()))]]
+            for u, v in proto.views.items()
+        }
+        events = np.random.default_rng(6)
+        for step in range(1, 61):
+            departed = [u for u in model if u not in proto.views]
+            if departed and events.random() < 0.3:
+                uid = departed[int(events.integers(len(departed)))]
+                proto.join(uid)
+                model[uid].append([step, None, set()])
+            elif events.random() < 0.5 or proto.tree.group_size() <= 2:
+                proto.join(f"u{100 + step}")
+                model[f"u{100 + step}"] = [[step, None, set()]]
+            else:
+                members = proto.tree.users()
+                uid = members[int(events.integers(len(members)))]
+                proto.leave(uid)
+                model[uid][-1][1] = step
+            for uid, view in proto.views.items():
+                model[uid][-1][2].update(map(astuple, view.keys.values()))
+        assert stays_with_keys(proto) == {
+            u: [tuple(stay) for stay in stays] for u, stays in model.items()
+        }
+
+    def test_put_keeps_entries_under_a_kept_node(self):
+        proto = fresh_protocol(3, 9, verify_after=False)
+        tree, root = proto.tree, proto.tree.root
+        old = tree.key(root)
+        planted, new = GroupKey(root, 98, "1"), GroupKey(root, 99, "1")
+        parent = tree.keyset("u5")[1]
+        proto.views["u5"].install(planted)
+        proto._entries.put(root, root, new, keep=[parent])
+        held = {u: v.keys[root] for u, v in proto.views.items()}
+        kept = tree.userset(parent)
+        expected = {u: old if u in kept else new for u in held}
+        assert held == expected | {"u5": planted}
 
     @pytest.mark.parametrize("fault", ["stale", "missing", "extra", "own"])
     def test_planted_fault_fails_both_checks_alike(self, fault):
@@ -669,6 +720,23 @@ class TestUndeliveredMessage:
         with pytest.raises(MissingKeyError):
             proto.leave("u7")
         assert proto.tree.nodes[sent[skip].include].parent != proto.tree.root
+
+    def test_failed_delivery_leaves_nothing_opened_for_the_next_event(
+        self, monkeypatch
+    ):
+        proto, _ = self._skipping(monkeypatch, 0)
+        with pytest.raises(MissingKeyError):
+            proto.leave("u7")
+        skipping, opened = GroupProtocol._deliver, []
+
+        def deliver(self, message):
+            opened.append(len(self._opened))
+            skipping(self, message)
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", deliver)
+        with pytest.raises(MissingKeyError):  # the leave is half applied
+            proto.join("u31")
+        assert opened[0] == 0
 
     @pytest.mark.parametrize("skip", range(3, 6))
     def test_skipped_root_level_leave_message_leaves_its_recipients(

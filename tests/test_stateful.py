@@ -9,15 +9,18 @@ all views must equal the oracle's.  After every step the tree's caches
 must match a recomputation and the whole-tree oracles, the delivered keys
 must have settled into the tree, leaving no entry, every view must match
 its keyset, with the same report from ``verify_consistency`` and from the
-per-user oracle, the secrecy game must hold and the committed counters must
-not shrink; an aborted event must leave the tree exactly as a pre-event
-clone, children order, node counter and user map included, and the
-protocol's state, its entries included, untouched.  Departed user ids join
-again.  A committed event must leave each member's current stay holding
-exactly the keys it held before plus the keys the member now holds, and
-may change an ended stay only by setting its leave step, once.  Every
-committed event's messages are kept, and each must list the recipients it
-listed when sent after every later step.
+per-user oracle, and the committed counters must not shrink; an aborted
+event must leave the tree exactly as a pre-event clone, children order,
+node counter and user map included, and the protocol's state, its entries
+included, untouched.  Departed user ids join again.  The test keeps its
+own stays, from the events and the views: a committed event opens the
+joiner's stay, ends the leaver's and adds to each member's current stay the
+keys she now holds.  The protocol's stays must equal them, the keys that
+its key records give each stay too, and the secrecy game over the probes
+and every committed rekey ciphertext must report what the per-stay
+reference game reports over them: nothing.  Every committed event's
+messages are kept, and each must list the recipients it listed when sent
+after every later step.
 """
 
 from dataclasses import astuple
@@ -40,8 +43,10 @@ from oracle import (
     UserView,
     apply_rekey,
     dfs_height,
+    per_stay_failures,
     per_user_report,
     scan_join_point,
+    stays_with_keys,
 )
 
 
@@ -72,10 +77,8 @@ def protocol_state(proto: GroupProtocol) -> tuple:
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {
-            u: [(s.joined, s.left, set(s.keys)) for s in stays]
-            for u, stays in proto.stays.items()
-        },
+        {u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()},
+        list(proto.held),
         len(proto.probes),
         {k: dict(at) for k, at in proto._entries.by_key.items()},
     )
@@ -95,9 +98,17 @@ class GroupChurn(RuleBasedStateMachine):
         self.next_uid = size + 1
         self.last_counters = self.proto.counters.as_dict()
         self.sent = []  # (message, its recipients when sent)
+        self.ciphertexts = []  # (step, item) of every committed event
+        # user id -> [joined, left, keys held] per stay, from the views
+        self.stays = {u: [[0, None, set()]] for u in self.proto.views}
+        self.hold_current_keys()
+
+    def hold_current_keys(self) -> None:
+        for uid, view in self.proto.views.items():
+            self.stays[uid][-1][2].update(map(astuple, view.keys.values()))
 
     def departed(self) -> list[str]:
-        return [u for u in self.proto.stays if u not in self.proto.views]
+        return [u for u in self.stays if u not in self.proto.views]
 
     def event(self, kind: str, pick: int, attacked: bool, uid: str = "") -> None:
         proto = self.proto
@@ -120,20 +131,13 @@ class GroupChurn(RuleBasedStateMachine):
         finally:
             proto.channel = None
         self.sent += [(m, m.recipients) for m in trace.messages]
-        stays_before = before[3]  # protocol_state's stays
-        for user, stays in proto.stays.items():
-            old = stays_before.get(user, [])
-            assert len(stays) - len(old) == (user == uid and kind == "join")
-            assert (stays[-1].left is None) == (user in proto.views), user
-            old = old + [(proto.step, None, set())]  # a joiner's new stay
-            for (joined, left, keys), stay in zip(old, stays):
-                assert stay.joined == joined, user
-                if stay.left is None:  # the current stay
-                    now = set(map(astuple, proto.views[user].keys.values()))
-                    assert stay is stays[-1] and stay.keys == keys | now, user
-                else:
-                    assert stay.keys == keys, user
-                    assert stay.left == (proto.step if left is None else left), user
+        items = {id(item): item for m in trace.messages for item in m.items}
+        self.ciphertexts += [(proto.step, item) for item in items.values()]
+        if kind == "join":
+            self.stays.setdefault(uid, []).append([proto.step, None, set()])
+        else:
+            self.stays[uid][-1][1] = proto.step
+        self.hold_current_keys()
 
     @rule()
     def join(self):
@@ -175,10 +179,21 @@ class GroupChurn(RuleBasedStateMachine):
         report = self.proto.verify_consistency()
         assert report["consistent"], report
         assert report == per_user_report(self.proto)
-        assert self.proto.secrecy_failures() == []
         counters = self.proto.counters.as_dict()
         assert all(counters[k] >= v for k, v in self.last_counters.items())
         self.last_counters = counters
+
+    @invariant()
+    def stays_keys_and_secrecy_match_the_reference(self):
+        proto = self.proto
+        expected = {u: [tuple(s) for s in stays] for u, stays in self.stays.items()}
+        assert {
+            u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()
+        } == {u: [s[:2] for s in stays] for u, stays in expected.items()}
+        assert stays_with_keys(proto) == expected
+        failures = proto.secrecy_failures(self.ciphertexts)
+        sent = [*proto.probes, *self.ciphertexts]
+        assert failures == per_stay_failures(expected, sent) == []
 
 
 TestGroupChurn = GroupChurn.TestCase
