@@ -6,7 +6,9 @@ runs 80 events on one tree, so it also pins recipient order, agent choice
 and the order of random draws on a tree shaped by earlier splits and
 merges.  Each case runs at a decoy proportion of 0, 0.25 or 1,
 where ``xi * payload`` is exact in binary floating point, so the decoy
-counts do not depend on how the rounding is computed.  The session case
+counts do not depend on how the rounding is computed.  The attack cases
+pin both tapping strategies, and a run of 200 000 decoys that the
+detection experiment draws and taps in two chunks.  The session case
 runs single key-agreement sessions on one generator across group sizes,
 key lengths, decoy proportions and attacked channels, so it pins every
 random draw of the session engine, aborted sessions included.  The
@@ -78,6 +80,14 @@ CASES = {
         "attack", "--strategy", "intercept-resend", "--decoys", "10",
         "--trials", "5000", "--seed", "3",
     ],
+    "attack-cnot": [
+        "attack", "--strategy", "cnot", "--decoys", "10",
+        "--trials", "5000", "--seed", "4",
+    ],
+    "attack-two-chunks": [
+        "attack", "--strategy", "intercept-resend", "--decoys", "20",
+        "--trials", "10000", "--seed", "5",
+    ],
 }
 
 DIGESTS = {
@@ -90,6 +100,8 @@ DIGESTS = {
     "simulate-self": "23b347fdda9aa795c717a4f0f890421814f43bd08476f9a71c2d9d514424e862",
     "simulate-eight": "382cc23447313a473a69011ea01103b43fc5722b95da4f68742371b94e684076",
     "attack": "bf2938d776f580aa6c0dab81dcce861ae6e26c960daa6a22b1b1e2a6fcfe3828",
+    "attack-cnot": "416fa0d1fc20bbec1a2d23d2d24e709620f74a88d709c7869fd7a711959328a1",
+    "attack-two-chunks": "6fa820056f342594984d1da49ae4c6d9798e3669f23d98c6896a7835cb7c7144",
 }
 
 
