@@ -22,14 +22,21 @@ measurement results for the positions she leads, forcing those key bits.
 Leader rotation caps her influence at the share of positions she leads,
 which is what the rotation is for.
 
-Both external attacks are modelled once, by ``tap_decoys`` over an array of
-decoy kinds: ``AdversarialChannel`` applies it to a session's decoys and
-``detection_experiment`` to independent trials, one chunk of at most
+Both external attacks are modelled once, by ``_tap`` over an array of
+decoy kinds.  It draws Eve's per-decoy bits in one fused draw, in a fixed
+order (see ``_tap``), and returns masks rather than readings: the decoys
+the receiver misreads, those where Eve's bit is wrong and those she
+touched.  ``tap_decoys`` flips the encoded bits by those masks, and
+``AdversarialChannel`` applies it to a session's decoys.
+``detection_experiment`` counts errors, detections and Eve's correct bits
+straight from the masks over independent trials, one chunk of at most
 ``DETECTION_CHUNK`` decoys at a time, so an experiment's memory does not
-grow with its trials or decoys per run.  The taps one qubit at a time, on
-the scalar decoy states of ``qgka.quantum``, are the physics reference in
-``tests/oracle.py``, and the experiment over a single array of every decoy
-is the reference for the chunked one.
+grow with its trials or decoys per run.  In ``tests/oracle.py`` the taps
+one qubit at a time, on the scalar decoy states of ``qgka.quantum``, are
+the physics reference; a kernel that draws each quantity in a call of its
+own and selects with ``np.where`` is the reference draw for draw; and the
+experiment over a single array of every decoy is the reference for the
+chunked one.
 
 ``malicious_leader_experiment`` runs each trial's positions on the session
 engine's own arrays: ``qka.encode_gates``, ``qka.measure_positions`` and
@@ -70,6 +77,48 @@ class EveStrategy:
             raise ValueError("attack probability must lie in [0, 1]")
 
 
+def _tap(
+    strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Eve's tap on a batch of decoys, as boolean masks over the batch.
+
+    Returns the decoys the receiver misreads, those where Eve's bit differs
+    from the encoded bit, and those she touched (None when she touches
+    every decoy).  ``strategy`` must tap.  The draws: whether she touches
+    each decoy, ``rng.random(m)`` for m decoys, skipped when her attack
+    probability is 1; then one ``rng.integers(2, size=3 * m,
+    dtype=np.uint32)`` whose three slices are her basis, her result and the
+    receiver's result under intercept-resend, or one of size 2 * m, the
+    receiver's result and her ancilla's, under a CNOT tap.  A bounded draw
+    over a power of two takes one 32-bit output per value, in either
+    dtype, so one fused draw gives the values and the generator state of
+    one default ``rng.integers(2, size=m)`` per slice.
+    """
+    total = len(kinds)
+    touched = (
+        None
+        if strategy.attack_probability >= 1.0
+        else rng.random(total) < strategy.attack_probability
+    )
+    if strategy.kind == "intercept_resend":
+        bits = rng.integers(2, size=3 * total, dtype=np.uint32).reshape(3, total)
+        # A wrong basis collapses the decoy uniformly, and the state she
+        # resends is in the wrong basis, so the receiver's reading is uniform.
+        disturbed = bits[0] != kinds >> 1
+        eve_wrong, misread = bits[1:] != kinds & 1
+    else:
+        bits = rng.integers(2, size=2 * total, dtype=np.uint32).reshape(2, total)
+        # An X-basis decoy becomes an entangled pair; either half is
+        # maximally mixed.  A Z-basis decoy passes and copies its bit.
+        disturbed = kinds >= 2
+        misread, eve_wrong = bits != kinds & 1
+    if touched is not None:
+        disturbed &= touched
+    misread &= disturbed
+    eve_wrong &= disturbed
+    return misread, eve_wrong, touched
+
+
 def tap_decoys(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
@@ -80,38 +129,16 @@ def tap_decoys(
     decoy in its announced basis, Eve's bit for each and the mask of the
     decoys she touched (both None when her strategy is "none").  Only the
     touched decoys' bits are her readings; a decoy she leaves alone reaches
-    the receiver intact.  A "none" strategy draws nothing.  Otherwise each
-    draw is one array over the batch: whether she touches each decoy
-    (skipped when her attack probability is 1), then her basis, her result
-    and the receiver's result under intercept-resend, or the receiver's
-    result and her ancilla's under a CNOT tap.
+    the receiver intact.  A "none" strategy draws nothing; otherwise the
+    draws are ``_tap``'s, whose masks flip the encoded bits.
     """
     encoded_bit = kinds & 1  # on 10^5-scale arrays far cheaper than % 2
     if strategy.kind == "none":
         return encoded_bit, None, None
-    total = len(kinds)
-    is_x_basis = kinds >= 2
-    attacked = (
-        np.ones(total, dtype=bool)
-        if strategy.attack_probability >= 1.0
-        else rng.random(total) < strategy.attack_probability
-    )
-
-    if strategy.kind == "intercept_resend":
-        # Mismatched interception collapses uniformly; the resent state is in
-        # the wrong basis, so the receiver's matched measurement is uniform.
-        eve_x_basis = rng.integers(2, size=total).astype(bool)
-        mismatch = attacked & (eve_x_basis != is_x_basis)
-        eve_bit = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
-        receiver = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
-        return receiver, eve_bit, attacked
-    if strategy.kind == "cnot":
-        # Either half of the entangled pair is maximally mixed.
-        entangled = attacked & is_x_basis
-        receiver = np.where(entangled, rng.integers(2, size=total), encoded_bit)
-        eve_bit = np.where(entangled, rng.integers(2, size=total), encoded_bit)
-        return receiver, eve_bit, attacked
-    raise ValueError(strategy.kind)  # pragma: no cover - guarded by EveStrategy
+    misread, eve_wrong, touched = _tap(strategy, kinds, rng)
+    if touched is None:
+        touched = np.ones(len(kinds), dtype=bool)
+    return encoded_bit ^ misread, encoded_bit ^ eve_wrong, touched
 
 
 class AdversarialChannel:
@@ -162,12 +189,15 @@ def detection_experiment(
     channel and checks them in their announced bases; a run is detected when
     any decoy errs.  Eve's bit accuracy is taken over the decoys she touched
     (None when she touched none).  The trials' decoys form one stream, cut
-    into chunks of ``DETECTION_CHUNK``: each chunk draws its kinds and is
-    tapped by ``tap_decoys``, the kernel a session's ``AdversarialChannel``
-    applies, so a run of at most one chunk draws the kinds of every decoy in
-    one array and longer runs draw chunk after chunk in the kernel's order.
-    A trial cut by chunk boundaries is still detected once, and the rates
-    are integer counts over the run, so the report equals a reduction of the
+    into chunks of ``DETECTION_CHUNK``.  Each chunk draws its kinds with
+    ``rng.integers(4, size=chunk, dtype=np.uint32)``, which gives the
+    values and draws of the default 64-bit call, and then ``_tap``'s draws
+    over them.  ``_tap`` is the kernel a session's ``AdversarialChannel``
+    applies, and the counts come from its masks, with no readings built.
+    A run of at most one chunk thus draws the kinds of every decoy in one
+    array, and longer runs draw chunk after chunk in the kernel's order.  A
+    trial cut by chunk boundaries is still detected once, and the rates are
+    integer counts over the run, so the report equals a reduction of the
     same draws held in one array.
     """
     if trials < 1 or decoys_per_run < 1:
@@ -176,29 +206,30 @@ def detection_experiment(
             f"{decoys_per_run}"
         )
     total = trials * decoys_per_run
-    errors = detections = eve_right = touched = 0
+    errors = detections = eve_misses = touched = 0
     last_hit = -1  # the last detected trial, which the next chunk may continue
     for start in range(0, total, DETECTION_CHUNK):
-        kinds = rng.integers(4, size=min(DETECTION_CHUNK, total - start))
-        receiver, eve_bit, attacked = tap_decoys(strategy, kinds, rng)
-        encoded_bit = kinds & 1
-        wrong = np.flatnonzero(receiver != encoded_bit)
+        size = min(DETECTION_CHUNK, total - start)
+        kinds = rng.integers(4, size=size, dtype=np.uint32)
+        if strategy.kind == "none":
+            continue
+        misread, eve_wrong, attacked = _tap(strategy, kinds, rng)
+        wrong = np.flatnonzero(misread)
         if len(wrong):
             errors += len(wrong)
             hit = (wrong + start) // decoys_per_run
             detections += int(np.count_nonzero(hit[1:] != hit[:-1]))
             detections += int(hit[0] != last_hit)
             last_hit = int(hit[-1])
-        if attacked is not None:
-            eve_right += int(np.count_nonzero((eve_bit == encoded_bit) & attacked))
-            touched += int(np.count_nonzero(attacked))
+        eve_misses += int(np.count_nonzero(eve_wrong))
+        touched += size if attacked is None else int(np.count_nonzero(attacked))
     return AttackReport(
         strategy=strategy.kind,
         trials=trials,
         detections=detections,
         per_decoy_error_rate=errors / total,
         detection_rate=detections / trials,
-        eve_bit_accuracy=eve_right / touched if touched else None,
+        eve_bit_accuracy=(touched - eve_misses) / touched if touched else None,
         decoys_per_run=decoys_per_run,
     )
 

@@ -49,6 +49,11 @@ INSERT_REMOVE = "tests/test_keytree.py::TestInsertRemove"
 STATEFUL = "tests/test_stateful.py"
 CONSISTENCY = "tests/test_protocol.py::TestConsistency"
 HELD_KEYS = f"{CONSISTENCY}::test_each_stay_holds_the_keys_its_member_held"
+FUSED_TAP = (
+    "tests/test_adversary.py::TestTaps::"
+    "test_fused_draw_matches_reference_draw_for_draw"
+)
+CHUNKED_EXPERIMENT = "tests/test_adversary.py::TestChunkedExperiment"
 
 MUTANTS = [
     Mutant(
@@ -266,6 +271,28 @@ MUTANTS = [
         "if self.common(key_id, key_id) == self.tree.nodes[key_id].key:",
         "if True:",
         ("tests/test_protocol.py::TestUndeliveredMessage",),
+    ),
+    # Eve's tap in one fused draw, returning masks
+    Mutant(
+        "tap-eve-and-receiver-slices-swapped",
+        "src/qgka/adversary.py",
+        "eve_wrong, misread = bits[1:] != kinds & 1",
+        "misread, eve_wrong = bits[1:] != kinds & 1",
+        (FUSED_TAP, GOLDEN),
+    ),
+    Mutant(
+        "tap-touched-mask-not-applied",
+        "src/qgka/adversary.py",
+        "        disturbed &= touched\n",
+        "        pass\n",
+        (FUSED_TAP, CHUNKED_EXPERIMENT),
+    ),
+    Mutant(
+        "tap-cnot-slices-swapped",
+        "src/qgka/adversary.py",
+        "misread, eve_wrong = bits != kinds & 1",
+        "eve_wrong, misread = bits != kinds & 1",
+        (FUSED_TAP, GOLDEN),
     ),
 ]
 

@@ -45,8 +45,11 @@ one scalar decoy state, the physics reference for
 ``qgka.adversary.tap_decoys``; ``scalar_tap`` runs them over a batch of
 decoys.  They match the kernel's statistics, not its draws: the session
 reference hands its channel the same batch of decoy kinds as the engine
-does and treats the channel as a black box.  ``detection_experiment`` draws
-every decoy of a run in one array and reduces (trials, decoys) arrays, the
+does and treats the channel as a black box.  ``where_tap`` is the array
+kernel with one generator call per quantity and readings selected by
+``np.where``, the reference for ``qgka.adversary.tap_decoys`` draw for
+draw.  ``detection_experiment`` draws every decoy of a run in one array,
+taps it with ``where_tap`` and reduces (trials, decoys) arrays, the
 reference for ``qgka.adversary.detection_experiment``'s chunks, report for
 report and, for a run of at most one chunk, draw for draw.
 """
@@ -59,7 +62,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from qgka.adversary import AttackReport, EveStrategy, tap_decoys
+from qgka.adversary import AttackReport, EveStrategy
 from qgka.counters import ResourceCounters
 from qgka.keytree import GroupKey, KeyTree, flatten, random_bits
 from qgka.qka import (
@@ -362,6 +365,41 @@ def scalar_tap(
     return readings, eve, touched
 
 
+def where_tap(
+    strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """``qgka.adversary.tap_decoys`` with one draw per quantity.
+
+    Returns the receiver's readings, Eve's bits and the mask of the decoys
+    she touched, as ``tap_decoys`` does.  Each draw is one array over the
+    batch: whether she touches each decoy (skipped when her attack
+    probability is 1), then her basis, her result and the receiver's
+    result under intercept-resend, or the receiver's result and her
+    ancilla's under a CNOT tap.  Readings and bits are selected from the
+    draws and the encoded bits with ``np.where``.
+    """
+    encoded_bit = kinds & 1
+    if strategy.kind == "none":
+        return encoded_bit, None, None
+    total = len(kinds)
+    is_x_basis = kinds >= 2
+    attacked = (
+        np.ones(total, dtype=bool)
+        if strategy.attack_probability >= 1.0
+        else rng.random(total) < strategy.attack_probability
+    )
+    if strategy.kind == "intercept_resend":
+        eve_x_basis = rng.integers(2, size=total).astype(bool)
+        mismatch = attacked & (eve_x_basis != is_x_basis)
+        eve_bit = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
+        receiver = np.where(mismatch, rng.integers(2, size=total), encoded_bit)
+        return receiver, eve_bit, attacked
+    entangled = attacked & is_x_basis
+    receiver = np.where(entangled, rng.integers(2, size=total), encoded_bit)
+    eve_bit = np.where(entangled, rng.integers(2, size=total), encoded_bit)
+    return receiver, eve_bit, attacked
+
+
 def detection_experiment(
     strategy: EveStrategy,
     decoys_per_run: int,
@@ -371,12 +409,12 @@ def detection_experiment(
     """``qgka.adversary.detection_experiment`` over one array of every decoy.
 
     All ``trials * decoys_per_run`` decoy kinds are drawn in one call and
-    tapped in one ``tap_decoys`` call; a trial is detected when any decoy of
+    tapped in one ``where_tap`` call; a trial is detected when any decoy of
     its row of the (trials, decoys) error array errs, and Eve's accuracy is
     the mean over the decoys she touched.
     """
     kinds = rng.integers(4, size=trials * decoys_per_run)
-    receiver, eve_bit, attacked = tap_decoys(strategy, kinds, rng)
+    receiver, eve_bit, attacked = where_tap(strategy, kinds, rng)
     encoded_bit = kinds & 1
     errors = receiver != encoded_bit
     detections = int(errors.reshape(trials, decoys_per_run).any(axis=1).sum())

@@ -103,6 +103,26 @@ class TestTaps:
             assert abs(slow - want) < 5 * sd
             assert abs(fast - want) < 5 * sd
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, (1 << 17) + 1])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
+    def test_fused_draw_matches_reference_draw_for_draw(self, strategy, p, m, dtype):
+        # the fused draw and the reference's one draw per quantity give the
+        # same readings, bits, touched mask and generator state, also when
+        # the tap starts on the second half of a buffered 32-bit output
+        eve = EveStrategy(strategy, p)
+        kinds = np.random.default_rng(m).integers(4, size=m).astype(dtype)
+        fast, slow = np.random.default_rng(7), np.random.default_rng(7)
+        for rng in (fast, slow):
+            rng.integers(4, size=3)  # odd-sized: half of a 32-bit output left
+            assert rng.bit_generator.state["has_uint32"] == 1
+        got = tap_decoys(eve, kinds, fast)
+        want = oracle.where_tap(eve, kinds, slow)
+        for fast_part, slow_part in zip(got, want):
+            np.testing.assert_array_equal(fast_part, slow_part)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
 
 class TestDetectionExperiment:
     @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
@@ -247,6 +267,10 @@ class TestChunkedExperiment:
         )
         assert all(q < 16 * chunk * 8 for q in peaks), peaks
         assert all(q <= small + chunk for q in peaks), peaks
+        # the fused draw and its masks: about 37 bytes per decoy of a chunk
+        # here, bounded with 30% headroom (the readings of
+        # ``oracle.where_tap``, one draw per quantity, take about 71)
+        assert small < 48 * chunk, small / chunk
 
 
 class TestSessionAborts:
