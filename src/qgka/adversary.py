@@ -22,21 +22,20 @@ measurement results for the positions she leads, forcing those key bits.
 Leader rotation caps her influence at the share of positions she leads,
 which is what the rotation is for.
 
-Both external attacks are modelled once, by ``_tap`` over an array of
-decoy kinds.  It draws Eve's per-decoy bits in one fused draw, in a fixed
-order (see ``_tap``), and returns masks rather than readings: the decoys
-the receiver misreads, those where Eve's bit is wrong and those she
-touched.  ``tap_decoys`` flips the encoded bits by those masks, and
-``AdversarialChannel`` applies it to a session's decoys.
-``detection_experiment`` counts errors, detections and Eve's correct bits
-straight from the masks over independent trials, one chunk of at most
-``DETECTION_CHUNK`` decoys at a time, so an experiment's memory does not
-grow with its trials or decoys per run.  In ``tests/oracle.py`` the taps
-one qubit at a time, on the scalar decoy states of ``qgka.quantum``, are
-the physics reference; a kernel that draws each quantity in a call of its
-own and selects with ``np.where`` is the reference draw for draw; and the
-experiment over a single array of every decoy is the reference for the
-chunked one.
+Both external attacks are modelled once, by ``tap_decoys`` over an array
+of decoy kinds.  It draws Eve's per-decoy bits in one fused draw, in a
+fixed order (see ``tap_decoys``), and returns masks, not readings: the
+decoys the receiver misreads, those where Eve's bit is wrong and those she
+touched.  ``AdversarialChannel`` hands a session the misread mask, which
+is all its decoy check needs.  ``detection_experiment`` counts errors,
+detections and Eve's correct bits straight from the masks over
+independent trials, one chunk of at most ``DETECTION_CHUNK`` decoys at a
+time, so an experiment's memory does not grow with its trials or decoys
+per run.  In ``tests/oracle.py`` the taps one qubit at a time, on the
+scalar decoy states of ``qgka.quantum``, are the physics reference; a
+kernel that draws each quantity in a call of its own and selects readings
+with ``np.where`` is the reference draw for draw; and the experiment over
+a single array of every decoy is the reference for the chunked one.
 
 ``malicious_leader_experiment`` runs each trial's positions on the session
 engine's own arrays: ``qka.encode_gates``, ``qka.measure_positions`` and
@@ -77,14 +76,17 @@ class EveStrategy:
             raise ValueError("attack probability must lie in [0, 1]")
 
 
-def _tap(
+def tap_decoys(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Eve's tap on a batch of decoys, as boolean masks over the batch.
 
-    Returns the decoys the receiver misreads, those where Eve's bit differs
-    from the encoded bit, and those she touched (None when she touches
-    every decoy).  ``strategy`` must tap.  The draws: whether she touches
+    ``kinds`` indexes each decoy's state in (|0>, |1>, |+>, |->): X basis
+    for 2 and 3, bit = index mod 2.  Returns masks, not readings: the
+    decoys the receiver misreads in their announced basis, those where
+    Eve's bit differs from the encoded bit, and those she touched (None
+    when she touches every decoy).  A decoy she leaves alone reaches the
+    receiver intact.  ``strategy`` must tap.  The draws: whether she touches
     each decoy, ``rng.random(m)`` for m decoys, skipped when her attack
     probability is 1; then one ``rng.integers(2, size=3 * m,
     dtype=np.uint32)`` whose three slices are her basis, her result and the
@@ -119,28 +121,6 @@ def _tap(
     return misread, eve_wrong, touched
 
 
-def tap_decoys(
-    strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Eve's strategy applied to a batch of decoys in transit.
-
-    ``kinds`` indexes each decoy's state in (|0>, |1>, |+>, |->): X basis
-    for 2 and 3, bit = index mod 2.  Returns the receiver's reading of each
-    decoy in its announced basis, Eve's bit for each and the mask of the
-    decoys she touched (both None when her strategy is "none").  Only the
-    touched decoys' bits are her readings; a decoy she leaves alone reaches
-    the receiver intact.  A "none" strategy draws nothing; otherwise the
-    draws are ``_tap``'s, whose masks flip the encoded bits.
-    """
-    encoded_bit = kinds & 1  # on 10^5-scale arrays far cheaper than % 2
-    if strategy.kind == "none":
-        return encoded_bit, None, None
-    misread, eve_wrong, touched = _tap(strategy, kinds, rng)
-    if touched is None:
-        touched = np.ones(len(kinds), dtype=bool)
-    return encoded_bit ^ misread, encoded_bit ^ eve_wrong, touched
-
-
 class AdversarialChannel:
     """Channel transport that applies one Eve strategy to every decoy."""
 
@@ -148,8 +128,11 @@ class AdversarialChannel:
         self.strategy = strategy
 
     def transmit(self, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """The receiver's reading of each decoy of ``kinds`` (see
-        ``tap_decoys``) in its announced basis."""
+        """The mask of the decoys of ``kinds`` that the receiver misreads
+        (see ``tap_decoys``).  A "none" strategy misreads none and draws
+        nothing."""
+        if self.strategy.kind == "none":
+            return np.zeros(len(kinds), dtype=bool)
         return tap_decoys(self.strategy, kinds, rng)[0]
 
 
@@ -191,8 +174,8 @@ def detection_experiment(
     (None when she touched none).  The trials' decoys form one stream, cut
     into chunks of ``DETECTION_CHUNK``.  Each chunk draws its kinds with
     ``rng.integers(4, size=chunk, dtype=np.uint32)``, which gives the
-    values and draws of the default 64-bit call, and then ``_tap``'s draws
-    over them.  ``_tap`` is the kernel a session's ``AdversarialChannel``
+    values and draws of the default 64-bit call, and then ``tap_decoys``'s
+    draws over them.  ``tap_decoys`` is the kernel a session's ``AdversarialChannel``
     applies, and the counts come from its masks, with no readings built.
     A run of at most one chunk thus draws the kinds of every decoy in one
     array, and longer runs draw chunk after chunk in the kernel's order.  A
@@ -213,7 +196,7 @@ def detection_experiment(
         kinds = rng.integers(4, size=size, dtype=np.uint32)
         if strategy.kind == "none":
             continue
-        misread, eve_wrong, attacked = _tap(strategy, kinds, rng)
+        misread, eve_wrong, attacked = tap_decoys(strategy, kinds, rng)
         wrong = np.flatnonzero(misread)
         if len(wrong):
             errors += len(wrong)

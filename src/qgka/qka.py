@@ -130,9 +130,9 @@ class ChannelModel(Protocol):
 
     ``transmit`` takes each decoy's kind as an index into (|0>, |1>, |+>,
     |->), so its basis is X for 2 and 3 and its bit the index mod 2, and
-    returns the receiver's reading of each decoy in its announced basis.
-    A session run without a channel model has an honest, lossless channel,
-    on which every reading is the decoy's own bit.
+    returns a boolean mask, not readings: the decoys the receiver reads
+    wrong in their announced basis.  A session run without a channel model
+    has an honest, lossless channel, on which no decoy reads wrong.
     """
 
     def transmit(self, kinds: np.ndarray, rng: np.random.Generator) -> np.ndarray: ...
@@ -283,15 +283,16 @@ def _checked_hops(
     measures each in its announced basis.  The bases/positions announcement plus the
     verification reply count as one classical exchange per sequence that
     has decoys.  The channel carries all the decoys of the phase in one
-    call; without a channel every decoy reads back right.  Returns False
+    call and returns the mask of those read wrong; without a channel every
+    decoy reads back right.  Returns False
     when a sequence reads wrong; the sequences after the first such one are
     never sent, so the counters stop with it.
     """
     total, payload, messages = hops.decoy_qubits, hops.payload_qubits, hops.messages
     ok = True
-    # an honest channel reads every decoy back as prepared
+    # on an honest channel no decoy reads wrong
     if total and channel is not None:
-        wrong = np.flatnonzero(channel.transmit(kinds, rng) != kinds & 1)
+        wrong = np.flatnonzero(channel.transmit(kinds, rng))
         if wrong.size:
             # the first sequence whose decoys run past the first wrong one
             sent = bisect_right(hops.ends, wrong[0]) + 1

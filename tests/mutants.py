@@ -49,10 +49,9 @@ INSERT_REMOVE = "tests/test_keytree.py::TestInsertRemove"
 STATEFUL = "tests/test_stateful.py"
 CONSISTENCY = "tests/test_protocol.py::TestConsistency"
 HELD_KEYS = f"{CONSISTENCY}::test_each_stay_holds_the_keys_its_member_held"
-FUSED_TAP = (
-    "tests/test_adversary.py::TestTaps::"
-    "test_fused_draw_matches_reference_draw_for_draw"
-)
+TAPS = "tests/test_adversary.py::TestTaps"
+FUSED_TAP = f"{TAPS}::test_fused_draw_matches_reference_draw_for_draw"
+CHANNEL_MISREADS = f"{TAPS}::test_channel_reports_the_reference_misreads"
 CHUNKED_EXPERIMENT = "tests/test_adversary.py::TestChunkedExperiment"
 
 MUTANTS = [
@@ -293,6 +292,28 @@ MUTANTS = [
         "misread, eve_wrong = bits != kinds & 1",
         "eve_wrong, misread = bits != kinds & 1",
         (FUSED_TAP, GOLDEN),
+    ),
+    # a channel returns the mask of the decoys read wrong, not readings
+    Mutant(
+        "transmit-returns-eve-wrong-mask",
+        "src/qgka/adversary.py",
+        "        return tap_decoys(self.strategy, kinds, rng)[0]\n",
+        "        return tap_decoys(self.strategy, kinds, rng)[1]\n",
+        (CHANNEL_MISREADS, GOLDEN),
+    ),
+    Mutant(
+        "none-channel-draws",
+        "src/qgka/adversary.py",
+        "            return np.zeros(len(kinds), dtype=bool)\n",
+        "            return rng.integers(2, size=len(kinds)) > 1\n",
+        (f"{TAPS}::test_inactive_channel_misreads_nothing_and_draws_nothing",),
+    ),
+    Mutant(
+        "checked-hops-inverts-mask",
+        "src/qgka/qka.py",
+        "wrong = np.flatnonzero(channel.transmit(kinds, rng))",
+        "wrong = np.flatnonzero(~channel.transmit(kinds, rng))",
+        ("tests/test_qka.py::TestAbortCounters", EVENT_STREAM),
     ),
 ]
 

@@ -45,10 +45,12 @@ one scalar decoy state, the physics reference for
 ``qgka.adversary.tap_decoys``; ``scalar_tap`` runs them over a batch of
 decoys.  They match the kernel's statistics, not its draws: the session
 reference hands its channel the same batch of decoy kinds as the engine
-does and treats the channel as a black box.  ``where_tap`` is the array
-kernel with one generator call per quantity and readings selected by
-``np.where``, the reference for ``qgka.adversary.tap_decoys`` draw for
-draw.  ``detection_experiment`` draws every decoy of a run in one array,
+does and treats the channel as a black box that returns a misread mask.
+``where_tap`` is the array kernel with one generator call per quantity and
+readings selected by ``np.where``, the reference for
+``qgka.adversary.tap_decoys`` draw for draw.  The references return
+readings, the physics; the kernel returns masks, not readings, and a
+reading compared with the encoded bit gives the kernel's mask.  ``detection_experiment`` draws every decoy of a run in one array,
 taps it with ``where_tap`` and reduces (trials, decoys) arrays, the
 reference for ``qgka.adversary.detection_experiment``'s chunks, report for
 report and, for a run of at most one chunk, draw for draw.
@@ -339,7 +341,7 @@ def tap_cnot(decoy: DecoyQubit, rng: np.random.Generator) -> tuple[DecoyQubit, i
 def scalar_tap(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
 ) -> tuple[list[int], list[int], list[bool]]:
-    """``qgka.adversary.tap_decoys`` one decoy at a time.
+    """``qgka.adversary.tap_decoys`` one decoy at a time, as readings.
 
     Each decoy of ``kinds`` (indices into |0>, |1>, |+>, |->) is touched
     with the attack probability, tapped, and measured by the receiver in
@@ -368,10 +370,12 @@ def scalar_tap(
 def where_tap(
     strategy: EveStrategy, kinds: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """``qgka.adversary.tap_decoys`` with one draw per quantity.
+    """``qgka.adversary.tap_decoys`` with one draw per quantity, as readings.
 
     Returns the receiver's readings, Eve's bits and the mask of the decoys
-    she touched, as ``tap_decoys`` does.  Each draw is one array over the
+    she touched (all true when she touches every decoy); ``tap_decoys``
+    returns masks, not readings, which are these readings and bits
+    compared with the encoded bits.  Each draw is one array over the
     batch: whether she touches each decoy (skipped when her attack
     probability is 1), then her basis, her result and the receiver's
     result under intercept-resend, or the receiver's result and her
@@ -529,17 +533,18 @@ def _checked_hops(
     sequence by sequence, up to the first sequence with an error.
 
     Every decoy of the phase is drawn first, one at a time; the channel, a
-    black box, then carries them all in one call.  Without a channel the
-    receiver measures each decoy as it was prepared.
+    black box, then carries them all in one call and returns the mask of
+    the decoys read wrong.  Without a channel the receiver measures each
+    decoy as it was prepared.
     """
     counts = [decoys_for_payload(p, xi) for p in payloads]
     sent = [random_decoy(rng) for _ in range(sum(counts))]
     if channel is None or not sent:
-        readings = [decoy_measure(d, d.basis, rng) for d in sent]
+        misread = [decoy_measure(d, d.basis, rng) != d.bit for d in sent]
     else:
         kinds = np.array([_KINDS.index(d.kind) for d in sent])
-        readings = channel.transmit(kinds, rng).tolist()
-    checks = iter(zip(sent, readings))
+        misread = channel.transmit(kinds, rng).tolist()
+    checks = iter(misread)
     for payload, n_decoys in zip(payloads, counts):
         counters.qubits_prepared += n_decoys
         counters.qubits_transmitted += payload + n_decoys
@@ -547,10 +552,8 @@ def _checked_hops(
             continue
         errors = 0
         for _ in range(n_decoys):
-            decoy, reading = next(checks)
             counters.decoy_measurements += 1
-            if reading != decoy.bit:
-                errors += 1
+            errors += next(checks)
         counters.classical_messages += 1
         if errors:
             return False

@@ -88,10 +88,11 @@ class TestTaps:
         slow_error = np.mean(np.array(readings) != kinds % 2)
         slow_eve = np.mean((np.array(eve_bits) == kinds % 2)[touched])
         kinds = rng.integers(4, size=m)
-        readings = AdversarialChannel(eve).transmit(kinds, rng)
-        fast_error = np.mean(readings != kinds % 2)
-        _, eve_bits, attacked = tap_decoys(eve, kinds, rng)
-        fast_eve = np.mean((eve_bits == kinds % 2)[attacked])
+        fast_error = np.mean(AdversarialChannel(eve).transmit(kinds, rng))
+        _, eve_wrong, attacked = tap_decoys(eve, kinds, rng)
+        if attacked is None:
+            attacked = np.ones(m, dtype=bool)
+        fast_eve = 1 - np.mean(eve_wrong[attacked])
         sd_error = np.sqrt(q * (1 - q) / m)
         sd_eve = np.sqrt(0.25 * 0.75 / min(touched.sum(), attacked.sum()))
         pairs = (
@@ -109,19 +110,47 @@ class TestTaps:
     @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
     def test_fused_draw_matches_reference_draw_for_draw(self, strategy, p, m, dtype):
         # the fused draw and the reference's one draw per quantity give the
-        # same readings, bits, touched mask and generator state, also when
-        # the tap starts on the second half of a buffered 32-bit output
+        # same misread mask, Eve-wrong mask, touched mask and generator
+        # state, also when the tap starts on the second half of a buffered
+        # 32-bit output
         eve = EveStrategy(strategy, p)
         kinds = np.random.default_rng(m).integers(4, size=m).astype(dtype)
         fast, slow = np.random.default_rng(7), np.random.default_rng(7)
         for rng in (fast, slow):
             rng.integers(4, size=3)  # odd-sized: half of a 32-bit output left
             assert rng.bit_generator.state["has_uint32"] == 1
-        got = tap_decoys(eve, kinds, fast)
-        want = oracle.where_tap(eve, kinds, slow)
-        for fast_part, slow_part in zip(got, want):
-            np.testing.assert_array_equal(fast_part, slow_part)
+        misread, eve_wrong, touched = tap_decoys(eve, kinds, fast)
+        receiver, eve_bit, attacked = oracle.where_tap(eve, kinds, slow)
+        np.testing.assert_array_equal(misread, receiver != kinds & 1)
+        np.testing.assert_array_equal(eve_wrong, eve_bit != kinds & 1)
+        if touched is None:
+            assert p == 1.0 and attacked.all()
+        else:
+            np.testing.assert_array_equal(touched, attacked)
         assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("p", [0.01, 1.0])
+    @pytest.mark.parametrize("strategy", ["intercept_resend", "cnot"])
+    def test_channel_reports_the_reference_misreads(self, strategy, p):
+        # a session's channel hands back which decoys read wrong: the
+        # reference's readings compared with the encoded bits, draw for draw
+        eve = EveStrategy(strategy, p)
+        for m in (1, 20, 80):
+            kinds = np.random.default_rng(m).integers(4, size=m)
+            fast, slow = np.random.default_rng(m + 1), np.random.default_rng(m + 1)
+            got = AdversarialChannel(eve).transmit(kinds, fast)
+            receiver, _, _ = oracle.where_tap(eve, kinds, slow)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, receiver != kinds & 1)
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_inactive_channel_misreads_nothing_and_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        kinds = np.arange(8) % 4
+        got = AdversarialChannel(EveStrategy("none")).transmit(kinds, rng)
+        np.testing.assert_array_equal(got, np.zeros(8, dtype=bool))
+        assert rng.bit_generator.state == before
 
 
 class TestDetectionExperiment:
@@ -235,12 +264,14 @@ class TestChunkedExperiment:
         parts = []
         for start in range(0, m * trials, chunk):
             kinds = twin.integers(4, size=min(chunk, m * trials - start))
-            parts.append((kinds & 1, *tap_decoys(eve, kinds, twin)))
-        encoded, receiver, eve_bit, attacked = map(np.concatenate, zip(*parts))
-        errors = receiver != encoded
+            misread, eve_wrong, touched = tap_decoys(eve, kinds, twin)
+            if touched is None:
+                touched = np.ones(len(kinds), dtype=bool)
+            parts.append((misread, eve_wrong, touched))
+        errors, eve_wrong, attacked = map(np.concatenate, zip(*parts))
         assert report.detections == int(errors.reshape(trials, m).any(axis=1).sum())
         assert report.per_decoy_error_rate == errors.mean()
-        assert report.eve_bit_accuracy == (eve_bit == encoded)[attacked].mean()
+        assert report.eve_bit_accuracy == (~eve_wrong)[attacked].mean()
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_memory_constant_in_trials_and_decoys(self, monkeypatch):

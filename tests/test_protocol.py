@@ -236,7 +236,7 @@ class _MisreadingChannel:
     checked sequence of a session always aborts it."""
 
     def transmit(self, kinds, rng):
-        return 1 - kinds % 2
+        return np.ones(len(kinds), dtype=bool)
 
 
 class _MisreadOnCall:
@@ -247,11 +247,9 @@ class _MisreadOnCall:
         self.call, self.calls = call, 0
 
     def transmit(self, kinds, rng):
-        readings = kinds % 2
-        if self.calls == self.call:
-            readings = 1 - readings
+        misread = np.full(len(kinds), self.calls == self.call)
         self.calls += 1
-        return readings
+        return misread
 
 
 class TestRollback:

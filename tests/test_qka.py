@@ -437,11 +437,11 @@ class _OneMisread:
         self.batch, self.index, self.calls = batch, index, 0
 
     def transmit(self, kinds, rng):
-        readings = kinds % 2
+        misread = np.zeros(len(kinds), dtype=bool)
         if self.calls == self.batch:
-            readings[self.index] ^= 1
+            misread[self.index] = True
         self.calls += 1
-        return readings
+        return misread
 
 
 class TestAbortCounters:
