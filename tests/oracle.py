@@ -50,10 +50,11 @@ does and treats the channel as a black box that returns a misread mask.
 readings selected by ``np.where``, the reference for
 ``qgka.adversary.tap_decoys`` draw for draw.  The references return
 readings, the physics; the kernel returns masks, not readings, and a
-reading compared with the encoded bit gives the kernel's mask.  ``detection_experiment`` draws every decoy of a run in one array,
-taps it with ``where_tap`` and reduces (trials, decoys) arrays, the
-reference for ``qgka.adversary.detection_experiment``'s chunks, report for
-report and, for a run of at most one chunk, draw for draw.
+reading compared with the encoded bit gives the kernel's mask.
+``detection_experiment`` draws every decoy of a run in one array, taps it
+with ``where_tap`` and reduces (trials, decoys) arrays, the reference for
+``qgka.adversary.detection_experiment``'s chunks, report for report and,
+for a run of at most one chunk, draw for draw.
 """
 
 from __future__ import annotations
