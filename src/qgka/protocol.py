@@ -25,9 +25,9 @@ Members hold the tree's keys on their paths, except where an entry, kept
 per key and node, says that every user under the node holds another
 version.  An event pins each key at its own node to the old value before
 the tree takes the new one.  A rekey message reaches the users under one
-node minus those under a few nodes below it, so delivery asks once per item
+node minus those under one node below it, so delivery asks once per item
 what all its recipients hold, enters each key once at that node and, where
-needed, once at each excluded node to keep what it held.  After the event,
+needed, once at the excluded node to keep what it held.  After the event,
 the same question asked at a key's own node drops that key's entries once
 every user under it holds the tree's value.  An event therefore touches
 only its path: the tree work, the sessions, the message addressing and the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -246,31 +246,31 @@ class _Entries:
         node_id: str,
         key_id: str,
         value: Optional[GroupKey],
-        keep: Sequence[str] = (),
+        keep: Optional[str] = None,
     ) -> None:
-        """Every user under ``node_id``, bar the users under the nodes
+        """Every user under ``node_id``, bar the users under the node
         ``keep``, now holds ``value`` as ``key_id`` (None: does not hold it).
 
-        A kept node's entry then says what its users held before.
+        The kept node's entry then says what its users held before.
         """
         nodes = self.tree.nodes
-        kept = [(e, nodes[e].height) for e in keep]
-        before = [(e, self.lookup(e, key_id)) for e in keep]
+        old = None if keep is None else self.lookup(keep, key_id)
         for y in self.inside(node_id, key_id):
-            if y != node_id and not any(self._within(y, e, h) for e, h in kept):
+            kept = keep is not None and self._within(y, keep, nodes[keep].height)
+            if y != node_id and not kept:
                 self._pop(y, key_id)
         self._settle(node_id, key_id, value)
-        for e, old in before:
-            self._settle(e, key_id, old)
+        if keep is not None:
+            self._settle(keep, key_id, old)
 
-    def common(self, top: str, key_id: str, keep: Sequence[str] = ()):
-        """What every user under ``top``, bar the users under the nodes
+    def common(self, top: str, key_id: str, keep: Optional[str] = None):
+        """What every user under ``top``, bar the users under the node
         ``keep``, holds as ``key_id`` (None: none holds it), or ``_MIXED``
         when they do not all hold the same.
 
         With no entry for the key, and not the key's own node, strictly
         below ``top``, that is what ``top`` holds, whatever ``keep`` leaves
-        out.  Otherwise only the paths down to those nodes and the kept ones
+        out.  Otherwise only the paths down to those nodes and the kept one
         are walked; every other subtree holds what its root inherits.
         """
         nodes, at = self.tree.nodes, self.by_key.get(key_id, {})
@@ -280,7 +280,8 @@ class _Entries:
         ]
         if not marks:
             return self.lookup(top, key_id)
-        marks += [e for e in keep if e != top and self._within(e, top, height)]
+        if keep is not None and keep != top and self._within(keep, top, height):
+            marks.append(keep)
         below: set[str] = set()  # nodes with a mark under them
         for y in marks:
             y = nodes[y].parent  # type: ignore[assignment]
@@ -297,7 +298,7 @@ class _Entries:
                 value = at[node_id]
             elif node_id == key_id:
                 value = nodes[key_id].key
-            if node_id in keep:
+            if node_id == keep:
                 continue
             if node_id in below:
                 todo.extend((c, value) for c in nodes[node_id].children)
@@ -429,13 +430,13 @@ class GroupProtocol:
         """Enter one message's keys for its recipients.
 
         The recipients are the users under the message's include node less
-        those under its exclude nodes.  Decryption is deterministic and every
+        those under its exclude node.  Decryption is deterministic and every
         recipient must hold the identical wrapping key, so each item asks
         once what they all hold (``_Entries.common``), checks its version
         and is unwrapped once with it.  An item that an earlier message of
         the event opened under the same wrapping key is not unwrapped again.
         Each opened key, never the tree's, is entered once at the include
-        node, and the exclude nodes keep what they held.  Semantically
+        node, and the exclude node keeps what it held.  Semantically
         equivalent to each recipient decrypting every item with her own copy
         of the wrapping key, the per-user form the test suite keeps as its
         reference.

@@ -12,7 +12,7 @@ cryptographically secure.
 
 Message building is pure given a tree snapshot.  Every message is
 addressed to a subtree difference, the users under one k-node minus the
-users under some nodes below it, so it is built and delivered in time that
+users under one node below it, so it is built and delivered in time that
 does not grow with how many users it reaches.  Within one
 event, messages must be applied in list order: leave-time messages for
 deeper keys precede the ones encrypted under them.  A message keeps the
@@ -37,7 +37,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree, Rope, flatten
+from .keytree import GroupKey, KeyTree, flatten
 
 TAG_BYTES = 16
 
@@ -153,31 +153,28 @@ def try_unwrap(enc_key: GroupKey, ct: SimCipherText) -> Optional[GroupKey]:
 class RekeyMessage:
     """One ciphertext bundle addressed to one group of users.
 
-    The recipients are the users of the rope ``recipients`` less those of
-    the rope ``skip``, in tree order, listed on each read; a tuple of user
-    ids is a rope.  A built message names its addressing, the users under
-    the k-node ``include`` minus the users under the one k-node in
-    ``exclude``, and keeps the two nodes' ropes of its send time.  The
-    excluded node is a child of ``include`` on the joiner's path (a join
-    message) or the individual key of the session agent under ``include``
-    (a leave message).  A message without ``include`` only opens per user.
+    The recipients are the users under the k-node ``include`` less those
+    under the node ``exclude``, in tree order, listed on each read from the
+    two nodes' ropes, which are taken from ``tree`` when the message is
+    made.  The excluded node is a child of ``include`` on the joiner's path
+    (a join message) or the individual key of the session agent under
+    ``include`` (a leave message).
     """
 
     __slots__ = ("items", "include", "exclude", "_users", "_skip")
 
     def __init__(
         self,
-        recipients: Rope,
+        tree: KeyTree,
+        include: str,
+        exclude: str,
         items: tuple[SimCipherText, ...],
-        include: Optional[str] = None,
-        exclude: tuple[str, ...] = (),
-        skip: Rope = (),
     ):
         self.items = items
         self.include = include
         self.exclude = exclude
-        self._users = recipients
-        self._skip = skip
+        self._users = tree.rope(include)
+        self._skip = tree.rope(exclude)
 
     @property
     def recipients(self) -> tuple[str, ...]:
@@ -195,15 +192,6 @@ def _nonces(rng: np.random.Generator, count: int) -> list[bytes]:
     """``count`` 8-byte nonces cut from one draw, and no draw for none."""
     drawn = rng.bytes(8 * count) if count else b""
     return [drawn[i : i + 8] for i in range(0, len(drawn), 8)]
-
-
-def _addressed(
-    tree: KeyTree, include: str, exclude: str, items: tuple[SimCipherText, ...]
-) -> RekeyMessage:
-    """A message to the users under ``include`` less those under ``exclude``."""
-    return RekeyMessage(
-        tree.rope(include), items, include, (exclude,), tree.rope(exclude)
-    )
 
 
 def build_join_messages(
@@ -246,7 +234,7 @@ def build_join_messages(
         ciphertexts.append(encrypt_key(enc_key, new_key, nonce, counters))
         # the joiner is under ``below``, on her own path, and ``key_id`` has
         # another child, so every path key has recipients
-        messages.append(_addressed(tree, key_id, below, tuple(ciphertexts)))
+        messages.append(RekeyMessage(tree, key_id, below, tuple(ciphertexts)))
         counters.rekey_messages += 1
     return messages
 
@@ -278,6 +266,6 @@ def build_leave_messages(
     messages: list[RekeyMessage] = []
     for (key_id, child, agent), nonce in zip(sends, _nonces(rng, len(sends))):
         ct = encrypt_key(tree.key(child), tree.key(key_id), nonce, counters)
-        messages.append(_addressed(tree, child, tree.individual_key(agent), (ct,)))
+        messages.append(RekeyMessage(tree, child, tree.individual_key(agent), (ct,)))
         counters.rekey_messages += 1
     return messages

@@ -246,21 +246,21 @@ MUTANTS = [
     Mutant(
         "put-gives-kept-nodes-the-key",
         "src/qgka/protocol.py",
-        "        for e, old in before:\n            self._settle(e, key_id, old)\n",
+        "        if keep is not None:\n            self._settle(keep, key_id, old)\n",
         "",
         (f"{CONSISTENCY}::test_shared_delivery_matches_per_user_oracle", STATEFUL),
     ),
     Mutant(
         "put-clears-entries-under-kept-nodes",
         "src/qgka/protocol.py",
-        "if y != node_id and not any(self._within(y, e, h) for e, h in kept):",
+        "if y != node_id and not kept:",
         "if y != node_id:",
         (f"{CONSISTENCY}::test_put_keeps_entries_under_a_kept_node",),
     ),
     Mutant(
         "common-ignores-keep",
         "src/qgka/protocol.py",
-        "            if node_id in keep:\n                continue\n",
+        "            if node_id == keep:\n                continue\n",
         "",
         (EVENT_STREAM, GOLDEN),
     ),

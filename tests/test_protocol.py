@@ -192,7 +192,7 @@ class TestLeave:
                 parent = proto.tree.nodes[m.include].parent
                 under = [a for a in agents[parent] if m.include in proto.tree.keyset(a)]
                 assert len(under) == 1
-                assert m.exclude == (proto.tree.individual_key(under[0]),)
+                assert m.exclude == proto.tree.individual_key(under[0])
                 messages += 1
                 not_first += under[0] != proto.tree.userset(m.include)[0]
         assert messages > 30 and not_first > 0
@@ -551,7 +551,7 @@ class TestConsistency:
         planted, new = GroupKey(root, 98, "1"), GroupKey(root, 99, "1")
         parent = tree.keyset("u5")[1]
         proto.views["u5"].install(planted)
-        proto._entries.put(root, root, new, keep=[parent])
+        proto._entries.put(root, root, new, keep=parent)
         held = {u: v.keys[root] for u, v in proto.views.items()}
         kept = tree.userset(parent)
         expected = {u: old if u in kept else new for u in held}

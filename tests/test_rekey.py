@@ -248,7 +248,9 @@ class TestJoinMessages:
         tree, rng = _nine_user_setup()
         view = UserView("u1", (tree.key(k) for k in tree.keyset("u1")))
         before = dict(view.keys)
-        msg = RekeyMessage(recipients=("u7",), items=())
+        parent = tree.nodes[tree.individual_key("u7")].parent
+        msg = RekeyMessage(tree, parent, tree.individual_key("u8"), ())
+        assert msg.recipients == ("u7",)
         assert apply_rekey(view, msg) == []
         assert view.keys == before
 
@@ -324,8 +326,11 @@ class TestUserView:
         wrap = key("kX", 2, "1")
         ct = encrypt_key(wrap, key("k2", 1, "0"), rng.bytes(8))
         view = UserView("u1", [key("kX", 1, "1")])  # stale version
+        tree = KeyTree.build_balanced(2, ["u1", "u2"], 1, rng)
+        msg = RekeyMessage(tree, tree.root, tree.individual_key("u2"), (ct,))
+        assert msg.recipients == ("u1",)
         with pytest.raises(MissingKeyError):
-            apply_rekey(view, RekeyMessage(recipients=("u1",), items=(ct,)))
+            apply_rekey(view, msg)
 
     def test_leaver_keyset_opens_nothing_after_leave(self):
         # forward-secrecy game at the message level: run one leave and try
