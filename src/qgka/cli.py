@@ -62,6 +62,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 _SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
 
+# the words a config file may give a switch, in any case
+_SWITCH_VALUES = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
 
 def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
     """Fill in values from --config for flags not given on the command line;
@@ -85,7 +91,12 @@ def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
             continue  # explicit flags override the file
         value: object = raw[dest]
         if isinstance(action, argparse._StoreTrueAction):
-            value = str(value).lower() in ("1", "true", "yes", "on")
+            value = _SWITCH_VALUES.get(raw[dest].lower())
+            if value is None:
+                raise ValueError(
+                    f"config value {raw[dest]!r} for {dest} is not one of"
+                    " 1/true/yes/on or 0/false/no/off"
+                )
         elif action.type is not None:
             value = action.type(value)
         if action.choices is not None and value not in action.choices:

@@ -315,6 +315,19 @@ MUTANTS = [
         "wrong = np.flatnonzero(~channel.transmit(kinds, rng))",
         ("tests/test_qka.py::TestAbortCounters", EVENT_STREAM),
     ),
+    # a config switch takes only the boolean words
+    Mutant(
+        "config-switch-takes-any-word",
+        "src/qgka/cli.py",
+        "            value = _SWITCH_VALUES.get(raw[dest].lower())\n"
+        "            if value is None:\n",
+        "            value = _SWITCH_VALUES.get(raw[dest].lower(), False)\n"
+        "            if value is None:\n",
+        (
+            "tests/test_cli.py::TestConfigFile"
+            "::test_config_switch_takes_only_boolean_words",
+        ),
+    ),
 ]
 
 

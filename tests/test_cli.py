@@ -326,6 +326,29 @@ class TestConfigFile:
         assert err.startswith("error:") and line.split()[0] in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "value, revealed",
+        [("1", True), ("TRUE", True), ("On", True), ("no", False), ("Off", False),
+         ("ture", None), ("2", None), ("", None), ("y", None)],
+    )
+    def test_config_switch_takes_only_boolean_words(
+        self, capsys, tmp_path, value, revealed
+    ):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "t.json"
+        cfg.write_text(f"reveal_keys = {value}\n")
+        code, _, err = run(
+            capsys, "trace", "join", "--group-size", "4", "--degree", "2",
+            "--config", str(cfg), "--out", str(out),
+        )
+        if revealed is None:
+            assert code == 2
+            assert err.startswith("error:") and "reveal_keys" in err
+            assert not out.exists()
+        else:
+            assert code == 0, err
+            nodes = json.loads(out.read_text())["tree_after"]["nodes"]
+            assert any("bits" in n for n in nodes) == revealed
+
     def test_bad_config_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n")
