@@ -175,8 +175,9 @@ def detection_experiment(
     into chunks of ``DETECTION_CHUNK``.  Each chunk draws its kinds with
     ``rng.integers(4, size=chunk, dtype=np.uint32)``, which gives the
     values and draws of the default 64-bit call, and then ``tap_decoys``'s
-    draws over them.  ``tap_decoys`` is the kernel a session's ``AdversarialChannel``
-    applies, and the counts come from its masks, with no readings built.
+    draws over them.  ``tap_decoys`` is the kernel a session's
+    ``AdversarialChannel`` applies, and the counts come from its masks,
+    with no readings built.
     A run of at most one chunk thus draws the kinds of every decoy in one
     array, and longer runs draw chunk after chunk in the kernel's order.  A
     trial cut by chunk boundaries is still detected once, and the rates are

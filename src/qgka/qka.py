@@ -280,13 +280,13 @@ def _checked_hops(
 
     The sender prepares each sequence's decoys, whose kinds the phase drew
     as ``kinds``; the channel may tamper with them, and the receiver
-    measures each in its announced basis.  The bases/positions announcement plus the
-    verification reply count as one classical exchange per sequence that
-    has decoys.  The channel carries all the decoys of the phase in one
-    call and returns the mask of those read wrong; without a channel every
-    decoy reads back right.  Returns False
-    when a sequence reads wrong; the sequences after the first such one are
-    never sent, so the counters stop with it.
+    measures each in its announced basis.  The bases/positions announcement
+    plus the verification reply count as one classical exchange per
+    sequence that has decoys.  The channel carries all the decoys of the
+    phase in one call and returns the mask of those read wrong; without a
+    channel every decoy reads back right.  Returns False when a sequence
+    reads wrong; the sequences after the first such one are never sent, so
+    the counters stop with it.
     """
     total, payload, messages = hops.decoy_qubits, hops.payload_qubits, hops.messages
     ok = True

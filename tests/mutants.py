@@ -306,7 +306,7 @@ MUTANTS = [
         "src/qgka/adversary.py",
         "            return np.zeros(len(kinds), dtype=bool)\n",
         "            return rng.integers(2, size=len(kinds)) > 1\n",
-        (f"{TAPS}::test_inactive_channel_misreads_nothing_and_draws_nothing",),
+        (CHANNEL_MISREADS,),
     ),
     Mutant(
         "checked-hops-inverts-mask",
