@@ -770,8 +770,7 @@ def _stream_run(d, users, n, xi, events, channel=None, seed=3):
     rekey messages each committed event sent (None for an abort)."""
     rng = np.random.default_rng(seed)
     tree = KeyTree.build_balanced(d, [f"u{i}" for i in range(1, users + 1)], n, rng)
-    config = ProtocolConfig(key_len=n, xi=xi, track_history=True)
-    proto = GroupProtocol(tree, config, rng, channel)
+    proto = GroupProtocol(tree, ProtocolConfig(key_len=n, xi=xi), rng, channel)
     digests, sent = [], []
     for kind, user in events:
         try:
@@ -804,15 +803,15 @@ class TestEventStream:
         digests, sent = _stream_run(4, 3, 4, 0.0, events)
         assert sent[0] == 0  # u1 and u3 under the root, each alone
         assert digests == [
-            "0dd3f2363816", "e767ca0753ed", "caec8e5c5e90", "1614cb8282aa",
+            "691b3063d8a3", "2ee8457f1f61", "9202fd1a4420", "7dde0c3a0e20",
         ]
 
     def test_long_keys_without_decoys(self):
         digests, sent = _stream_run(4, 10, 256, 0.0, _CHURN)
         assert None not in sent
         assert digests == [
-            "76f7d7887036", "41cc0ff36749", "cfa7cdc431ab", "f549339350f0",
-            "1c3ba7592d14", "2b4f46943143", "0899e0d37555", "ae1df8f0162c",
+            "1e1be76fbe1c", "babee5788b18", "65631cae5637", "69c546bef46d",
+            "bb4efd90de06", "60a58abb6d21", "0d63b3d98c74", "8fa534b92853",
         ]
 
     def test_attacked_channel_with_aborts(self):
@@ -821,7 +820,7 @@ class TestEventStream:
         digests, sent = _stream_run(3, 12, 8, 0.25, events, channel)
         assert None in sent and any(sent)
         assert digests == [
-            "b24ea1810e00", "fb954948a548", "112304f1f43d", "8bb986537664",
-            "70595ce69d28", "1fdace605129", "f7d0f36628a8", "9da453ff610f",
-            "b30bfc0ba36f", "f3b9d893a634", "e28cd5a4cbd5",
+            "3727b5f9042e", "0912722bb72d", "278239433741", "879e8520efeb",
+            "6f74f8e37eb6", "a12e53193083", "38fc4c0df200", "942c6d42e542",
+            "0cb9c30d6f97", "0293593de0bd", "0fd52f0b10d1",
         ]
