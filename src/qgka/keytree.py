@@ -106,9 +106,13 @@ def flatten(rope: Rope, out: Optional[list[str]] = None) -> list[str]:
     return out
 
 
+def bits_text(bits: np.ndarray) -> str:
+    """A 0/1 array as a string of '0' and '1', its rows end to end."""
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
 def random_bits(n: int, rng: np.random.Generator) -> str:
-    bits = rng.integers(0, 2, size=n)
-    return (bits + 48).astype(np.uint8).tobytes().decode("ascii")
+    return bits_text(rng.integers(0, 2, size=n))
 
 
 class KeyTree:
@@ -318,7 +322,7 @@ class KeyTree:
         for start in range(0, len(k_nodes), rows):
             block = k_nodes[start : start + rows]
             draw = rng.integers(0, 2, size=(len(block), key_len))
-            text = (draw.astype(np.uint8) + ord("0")).tobytes().decode()
+            text = bits_text(draw)
             for i, node in enumerate(block):
                 node.key = GroupKey(node.id, 1, text[i * key_len : (i + 1) * key_len])
         return tree

@@ -91,6 +91,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .counters import ResourceCounters
+from .keytree import bits_text
 
 # The scalar quantum layer.  The engine calls none of these functions; they
 # stay bound here because perfbench/workloads.py counts quantum-layer calls
@@ -363,7 +364,7 @@ def extract_shared(
 
 def _bit_rows(bits: np.ndarray) -> list[str]:
     """Each row of a 0/1 array as a string of '0' and '1'."""
-    text = (bits + 48).astype(np.uint8).tobytes().decode("ascii")
+    text = bits_text(bits)
     width = bits.shape[-1]
     return [text[i : i + width] for i in range(0, len(text), width)]
 
