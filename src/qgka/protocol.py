@@ -16,10 +16,11 @@ one event touch disjoint keys.  Their random draws and channel checks are
 made in order, root key first, with a leave's agents each chosen just
 before their session by index into a subgroup in tree order, the leaver not
 counted (``KeyTree.user_at``); then all of them are measured and extracted
-in one stacked pass (``qka.finish_sessions``).  An aborted session, the first in order, ends
-the event before anything changed, so the tree, views, history, step and
-counters stay as they were; the resources an aborted event spent, every
-drawn session's included, go to ``aborted_counters``.
+in one stacked pass (``qka.finish_sessions``).  An aborted session, the
+first in order, ends the event before anything changed, so the tree, views,
+step and counters stay as they were; the resources an aborted event spent,
+every drawn session's included, go to ``aborted_counters``.  Membership
+history and the secrecy game live beside the protocol (``qgka.history``).
 
 Members hold the tree's keys on their paths, except where an entry, kept
 per key and node, says that every user under the node holds another
@@ -40,12 +41,12 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .counters import ResourceCounters
-from .keytree import GroupKey, KeyTree, KeyTreeError, Rope, flatten, random_bits
+from .keytree import GroupKey, KeyTree, KeyTreeError, random_bits
 from .qka import (
     ChannelModel,
     QkaConfig,
@@ -61,8 +62,6 @@ from .rekey import (
     build_join_messages,
     build_leave_messages,
     decrypt_key,
-    encrypt_key,
-    try_unwrap,
 )
 
 SERVER_ID = "s"
@@ -90,7 +89,6 @@ class ProtocolConfig:
     xi: float = 0.0
     # or "first": first in tree order, the lowest id on a fresh tree
     agent_selection: str = "random"
-    track_history: bool = False
 
     def __post_init__(self) -> None:
         if self.agent_selection not in ("random", "first"):
@@ -104,16 +102,6 @@ class GroupEvent:
     kind: str  # "join" or "leave"
     user: str
     timestamp: int  # integer event step
-
-
-@dataclass(slots=True)
-class Stay:
-    """One membership of a user id: the steps ``[joined, left)``, ``left``
-    None while it lasts.  A key is held in the last stay that its holder
-    joined at or before the step she got it (``GroupProtocol.held``)."""
-
-    joined: int
-    left: Optional[int] = None
 
 
 @dataclass
@@ -413,16 +401,8 @@ class GroupProtocol:
         # members hold the tree's keys until an event pins one
         self._entries = _Entries(tree)
         self.views: Mapping[str, MemberView] = _Members(self._entries)
-        # written only with history tracking, like the probes; ``held`` has
-        # one (key, its holders' rope, step they got it) per key version
-        self.stays: dict[str, list[Stay]] = {}
-        self.held: list[tuple[GroupKey, Rope, int]] = []
-        self.probes: list[tuple[int, SimCipherText]] = []
         # item -> (wrapping key, opened key) over one event's messages
         self._opened: dict[SimCipherText, tuple[GroupKey, GroupKey]] = {}
-        if config.track_history:
-            self.stays = {uid: [Stay(0)] for uid in tree.users()}
-            self.held = [(n.key, n.users, 0) for n in tree.nodes.values()]
 
     # ------------------------------------------------------------------ #
 
@@ -526,38 +506,18 @@ class GroupProtocol:
         messages: list[RekeyMessage],
         counters: ResourceCounters,
     ) -> EventTrace:
-        """Close a delivered event and trace it.
-
-        With history tracking, a joiner opens a stay, a leaver's stay ends,
-        each updated key is recorded with the rope of the users now under
-        it, a joiner's registration key with her alone, and a probe is sent
-        under the new group key.
-        """
+        """Close a delivered event and trace it."""
         for key_id in updated:
             self._entries.merge(key_id)
         self.counters.merge(counters)
-        tree = self.tree
-        new_material = {kid: tree.key(kid) for kid in updated}
-        if self.config.track_history:
-            step = self.step
-            if kind == "join":
-                self.stays.setdefault(user_id, []).append(Stay(step))
-                reg = tree.key(tree.individual_key(user_id))
-                self.held.append((reg, user_id, step))
-            else:
-                self.stays[user_id][-1].left = step
-            self.held += [(k, tree.rope(k.key_id), step) for k in new_material.values()]
-            root_key = tree.key(tree.root)  # type: ignore[arg-type]
-            probe = GroupKey("probe", step, random_bits(tree.key_len, self.rng))
-            self.probes.append((step, encrypt_key(root_key, probe, self.rng.bytes(8))))
         return EventTrace(
             event=GroupEvent(kind, user_id, self.step),
             updated_keys=updated,
             sessions=sessions,
             messages=messages,
             counters=counters,
-            tree_stats=tree.stats(),
-            new_material=new_material,
+            tree_stats=self.tree.stats(),
+            new_material={kid: self.tree.key(kid) for kid in updated},
         )
 
     # ------------------------------------------------------------------ #
@@ -637,56 +597,6 @@ class GroupProtocol:
         )
 
     # ------------------------------------------------------------------ #
-
-    def secrecy_failures(
-        self, ciphertexts: Iterable[tuple[int, SimCipherText]] = ()
-    ) -> list[str]:
-        """Play the secrecy game over the recorded probes plus ``ciphertexts``.
-
-        Every ciphertext comes with the step that sent it.  A key held during
-        a stay may open only what was sent in its ``[joined, left)``: nothing
-        from before the join (backward secrecy) or from the leave step on,
-        that leave's own rekey messages included (forward secrecy).  Opening
-        needs the exact (id, version, bits) key, so the ciphertexts are
-        indexed once by (id, version).  A key version of ``held`` is tried
-        once on each ciphertext under it that a holder may not open; what
-        was sent at the step they got it, all of them may.  The probe
-        recorded after the latest committed event is under the current root
-        key.  Requires history tracking.
-        """
-        if not self.config.track_history:
-            raise ValueError("secrecy checks need track_history=True")
-        sent = [*self.probes, *ciphertexts]
-        under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
-        for i, (_, ct) in enumerate(sent):
-            under.setdefault((ct.enc_key_id, ct.enc_version), []).append(i)
-        opened: dict[tuple[str, int], set[int]] = {}  # by (user id, stay index)
-        for key, rope, got in self.held:
-            sent_under = under.get((key.key_id, key.version), ())
-            others = [i for i in sent_under if sent[i][0] != got]
-            opens: dict[int, bool] = {}  # by position, once for all holders
-            for uid in flatten(rope) if others else ():
-                stays = self.stays[uid]
-                at = len(stays) - 1
-                while stays[at].joined > got:
-                    at -= 1
-                stay = stays[at]
-                left = float("inf") if stay.left is None else stay.left
-                for i in others:
-                    if not stay.joined <= sent[i][0] < left:
-                        if i not in opens:
-                            opens[i] = try_unwrap(key, sent[i][1]) is not None
-                        if opens[i]:
-                            opened.setdefault((uid, at), set()).add(i)
-        failures: list[str] = []
-        for uid, stays in self.stays.items():
-            for at, stay in enumerate(stays):
-                left = float("inf") if stay.left is None else stay.left
-                for i in sorted(opened.get((uid, at), ())):
-                    step = sent[i][0]
-                    who = f"departed {uid}" if step >= left else uid
-                    failures.append(f"{who} opened a ciphertext from step {step}")
-        return failures
 
     def verify_consistency(self, raise_on_mismatch: bool = False) -> dict:
         """Compare every member's view with its keyset projection.

@@ -198,46 +198,54 @@ MUTANTS = [
         "if False:",
         (f"{INSERT_REMOVE}::test_stale_user_entry_rejected",),
     ),
-    # one record per key version: its holders' rope and the step they got it
+    # a history beside the protocol: one stay per membership, one record per
+    # key version with its holders' rope and the step they got it
+    # each new key recorded with its previous version's holders, the users
+    # under it before the event changed the tree
     Mutant(
-        "holders-read-before-the-tree-changes",
-        "src/qgka/protocol.py",
-        "        path = self.tree.insert_user(user_id, registration)"
-        "  # deepest first\n",
-        "        self._ropes = {k: self.tree.rope(k) for k in point_path}\n"
-        "        path = self.tree.insert_user(user_id, registration)\n",
-        (f"{CONSISTENCY}::test_secrecy_probe_check", HELD_KEYS),
+        "stale-rope-recorded",
+        "src/qgka/history.py",
+        "        self.probes: list[tuple[int, SimCipherText]] = []\n",
+        "        self.probes: list[tuple[int, SimCipherText]] = []\n"
+        "        self._ropes = {n.id: n.users for n in tree.nodes.values()}\n",
+        (HELD_KEYS, STATEFUL),
         more=(
             (
-                "        updated = self.tree.remove_user(user_id)"
-                "  # deepest first\n",
-                "        self._ropes = "
-                "{k: self.tree.rope(k) for k in path_root_first}\n"
-                "        updated = self.tree.remove_user(user_id)\n",
-            ),
-            (
-                "(k, tree.rope(k.key_id), step)",
-                "(k, self._ropes.get(k.key_id, tree.rope(k.key_id)), step)",
+                "            (k, tree.rope(k.key_id), step)"
+                " for k in trace.new_material.values()\n"
+                "        ]\n",
+                "            (k, self._ropes.get(k.key_id, tree.rope(k.key_id)), step)"
+                " for k in trace.new_material.values()\n"
+                "        ]\n"
+                "        self._ropes.update("
+                "(k, tree.rope(k)) for k in trace.new_material)\n",
             ),
         ),
     ),
     Mutant(
+        "initial-member-has-no-stay",
+        "src/qgka/history.py",
+        "{uid: [Stay(0)] for uid in tree.users()}",
+        "{uid: [Stay(0)] for uid in tree.users()[1:]}",
+        (f"{CONSISTENCY}::test_secrecy_probe_check", STATEFUL),
+    ),
+    Mutant(
         "registration-key-not-recorded",
-        "src/qgka/protocol.py",
-        "                self.held.append((reg, user_id, step))\n",
+        "src/qgka/history.py",
+        "            self.held.append((reg, uid, step))\n",
         "",
         (HELD_KEYS, STATEFUL),
     ),
     Mutant(
         "first-stay-taken-for-the-last",
-        "src/qgka/protocol.py",
+        "src/qgka/history.py",
         "                at = len(stays) - 1\n",
         "                at = 0\n",
         (f"{CONSISTENCY}::test_rejoined_id_opens_only_its_own_stays", STATEFUL),
     ),
     Mutant(
         "same-step-skip-widened",
-        "src/qgka/protocol.py",
+        "src/qgka/history.py",
         "if sent[i][0] != got]",
         "if abs(sent[i][0] - got) > 1]",
         (f"{CONSISTENCY}::test_secrecy_checker_reports_leaked_keys",),

@@ -13,13 +13,14 @@ member's view with its keyset projection, one user at a time, the reference
 for ``GroupProtocol.verify_consistency``, which compares only the users
 whose keys have not settled.
 
-``stays_with_keys`` lists every stay of every user id with the keys held in
-it, one holder of one recorded key version at a time, and
-``per_stay_failures`` plays the secrecy game one stay at a time over such a
-listing, trying each key of a stay on every ciphertext under its id and
-version sent outside the stay: the references for the protocol's key
-records and ``GroupProtocol.secrecy_failures``, which keeps each key
-version once and unwraps a ciphertext once per key, not once per holder.
+``stays_with_keys`` lists every stay of every user id in a
+``qgka.history.History`` with the keys held in it, one holder of one
+recorded key version at a time, and ``per_stay_failures`` plays the secrecy
+game one stay at a time over such a listing, trying each key of a stay on
+every ciphertext under its id and version sent outside the stay: the
+references for the history's key records and ``History.secrecy_failures``,
+which keeps each key version once and unwraps a ciphertext once per key,
+not once per holder.
 
 ``dfs_height`` and ``scan_join_point`` walk the whole key tree, the
 references for the tree's cached height and join summaries, ``depth``
@@ -86,6 +87,7 @@ from qgka.quantum import (
     measure_entangled,
     random_decoy,
 )
+from qgka.history import History
 from qgka.protocol import GroupProtocol
 from qgka.rekey import (
     MissingKeyError,
@@ -189,14 +191,14 @@ def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
     return installed
 
 
-def stays_with_keys(proto: GroupProtocol) -> dict[str, list[StayKeys]]:
-    """Every stay of every user id, with the keys of ``proto.held`` that
+def stays_with_keys(history: History) -> dict[str, list[StayKeys]]:
+    """Every stay of every user id, with the keys of ``history.held`` that
     its holders got while it lasted, one holder at a time."""
     stays = {
         uid: [(s.joined, s.left, set()) for s in user_stays]
-        for uid, user_stays in proto.stays.items()
+        for uid, user_stays in history.stays.items()
     }
-    for key, rope, got in proto.held:
+    for key, rope, got in history.held:
         held = astuple(key)
         for uid in flatten(rope):
             _, _, keys = next(s for s in reversed(stays[uid]) if s[0] <= got)
@@ -207,7 +209,7 @@ def stays_with_keys(proto: GroupProtocol) -> dict[str, list[StayKeys]]:
 def per_stay_failures(
     stays: dict[str, list[StayKeys]], sent: Sequence[tuple[int, SimCipherText]]
 ) -> list[str]:
-    """``GroupProtocol.secrecy_failures``'s report over ``sent``, the
+    """``History.secrecy_failures``'s report over ``sent``, the
     ciphertexts with their send steps, by trying every key of every stay."""
     under: dict[tuple[str, int], list[int]] = {}  # positions in ``sent``
     for i, (_, ct) in enumerate(sent):

@@ -19,6 +19,7 @@ from qgka.cost import (
     tree_join_cost,
     tree_leave_cost,
 )
+from qgka.history import History
 from qgka.keytree import GroupKey, KeyTree
 from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
 from qgka.quantum import (
@@ -232,9 +233,8 @@ def test_c10_secrecy_games_over_churn():
     start = time.monotonic()
     rng = np.random.default_rng(2026)
     tree = KeyTree.build_balanced(4, _users(256), 1, rng)
-    proto = GroupProtocol(
-        tree, ProtocolConfig(key_len=1, xi=0.0, track_history=True), rng
-    )
+    proto = GroupProtocol(tree, ProtocolConfig(key_len=1, xi=0.0), rng)
+    history = History(proto)
     ciphertexts: list[tuple[int, object]] = []
     next_uid = 257
     for _ in range(1000):
@@ -244,6 +244,7 @@ def test_c10_secrecy_games_over_churn():
         else:
             members = proto.tree.users()
             trace = proto.leave(members[int(rng.integers(len(members)))])
+        history.record(trace)
         seen: set[int] = set()
         for m in trace.messages:
             for item in m.items:
@@ -257,7 +258,7 @@ def test_c10_secrecy_games_over_churn():
     # (backward secrecy) or at or after its leave (forward secrecy); opening
     # needs an exact (id, version, bits) match, and the checker decrypts
     # exactly the pairs that match on (id, version).
-    failures = proto.secrecy_failures(ciphertexts)
+    failures = history.secrecy_failures(ciphertexts)
     assert failures == []
 
     # A random sample of (departed key, later ciphertext) pairs is also
@@ -266,7 +267,7 @@ def test_c10_secrecy_games_over_churn():
     sample_rng = np.random.default_rng(7)
     ended = [  # (leave step, sorted keys) per ended stay, by user id
         (left, sorted(keys))
-        for _, stays in sorted(stays_with_keys(proto).items())
+        for _, stays in sorted(stays_with_keys(history).items())
         for _, left, keys in stays
         if left is not None
     ]
@@ -285,7 +286,7 @@ def test_c10_secrecy_games_over_churn():
     _report(
         10,
         f"1000 events, {len(ended)} leavers, 0 violations over "
-        f"{len(ciphertexts)} ciphertexts and {len(proto.probes)} probes "
+        f"{len(ciphertexts)} ciphertexts and {len(history.probes)} probes "
         f"in {elapsed:.1f}s",
     )
 
@@ -294,7 +295,8 @@ def test_c10_secrecy_game_over_attacked_churn_at_4096():
     # beside c10: the game at a size and key length c10 cannot reach, with
     # aborted events among the committed ones
     start = time.monotonic()
-    proto = _protocol(4, 4096, seed=2027, n=16, xi=0.25, track_history=True)
+    proto = _protocol(4, 4096, seed=2027, n=16, xi=0.25)
+    history = History(proto)
     channel = AdversarialChannel(EveStrategy("intercept_resend", 0.01))
     events = np.random.default_rng(2028)
     ciphertexts: list[tuple[int, object]] = []
@@ -310,9 +312,10 @@ def test_c10_secrecy_game_over_attacked_churn_at_4096():
         except ProtocolAbort:
             aborts += 1
             continue
+        history.record(trace)
         items = {id(item): item for m in trace.messages for item in m.items}
         ciphertexts += [(proto.step, item) for item in items.values()]
-    failures = proto.secrecy_failures(ciphertexts)
+    failures = history.secrecy_failures(ciphertexts)
     elapsed = time.monotonic() - start
     assert failures == [] and aborts > 0
     assert elapsed < 10.0

@@ -13,6 +13,7 @@ from qgka import qka
 from qgka.adversary import AdversarialChannel, EveStrategy
 from qgka.keytree import GroupKey, KeyTree, KeyTreeError
 from qgka.counters import ResourceCounters
+from qgka.history import History
 from qgka.protocol import (
     SERVER_ID,
     ConsistencyError,
@@ -58,9 +59,6 @@ def snapshot(proto):
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()},
-        list(proto.held),
-        len(proto.probes),
     )
 
 
@@ -121,13 +119,14 @@ class TestJoin:
     def test_server_id_refused_before_any_change(self):
         # the server takes part in every session, so a user named like it
         # would appear twice in one
-        proto = fresh_protocol(4, 9, track_history=True)
+        proto = fresh_protocol(4, 9)
+        history = History(proto)
         before = snapshot(proto), proto.aborted_counters.as_dict()
         with pytest.raises(ValueError, match="server"):
             proto.join(SERVER_ID)
         assert (snapshot(proto), proto.aborted_counters.as_dict()) == before
         assert proto.verify_consistency()["consistent"]
-        assert proto.secrecy_failures() == []
+        assert history.secrecy_failures() == []
 
     def test_tree_holding_server_id_refused(self):
         rng = np.random.default_rng(1)
@@ -303,10 +302,11 @@ class TestRollback:
         tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(40)], 4, rng)
         proto = GroupProtocol(
             tree,
-            ProtocolConfig(key_len=4, xi=0.5, track_history=True),
+            ProtocolConfig(key_len=4, xi=0.5),
             rng,
             channel=AdversarialChannel(EveStrategy("intercept_resend", 0.1)),
         )
+        history = History(proto)
 
         def state():
             return snapshot(proto)
@@ -318,17 +318,18 @@ class TestRollback:
             sessions.clear()
             try:
                 if events.random() < 0.5 or proto.tree.group_size() <= 2:
-                    proto.join(f"u{next_uid}")
+                    trace = proto.join(f"u{next_uid}")
                     next_uid += 1
                 else:
                     members = proto.tree.users()
-                    proto.leave(members[int(events.integers(len(members)))])
+                    trace = proto.leave(members[int(events.integers(len(members)))])
             except ProtocolAbort as exc:
                 assert exc.cause == "eavesdropper"
                 assert state() == before
                 aborts += 1
                 partial_aborts += sessions.count(False) > 0
             else:
+                history.record(trace)
                 commits += 1
             proto.tree.check_invariants()
         assert partial_aborts >= 1
@@ -340,7 +341,7 @@ class TestRollback:
         )
         report = proto.verify_consistency()
         assert report["consistent"], report
-        assert proto.secrecy_failures() == []
+        assert history.secrecy_failures() == []
 
 
 class TestTamperAbort:
@@ -360,12 +361,13 @@ class TestTamperAbort:
         tree = KeyTree.build_balanced(3, [f"u{i + 1}" for i in range(27)], 4, rng)
         proto = GroupProtocol(
             tree,
-            ProtocolConfig(key_len=4, xi=0.5, track_history=True),
+            ProtocolConfig(key_len=4, xi=0.5),
             rng,
             channel=channel,
         )
-        proto.join("u28")
-        proto.leave("u5")
+        history = History(proto)
+        history.record(proto.join("u28"))
+        history.record(proto.leave("u5"))
         drawn = []
         real_draw, real_measure = protocol_module.draw_session, qka.measure_positions
 
@@ -398,7 +400,7 @@ class TestTamperAbort:
         assert spent.entangled_measurements == 4 * len(drawn)
         proto.tree.check_invariants()
         assert proto.verify_consistency()["consistent"]
-        assert proto.secrecy_failures() == []
+        assert history.secrecy_failures() == []
 
     def test_first_aborted_session_names_the_cause(self, monkeypatch):
         # the first session is tampered with and the second meets an
@@ -468,57 +470,88 @@ class TestConsistency:
             proto.verify_consistency(raise_on_mismatch=True)
 
     def test_secrecy_probe_check(self):
-        proto = fresh_protocol(3, 9, track_history=True)
-        proto.leave("u9")
-        proto.join("u10")
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        history.record(proto.leave("u9"))
+        history.record(proto.join("u10"))
         assert proto.verify_consistency()["consistent"]
-        assert proto.secrecy_failures() == []
+        assert history.secrecy_failures() == []
 
     def test_secrecy_checker_reports_leaked_keys(self):
-        proto = fresh_protocol(3, 9, track_history=True)
-        proto.leave("u9")  # step 1, whose probe is under this group key
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        history.record(proto.leave("u9"))  # step 1, probed under this group key
         leaked = proto.tree.key(proto.tree.root)
-        proto.join("u10")  # step 2
+        history.record(proto.join("u10"))  # step 2
         # the leaver holds the group key of the leave's own step, the joiner
         # one from before the join; the joiner's own step-2 keys stay legal
         for uid in ("u9", "u10"):
-            proto.held.append((leaked, uid, proto.stays[uid][-1].joined))
+            history.held.append((leaked, uid, history.stays[uid][-1].joined))
         expected = [
             "departed u9 opened a ciphertext from step 1",
             "u10 opened a ciphertext from step 1",
         ]
-        assert proto.secrecy_failures() == expected
-        assert per_stay_failures(stays_with_keys(proto), proto.probes) == expected
-        with pytest.raises(ValueError):
-            fresh_protocol(3, 9).secrecy_failures()
+        assert history.secrecy_failures() == expected
+        assert per_stay_failures(stays_with_keys(history), history.probes) == expected
+
+    def test_history_refuses_a_protocol_past_step_0(self):
+        proto = fresh_protocol(3, 9)
+        proto.leave("u9")
+        with pytest.raises(ValueError, match="step 0"):
+            History(proto)
+
+    def test_history_refuses_a_trace_that_is_not_the_next_step(self):
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        first = proto.leave("u9")
+        second = proto.join("u10")
+        with pytest.raises(ValueError, match="step 2 is not the next step, 1"):
+            history.record(second)
+        # the next step, but the tree has moved on since
+        with pytest.raises(ValueError, match="step 1 is not the protocol's latest"):
+            history.record(first)
+        assert history.probes == [] and history.stays["u9"][-1].left is None
+
+    def test_game_refuses_a_history_behind_its_protocol(self):
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        history.record(proto.leave("u9"))
+        proto.join("u10")  # not recorded
+        with pytest.raises(ValueError, match="at step 2, the history at 1"):
+            history.secrecy_failures()
 
     def test_rejoined_id_opens_only_its_own_stays(self):
         # a user id that leaves and joins again has two stays; the probe of
         # the rejoin step is under a key of the second
-        proto = fresh_protocol(3, 9, track_history=True)
-        proto.leave("u3")  # step 1
-        proto.join("u10")  # step 2
-        proto.join("u3")  # step 3
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        history.record(proto.leave("u3"))  # step 1
+        history.record(proto.join("u10"))  # step 2
+        history.record(proto.join("u3"))  # step 3
         trace = proto.join("u11")  # step 4, sent under keys u3 got at step 3
+        history.record(trace)
         sent = [(4, item) for m in trace.messages for item in m.items]
-        assert proto.secrecy_failures(sent) == []
-        assert [(s.joined, s.left) for s in proto.stays["u3"]] == [(0, 1), (3, None)]
+        assert history.secrecy_failures(sent) == []
+        stays = [(s.joined, s.left) for s in history.stays["u3"]]
+        assert stays == [(0, 1), (3, None)]
 
     def test_ended_stay_key_opening_a_later_stay_is_reported(self):
-        proto = fresh_protocol(3, 9, track_history=True)
-        proto.leave("u3")
-        proto.join("u10")
-        proto.join("u3")  # step 3, whose probe is under this group key
+        proto = fresh_protocol(3, 9)
+        history = History(proto)
+        history.record(proto.leave("u3"))
+        history.record(proto.join("u10"))
+        history.record(proto.join("u3"))  # step 3, probed under this group key
         root_key = proto.tree.key(proto.tree.root)
-        proto.held.append((root_key, "u3", proto.stays["u3"][0].joined))
+        history.held.append((root_key, "u3", history.stays["u3"][0].joined))
         expected = ["departed u3 opened a ciphertext from step 3"]
-        assert proto.secrecy_failures() == expected
-        assert per_stay_failures(stays_with_keys(proto), proto.probes) == expected
+        assert history.secrecy_failures() == expected
+        assert per_stay_failures(stays_with_keys(history), history.probes) == expected
 
     def test_each_stay_holds_the_keys_its_member_held(self):
         # every key a member's view held during a stay, rejoins included, is
         # recorded with her among its holders at a step of that stay
-        proto = fresh_protocol(3, 12, seed=5, n=4, xi=0.25, track_history=True)
+        proto = fresh_protocol(3, 12, seed=5, n=4, xi=0.25)
+        history = History(proto)
         model = {
             u: [[0, None, set(map(astuple, v.keys.values()))]]
             for u, v in proto.views.items()
@@ -528,19 +561,19 @@ class TestConsistency:
             departed = [u for u in model if u not in proto.views]
             if departed and events.random() < 0.3:
                 uid = departed[int(events.integers(len(departed)))]
-                proto.join(uid)
+                history.record(proto.join(uid))
                 model[uid].append([step, None, set()])
             elif events.random() < 0.5 or proto.tree.group_size() <= 2:
-                proto.join(f"u{100 + step}")
+                history.record(proto.join(f"u{100 + step}"))
                 model[f"u{100 + step}"] = [[step, None, set()]]
             else:
                 members = proto.tree.users()
                 uid = members[int(events.integers(len(members)))]
-                proto.leave(uid)
+                history.record(proto.leave(uid))
                 model[uid][-1][1] = step
             for uid, view in proto.views.items():
                 model[uid][-1][2].update(map(astuple, view.keys.values()))
-        assert stays_with_keys(proto) == {
+        assert stays_with_keys(history) == {
             u: [tuple(stay) for stay in stays] for u, stays in model.items()
         }
 
@@ -764,22 +797,34 @@ class TestTraceShape:
         assert len(trace.sessions) == len(trace.updated_keys)
 
 
-def _stream_run(d, users, n, xi, events, channel=None, seed=3):
-    """Per event of ``events``, a short digest of the generator state after
-    it and of its full trace, or of its abort cause; with the number of
-    rekey messages each committed event sent (None for an abort)."""
+def _stream(d, users, n, xi, events, channel=None, seed=3, history=False):
+    """Per event of ``events``, its full trace or its abort cause, the
+    generator state after it and the number of rekey messages it sent (None
+    for an abort); with ``history``, a ``History`` records every committed
+    event."""
     rng = np.random.default_rng(seed)
     tree = KeyTree.build_balanced(d, [f"u{i}" for i in range(1, users + 1)], n, rng)
     proto = GroupProtocol(tree, ProtocolConfig(key_len=n, xi=xi), rng, channel)
-    digests, sent = [], []
+    recorder = History(proto) if history else None
     for kind, user in events:
         try:
             trace = getattr(proto, kind)(user)
         except ProtocolAbort as abort:
-            record, count = ["abort", abort.cause], None
-        else:
-            record, count = trace.to_dict(reveal_keys=True), len(trace.messages)
-        doc = json.dumps([rng.bit_generator.state, record])
+            yield ["abort", abort.cause], rng.bit_generator.state, None
+            continue
+        if recorder is not None:
+            recorder.record(trace)
+        record = trace.to_dict(reveal_keys=True)
+        yield record, rng.bit_generator.state, len(trace.messages)
+
+
+def _stream_run(d, users, n, xi, events, channel=None, seed=3):
+    """Per event of ``events``, a short digest of the generator state after
+    it and of its full trace, or of its abort cause; with the number of
+    rekey messages each committed event sent (None for an abort)."""
+    digests, sent = [], []
+    for record, state, count in _stream(d, users, n, xi, events, channel, seed):
+        doc = json.dumps([state, record])
         digests.append(hashlib.sha256(doc.encode()).hexdigest()[:12])
         sent.append(count)
     return digests, sent
@@ -824,3 +869,18 @@ class TestEventStream:
             "6f74f8e37eb6", "a12e53193083", "38fc4c0df200", "942c6d42e542",
             "0cb9c30d6f97", "0293593de0bd", "0fd52f0b10d1",
         ]
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_history_draws_nothing(self, attacked):
+        # the same seeded events with and without a history attached give
+        # the same trace and generator state after every event
+        channel = None
+        if attacked:
+            channel = AdversarialChannel(EveStrategy("intercept_resend", 0.05))
+        events = _CHURN + [("join", "u24"), ("leave", "u7"), ("join", "u25")]
+        plain, recorded = (
+            list(_stream(3, 12, 8, 0.25, events, channel, history=history))
+            for history in (False, True)
+        )
+        assert recorded == plain
+        assert (None in [count for _, _, count in plain]) == attacked

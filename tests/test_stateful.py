@@ -15,10 +15,11 @@ node counter and user map included, and the protocol's state, its entries
 included, untouched.  Departed user ids join again.  The test keeps its
 own stays, from the events and the views: a committed event opens the
 joiner's stay, ends the leaver's and adds to each member's current stay the
-keys she now holds.  The protocol's stays must equal them, the keys that
-its key records give each stay too, and the secrecy game over the probes
-and every committed rekey ciphertext must report what the per-stay
-reference game reports over them: nothing.  Every committed event's
+keys she now holds.  A ``History``, attached at the start and given every
+committed event's trace, must keep the same stays, the keys that its key
+records give each stay too, and the secrecy game over its probes and every
+committed rekey ciphertext must report what the per-stay reference game
+reports over them: nothing.  Every committed event's
 messages are kept, and each must list the recipients it listed when sent
 after every later step.
 """
@@ -36,6 +37,7 @@ from hypothesis.stateful import (
 )
 
 from qgka.adversary import AdversarialChannel, EveStrategy
+from qgka.history import History
 from qgka.keytree import KeyTree
 from qgka.protocol import GroupProtocol, ProtocolAbort, ProtocolConfig
 
@@ -77,9 +79,6 @@ def protocol_state(proto: GroupProtocol) -> tuple:
         {u: dict(v.keys) for u, v in proto.views.items()},
         proto.counters.as_dict(),
         proto.step,
-        {u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()},
-        list(proto.held),
-        len(proto.probes),
         {k: dict(at) for k, at in proto._entries.by_key.items()},
     )
 
@@ -92,8 +91,9 @@ class GroupChurn(RuleBasedStateMachine):
         rng = np.random.default_rng(seed)
         users = [f"u{i + 1}" for i in range(size)]
         tree = KeyTree.build_balanced(degree, users, 4, rng)
-        config = ProtocolConfig(key_len=4, xi=0.5, track_history=True)
+        config = ProtocolConfig(key_len=4, xi=0.5)
         self.proto = OracleDelivery(tree, config, rng)
+        self.history = History(self.proto)
         self.channel = AdversarialChannel(EveStrategy("intercept_resend", 0.15))
         self.next_uid = size + 1
         self.last_counters = self.proto.counters.as_dict()
@@ -130,6 +130,7 @@ class GroupChurn(RuleBasedStateMachine):
             return
         finally:
             proto.channel = None
+        self.history.record(trace)
         self.sent += [(m, m.recipients) for m in trace.messages]
         items = {id(item): item for m in trace.messages for item in m.items}
         self.ciphertexts += [(proto.step, item) for item in items.values()]
@@ -185,14 +186,14 @@ class GroupChurn(RuleBasedStateMachine):
 
     @invariant()
     def stays_keys_and_secrecy_match_the_reference(self):
-        proto = self.proto
+        history = self.history
         expected = {u: [tuple(s) for s in stays] for u, stays in self.stays.items()}
         assert {
-            u: [(s.joined, s.left) for s in stays] for u, stays in proto.stays.items()
+            u: [(s.joined, s.left) for s in stays] for u, stays in history.stays.items()
         } == {u: [s[:2] for s in stays] for u, stays in expected.items()}
-        assert stays_with_keys(proto) == expected
-        failures = proto.secrecy_failures(self.ciphertexts)
-        sent = [*proto.probes, *self.ciphertexts]
+        assert stays_with_keys(history) == expected
+        failures = history.secrecy_failures(self.ciphertexts)
+        sent = [*history.probes, *self.ciphertexts]
         assert failures == per_stay_failures(expected, sent) == []
 
 
