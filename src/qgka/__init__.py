@@ -7,6 +7,7 @@ Library layout:
 * ``keytree``   the tree key graph and its membership updates
 * ``rekey``     the simulated cipher and rekey message construction
 * ``protocol``  join/leave orchestration and per-node key delivery
+* ``history``   membership stays, key records and the secrecy game
 * ``cost``      closed-form qubit cost models and sweeps
 * ``adversary`` attack models and detection experiments
 * ``workload``  Poisson churn simulation and backend comparison
