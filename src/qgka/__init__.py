@@ -41,7 +41,6 @@ from .quantum import (
 )
 from .rekey import (
     AuthenticationError,
-    MissingKeyError,
     RekeyMessage,
     SimCipherText,
     decrypt_key,
@@ -60,7 +59,6 @@ __all__ = [
     "GroupProtocol",
     "KeyTree",
     "KeyTreeError",
-    "MissingKeyError",
     "Pauli",
     "ProtocolAbort",
     "ProtocolConfig",

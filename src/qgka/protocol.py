@@ -27,12 +27,15 @@ per key and node, says that every user under the node holds another
 version.  An event pins each key at its own node to the old value before
 the tree takes the new one.  A rekey message reaches the users under one
 node minus those under one node below it, so delivery asks once per item
-what all its recipients hold, enters each key once at that node and, where
-needed, once at the excluded node to keep what it held.  After the event,
-the same question asked at a key's own node drops that key's entries once
-every user under it holds the tree's value.  An event therefore touches
-only its path: the tree work, the sessions, the message addressing and the
-delivery grow with d and log_d N, not with the number of recipients.
+what its recipients hold, by subtrees that hold the same (on the honest
+path, the one node), and enters each key once per subtree that can open
+it, keeping what the excluded node held.  The rest keep what they held:
+an event whose sessions succeed always commits, and ``verify_consistency``
+reports who was left without a key.  After the event, the same question
+asked at a key's own node drops that key's entries once every user under
+it holds the tree's value.  An event therefore touches only its path: the
+tree work, the sessions, the message addressing and the delivery grow
+with d and log_d N, not with the number of recipients.
 ``views`` reads each member's keys off the tree and the entries on demand.
 """
 
@@ -56,12 +59,11 @@ from .qka import (
 )
 from .qka import run_session  # noqa: F401  (perfbench/workloads.py traces it)
 from .rekey import (
-    MissingKeyError,
     RekeyMessage,
     SimCipherText,
     build_join_messages,
     build_leave_messages,
-    decrypt_key,
+    try_unwrap,
 )
 
 SERVER_ID = "s"
@@ -137,10 +139,6 @@ class EventTrace:
                 for kid, k in self.new_material.items()
             }
         return d
-
-
-#: common()'s answer when the users do not all hold the same value
-_MIXED = object()
 
 
 class _Entries:
@@ -251,10 +249,12 @@ class _Entries:
         if keep is not None:
             self._settle(keep, key_id, old)
 
-    def common(self, top: str, key_id: str, keep: Optional[str] = None):
-        """What every user under ``top``, bar the users under the node
-        ``keep``, holds as ``key_id`` (None: none holds it), or ``_MIXED``
-        when they do not all hold the same.
+    def regions(
+        self, top: str, key_id: str, keep: Optional[str] = None
+    ) -> list[tuple[str, Optional[GroupKey]]]:
+        """The subtrees under ``top``, bar the one at the node ``keep``, in
+        which every user holds the same as ``key_id`` (None: none holds it),
+        each with that value; just ``[(top, value)]`` when they all agree.
 
         With no entry for the key, and not the key's own node, strictly
         below ``top``, that is what ``top`` holds, whatever ``keep`` leaves
@@ -267,7 +267,7 @@ class _Entries:
             y for y in (*at, key_id) if y != top and self._within(y, top, height)
         ]
         if not marks:
-            return self.lookup(top, key_id)
+            return [(top, self.lookup(top, key_id))]
         if keep is not None and keep != top and self._within(keep, top, height):
             marks.append(keep)
         below: set[str] = set()  # nodes with a mark under them
@@ -278,7 +278,7 @@ class _Entries:
                 if y == top:
                     break
                 y = nodes[y].parent  # type: ignore[assignment]
-        held: list[Optional[GroupKey]] = []
+        found: list[tuple[str, Optional[GroupKey]]] = []
         todo = [(top, self.lookup(nodes[top].parent, key_id))]
         while todo:
             node_id, value = todo.pop()
@@ -290,15 +290,18 @@ class _Entries:
                 continue
             if node_id in below:
                 todo.extend((c, value) for c in nodes[node_id].children)
-            elif value not in held:
-                held.append(value)
-        return held[0] if len(held) == 1 else _MIXED
+            else:
+                found.append((node_id, value))
+        if len({value for _, value in found}) == 1:
+            return [(top, found[0][1])]
+        return found
 
     def merge(self, key_id: str) -> None:
         """Drop the entries for ``key_id`` at and below its node once every
-        user under it holds the tree's value; otherwise leave them for
+        user under it holds the tree's value, when ``regions`` finds one
+        region there holding it; otherwise leave them for
         ``verify_consistency`` to report."""
-        if self.common(key_id, key_id) == self.tree.nodes[key_id].key:
+        if self.regions(key_id, key_id) == [(key_id, self.tree.nodes[key_id].key)]:
             for y in self.inside(key_id, key_id):
                 self._pop(y, key_id)
 
@@ -401,41 +404,40 @@ class GroupProtocol:
         # members hold the tree's keys until an event pins one
         self._entries = _Entries(tree)
         self.views: Mapping[str, MemberView] = _Members(self._entries)
-        # item -> (wrapping key, opened key) over one event's messages
-        self._opened: dict[SimCipherText, tuple[GroupKey, GroupKey]] = {}
+        # item -> (wrapping key, opened key or None) over one event's messages
+        self._opened: dict[
+            SimCipherText, tuple[Optional[GroupKey], Optional[GroupKey]]
+        ] = {}
 
     # ------------------------------------------------------------------ #
 
     def _deliver(self, message: RekeyMessage) -> None:
-        """Enter one message's keys for its recipients.
+        """Enter one message's keys for the recipients that can open them.
 
         The recipients are the users under the message's include node less
-        those under its exclude node.  Decryption is deterministic and every
-        recipient must hold the identical wrapping key, so each item asks
-        once what they all hold (``_Entries.common``), checks its version
-        and is unwrapped once with it.  An item that an earlier message of
-        the event opened under the same wrapping key is not unwrapped again.
-        Each opened key, never the tree's, is entered once at the include
-        node, and the exclude node keeps what it held.  Semantically
-        equivalent to each recipient decrypting every item with her own copy
-        of the wrapping key, the per-user form the test suite keeps as its
-        reference.
+        those under its exclude node.  Decryption is deterministic, so each
+        item asks once what they hold as its wrapping key, by regions that
+        hold the same (``_Entries.regions``; on the honest path, the include
+        node alone), and tries each region's key once with ``try_unwrap``,
+        or not again after an earlier message of the event did.  Each
+        opened key, never the tree's, is entered once at its region, the
+        include node's keeping what the exclude node held; a region that
+        cannot open an item keeps what it held.  Semantically equivalent to
+        each recipient trying every item with their own copy of the wrapping
+        key, the per-user form the test suite keeps as its reference.
         """
         entries, include, exclude = self._entries, message.include, message.exclude
-        opened: list[GroupKey] = []
+        opened: list[tuple[str, GroupKey]] = []
         for item in message.items:
-            wrap = entries.common(include, item.enc_key_id, exclude)
-            if wrap is _MIXED or wrap is None or wrap.version != item.enc_version:
-                raise MissingKeyError(
-                    f"a recipient under {include} lacks"
-                    f" {item.enc_key_id} v{item.enc_version}"
-                )
-            seen = self._opened.get(item)
-            if seen is None or seen[0] != wrap:
-                seen = self._opened[item] = (wrap, decrypt_key(wrap, item))
-            opened.append(seen[1])
-        for key in opened:
-            entries.put(include, key.key_id, key, exclude)
+            for node_id, wrap in entries.regions(include, item.enc_key_id, exclude):
+                seen = self._opened.get(item)
+                if seen is None or seen[0] != wrap:
+                    seen = self._opened[item] = (wrap, wrap and try_unwrap(wrap, item))
+                if seen[1] is not None:
+                    opened.append((node_id, seen[1]))
+        for node_id, key in opened:
+            keep = exclude if node_id == include else None
+            entries.put(node_id, key.key_id, key, keep)
 
     def _choose_agent(self, key_id: str, skip: set[str]) -> str:
         """The first or a random user under ``key_id`` in tree order, not

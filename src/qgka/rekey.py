@@ -18,6 +18,10 @@ event, messages must be applied in list order: leave-time messages for
 deeper keys precede the ones encrypted under them.  A message keeps the
 tree's immutable ropes of its send time (``KeyTree.rope``), and its
 recipient tuple is listed from them, in tree order, only when it is read.
+A recipient opens an item only with the wrapping key's exact id, version
+and bits (``try_unwrap``).  One that lacks it, say because an earlier
+message never reached it, cannot open the item and keeps what it held, as
+a real recipient would; nothing here raises for it.
 
 A build lists its sends first and then draws every message's 8-byte nonce
 from one ``rng.bytes`` call, sliced in send order; PCG64 fills bytes from
@@ -44,10 +48,6 @@ TAG_BYTES = 16
 
 class AuthenticationError(Exception):
     """Wrong key material, id, version, or a tampered ciphertext."""
-
-
-class MissingKeyError(Exception):
-    """An addressed recipient lacks the decryption key: a protocol bug."""
 
 
 def _key_bytes(key: GroupKey) -> bytes:
@@ -220,17 +220,11 @@ def build_join_messages(
     for j, (key_id, nonce) in enumerate(zip(path, _nonces(rng, len(path)))):
         new_key = tree.key(key_id)
         below = path[j + 1] if j + 1 < len(path) else tree.individual_key(joiner)
-        old = old_material.get(key_id)
-        if old is not None:
-            enc_key = old
-        else:
-            # fresh split node: its only other subtree is the displaced child
-            children = [c for c in tree.child_keys(key_id) if c != below]
-            if len(children) != 1:
-                raise MissingKeyError(
-                    f"no usable wrapping key for fresh path node {key_id}"
-                )
-            enc_key = tree.key(children[0])
+        enc_key = old_material.get(key_id)
+        if enc_key is None:
+            # a fresh split node: its children are the displaced target, first,
+            # and ``below``, the joiner's individual key
+            enc_key = tree.key(tree.child_keys(key_id)[0])
         ciphertexts.append(encrypt_key(enc_key, new_key, nonce, counters))
         # the joiner is under ``below``, on her own path, and ``key_id`` has
         # another child, so every path key has recipients

@@ -53,6 +53,8 @@ TAPS = "tests/test_adversary.py::TestTaps"
 FUSED_TAP = f"{TAPS}::test_fused_draw_matches_reference_draw_for_draw"
 CHANNEL_MISREADS = f"{TAPS}::test_channel_reports_the_reference_misreads"
 CHUNKED_EXPERIMENT = "tests/test_adversary.py::TestChunkedExperiment"
+UNDELIVERED = "tests/test_protocol.py::TestUndeliveredMessage"
+DROPPED_MESSAGES = f"{UNDELIVERED}::test_dropped_messages_match_per_user_delivery"
 
 MUTANTS = [
     Mutant(
@@ -265,19 +267,27 @@ MUTANTS = [
         "if y != node_id:",
         (f"{CONSISTENCY}::test_put_keeps_entries_under_a_kept_node",),
     ),
+    # delivery enters what each region of recipients can open
     Mutant(
-        "common-ignores-keep",
+        "regions-ignore-keep",
         "src/qgka/protocol.py",
         "            if node_id == keep:\n                continue\n",
         "",
-        (EVENT_STREAM, GOLDEN),
+        (DROPPED_MESSAGES,),
+    ),
+    Mutant(
+        "regions-coalesce-mixed",
+        "src/qgka/protocol.py",
+        "if len({value for _, value in found}) == 1:",
+        "if found:",
+        (DROPPED_MESSAGES,),
     ),
     Mutant(
         "merge-drops-mixed-entries",
         "src/qgka/protocol.py",
-        "if self.common(key_id, key_id) == self.tree.nodes[key_id].key:",
+        "if self.regions(key_id, key_id) == [(key_id, self.tree.nodes[key_id].key)]:",
         "if True:",
-        ("tests/test_protocol.py::TestUndeliveredMessage",),
+        (UNDELIVERED,),
     ),
     # Eve's tap in one fused draw, returning masks
     Mutant(

@@ -7,8 +7,11 @@ vector.  Qubit 0 is the most significant bit of the basis index, matching
 the bit-string convention of the package.
 
 ``apply_rekey`` is per-user delivery: one user opens a rekey message with
-the keys in that user's ``UserView``, her own key store, the reference for
-the protocol's shared delivery.  ``per_user_report`` compares every
+the keys in that user's ``UserView``, the user's own key store, the
+reference for the protocol's shared delivery.  The user installs an item
+only where ``try_unwrap`` opens it under the key the user holds with its
+id; otherwise the user keeps what it held, and nothing raises.
+``per_user_report`` compares every
 member's view with its keyset projection, one user at a time, the reference
 for ``GroupProtocol.verify_consistency``, which compares only the users
 whose keys have not settled.
@@ -90,10 +93,8 @@ from qgka.quantum import (
 from qgka.history import History
 from qgka.protocol import GroupProtocol
 from qgka.rekey import (
-    MissingKeyError,
     RekeyMessage,
     SimCipherText,
-    decrypt_key,
     try_unwrap,
 )
 
@@ -169,25 +170,21 @@ class UserView:
 
 
 def apply_rekey(view: UserView, message: RekeyMessage) -> list[GroupKey]:
-    """Decrypt and install every item of a message addressed to this user.
+    """Install every item of a message addressed to this user that the key
+    the user holds with the item's wrapping id opens, and return them.
 
-    Raises MissingKeyError if an item's wrapping key is absent (a protocol
-    bug, not an attack) and AuthenticationError if decryption fails despite
-    a matching (id, version).  A message addressed to others changes
-    nothing.
+    An item that key does not open, or that no held key can, changes
+    nothing, and neither does a message addressed to others.
     """
     if view.user_id not in message.recipients:
         return []
     installed = []
     for item in message.items:
         held = view.keys.get(item.enc_key_id)
-        if held is None or held.version != item.enc_version:
-            raise MissingKeyError(
-                f"{view.user_id} lacks {item.enc_key_id} v{item.enc_version}"
-            )
-        new_key = decrypt_key(held, item)
-        view.install(new_key)
-        installed.append(new_key)
+        new_key = held and try_unwrap(held, item)
+        if new_key is not None:
+            view.install(new_key)
+            installed.append(new_key)
     return installed
 
 

@@ -89,9 +89,10 @@ class TestTrace:
         assert "updated_key_material" in doc
         assert any("bits" in n for n in doc["tree_after"]["nodes"])
 
-    def test_trace_verifies_before_writing(self, capsys, tmp_path, monkeypatch):
-        # a leave whose last rekey message is never delivered leaves some
-        # members with a stale key, and the trace command must say so
+    @pytest.mark.parametrize("skip", ["first", "last"])
+    def test_trace_verifies_before_writing(self, capsys, tmp_path, monkeypatch, skip):
+        # a leave with one rekey message never delivered leaves some members
+        # with a stale key, and the trace command must say so
         from qgka.protocol import GroupProtocol
 
         argv = ["trace", "leave", "--group-size", "27", "--degree", "3"]
@@ -104,16 +105,16 @@ class TestTrace:
 
         monkeypatch.setattr(GroupProtocol, "_deliver", counted)
         assert run(capsys, *argv, "--out", str(tmp_path / "ok.json"))[0] == 0
-        last = len(delivered)
-        assert last >= 2
+        assert len(delivered) >= 2
+        skipped = 0 if skip == "first" else len(delivered) - 1
         delivered.clear()
 
-        def skip_last(self, message):
+        def skipping(self, message):
             delivered.append(message)
-            if len(delivered) < last:
+            if len(delivered) - 1 != skipped:
                 real_deliver(self, message)
 
-        monkeypatch.setattr(GroupProtocol, "_deliver", skip_last)
+        monkeypatch.setattr(GroupProtocol, "_deliver", skipping)
         out = tmp_path / "t.json"
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 4

@@ -22,7 +22,6 @@ from qgka.protocol import (
     ProtocolConfig,
 )
 from qgka.cost import tree_join_cost, tree_leave_cost
-from qgka.rekey import MissingKeyError
 
 from oracle import (
     UserView,
@@ -642,9 +641,10 @@ class TestConsistency:
 
 
 class TestDeliveryCheck:
-    """A recipient holding a stale wrapping key stops delivery, even when it
-    is not the first recipient of its message; a delivered key replaces
-    whatever a recipient held under its id."""
+    """A recipient holding a stale wrapping key opens nothing under it, even
+    when it is not the first recipient of its message: the event commits and
+    the recipient is reported.  A delivered key replaces whatever a
+    recipient held under its id."""
 
     @staticmethod
     def _warmed():
@@ -674,28 +674,37 @@ class TestDeliveryCheck:
         stale = first[item.enc_key_id]
         assert stale.version < item.enc_version
         proto.views[target].install(stale)
-        with pytest.raises(MissingKeyError):
-            getattr(proto, kind)(user)
+        getattr(proto, kind)(user)
+        assert proto.step == 2
+        report = proto.verify_consistency()
+        assert report == per_user_report(proto)
+        wrong = report["mismatches"][target]
+        assert item.enc_key_id in wrong["stale"] + wrong["missing"]
 
-    def test_stale_wrapping_key_stops_a_join(self):
+    def test_stale_wrapping_key_is_reported_after_a_join(self):
         # join messages wrap under the pre-event versions of the path keys
         self._plant_and_run("join", "u31", lambda key_id, trace: True)
 
-    def test_stale_wrapping_key_stops_a_leave(self):
+    def test_stale_wrapping_key_is_reported_after_a_leave(self):
         # a key the leave regenerates reaches the target before it wraps
         # anything, so only a key the leave leaves alone stays planted
         self._plant_and_run(
             "leave", "u30", lambda key_id, trace: key_id not in trace.updated_keys
         )
 
-    def test_wrong_key_at_its_own_node_stops_a_join(self):
+    def test_wrong_key_at_its_own_node_is_reported_after_a_join(self):
         # the join keeps the planted entry for the root key at the root when
-        # it regenerates that key, so its members lack the wrapping key
+        # it regenerates that key, so its members lack the wrapping key and
+        # only the joiner holds the new one
         proto = fresh_protocol(3, 9, verify_after=False)
         root = proto.tree.root
         proto._entries.put(root, root, GroupKey(root, 99, "1"))
-        with pytest.raises(MissingKeyError):
-            proto.join("u10")
+        proto.join("u10")
+        assert proto.step == 1
+        report = proto.verify_consistency()
+        assert report == per_user_report(proto)
+        assert sorted(report["mismatches"]) == [f"u{i}" for i in range(1, 10)]
+        assert all(m["stale"] == [root] for m in report["mismatches"].values())
 
     def test_delivery_replaces_a_planted_key(self):
         # u5 is not the first member of its root subgroup, so not a root
@@ -715,9 +724,11 @@ class TestUndeliveredMessage:
     """A message that never arrives leaves its recipients without its keys.
 
     The skipped message is the ``skip``-th of one event at d=3, N=30.  A
-    join's messages all wrap under old keys, so each skip is reported after
-    the event.  A leave sends deeper keys first and wraps each key above
-    under them, so only a root-level skip survives to be reported.
+    join's messages all wrap under old keys, so each skip leaves only its
+    own recipients behind.  A leave sends deeper keys first and wraps each
+    key above under them, so an early skip also leaves its recipients
+    unable to open the later messages wrapped under its key.  Either way
+    the event commits and every recipient left behind is reported.
     """
 
     @staticmethod
@@ -748,16 +759,23 @@ class TestUndeliveredMessage:
     @pytest.mark.parametrize("skip", range(3))
     def test_skipped_early_leave_message_stops_a_later_one(self, monkeypatch, skip):
         proto, sent = self._skipping(monkeypatch, skip)
-        with pytest.raises(MissingKeyError):
-            proto.leave("u7")
+        proto.leave("u7")
+        assert proto.step == 1
         assert proto.tree.nodes[sent[skip].include].parent != proto.tree.root
+        report = proto.verify_consistency()
+        assert report == per_user_report(proto)
+        assert set(sent[skip].recipients) <= set(report["mismatches"])
+        proto.join("u31")
+        proto.leave("u8")
+        assert proto.step == 3
+        proto.tree.check_invariants()
+        assert proto.verify_consistency() == per_user_report(proto)
 
     def test_failed_delivery_leaves_nothing_opened_for_the_next_event(
         self, monkeypatch
     ):
         proto, _ = self._skipping(monkeypatch, 0)
-        with pytest.raises(MissingKeyError):
-            proto.leave("u7")
+        proto.leave("u7")
         skipping, opened = GroupProtocol._deliver, []
 
         def deliver(self, message):
@@ -765,9 +783,55 @@ class TestUndeliveredMessage:
             skipping(self, message)
 
         monkeypatch.setattr(GroupProtocol, "_deliver", deliver)
-        with pytest.raises(MissingKeyError):  # the leave is half applied
-            proto.join("u31")
+        proto.join("u31")
+        assert proto.step == 2
         assert opened[0] == 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_dropped_messages_match_per_user_delivery(self, monkeypatch, d):
+        # seeded churn over 5 to 27 users: about half the events drop one of
+        # their first four messages and about a fifth run over a tapped
+        # channel; every other message goes through both the shared
+        # delivery and per-user delivery of each recipient
+        real_deliver = GroupProtocol._deliver
+        sent, dropped, drop = [], [], None
+
+        def deliver(self, message):
+            sent.append(message)
+            if len(sent) - 1 == drop:
+                dropped.append(message)
+                return
+            expected = {u: dict(v.keys) for u, v in self.views.items()}
+            for uid in message.recipients:
+                view = UserView(uid, expected[uid].values())
+                apply_rekey(view, message)
+                expected[uid] = view.keys
+            real_deliver(self, message)
+            assert {u: dict(v.keys) for u, v in self.views.items()} == expected
+
+        monkeypatch.setattr(GroupProtocol, "_deliver", deliver)
+        events = np.random.default_rng(40 + d)
+        size = int(events.integers(5, 28))
+        proto = fresh_protocol(d, size, seed=d, n=4, xi=0.5, verify_after=False)
+        tapped = AdversarialChannel(EveStrategy("intercept_resend", 0.15))
+        next_uid, aborted = size, 0
+        for _ in range(150):
+            sent.clear()
+            drop = int(events.integers(4)) if events.random() < 0.5 else None
+            proto.channel = tapped if events.random() < 0.2 else None
+            size = proto.tree.group_size()
+            try:
+                if size <= 5 or (size < 27 and events.random() < 0.5):
+                    next_uid += 1
+                    proto.join(f"u{next_uid}")
+                else:
+                    members = proto.tree.users()
+                    proto.leave(members[int(events.integers(len(members)))])
+            except ProtocolAbort:
+                aborted += 1
+            proto.tree.check_invariants()
+            assert proto.verify_consistency() == per_user_report(proto)
+        assert dropped and aborted
 
     @pytest.mark.parametrize("skip", range(3, 6))
     def test_skipped_root_level_leave_message_leaves_its_recipients(

@@ -10,7 +10,6 @@ from qgka.keytree import GroupKey, KeyTree, random_bits
 from qgka import rekey
 from qgka.rekey import (
     AuthenticationError,
-    MissingKeyError,
     RekeyMessage,
     build_join_messages,
     build_leave_messages,
@@ -322,15 +321,16 @@ class TestLeaveMessages:
 
 
 class TestUserView:
-    def test_missing_key_is_protocol_bug(self, rng):
+    def test_stale_version_recipient_installs_nothing(self, rng):
         wrap = key("kX", 2, "1")
         ct = encrypt_key(wrap, key("k2", 1, "0"), rng.bytes(8))
         view = UserView("u1", [key("kX", 1, "1")])  # stale version
+        before = dict(view.keys)
         tree = KeyTree.build_balanced(2, ["u1", "u2"], 1, rng)
         msg = RekeyMessage(tree, tree.root, tree.individual_key("u2"), (ct,))
         assert msg.recipients == ("u1",)
-        with pytest.raises(MissingKeyError):
-            apply_rekey(view, msg)
+        assert apply_rekey(view, msg) == []
+        assert view.keys == before
 
     def test_leaver_keyset_opens_nothing_after_leave(self):
         # forward-secrecy game at the message level: run one leave and try
