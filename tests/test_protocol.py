@@ -51,6 +51,18 @@ def fresh_protocol(d, N, seed=1, n=1, xi=0.0, verify_after=True, **kwargs):
     return proto
 
 
+def deliver_checked(deliver, proto, message):
+    """Deliver ``message`` with ``deliver`` and require every member's keys
+    to equal per-user delivery of it into ``UserView``s."""
+    expected = {u: dict(v.keys) for u, v in proto.views.items()}
+    for uid in message.recipients:
+        view = UserView(uid, expected[uid].values())
+        apply_rekey(view, message)
+        expected[uid] = view.keys
+    deliver(proto, message)
+    assert {u: dict(v.keys) for u, v in proto.views.items()} == expected
+
+
 def snapshot(proto):
     """Everything an event may change, for exact before/after comparison."""
     return (
@@ -617,13 +629,7 @@ class TestConsistency:
 
         def checked_deliver(self, message):
             nonlocal delivered
-            expected = {u: dict(v.keys) for u, v in self.views.items()}
-            for uid in message.recipients:
-                view = UserView(uid, self.views[uid].keys.values())
-                apply_rekey(view, message)
-                expected[uid] = view.keys
-            real_deliver(self, message)
-            assert {u: v.keys for u, v in self.views.items()} == expected
+            deliver_checked(real_deliver, self, message)
             delivered += len(message.recipients)
 
         monkeypatch.setattr(GroupProtocol, "_deliver", checked_deliver)
@@ -800,14 +806,8 @@ class TestUndeliveredMessage:
             sent.append(message)
             if len(sent) - 1 == drop:
                 dropped.append(message)
-                return
-            expected = {u: dict(v.keys) for u, v in self.views.items()}
-            for uid in message.recipients:
-                view = UserView(uid, expected[uid].values())
-                apply_rekey(view, message)
-                expected[uid] = view.keys
-            real_deliver(self, message)
-            assert {u: dict(v.keys) for u, v in self.views.items()} == expected
+            else:
+                deliver_checked(real_deliver, self, message)
 
         monkeypatch.setattr(GroupProtocol, "_deliver", deliver)
         events = np.random.default_rng(40 + d)
